@@ -6,7 +6,6 @@
 //
 //	idc [-run] [-args "1 2 3"] file.id
 //	idc -demo            # compile and dump the paper's trapezoid program
-//	idc -emit-go file.id # print the program as standalone Go source
 package main
 
 import (
@@ -15,7 +14,6 @@ import (
 	"os"
 
 	"repro/internal/cli"
-	"repro/internal/direct"
 	"repro/internal/graph"
 	"repro/internal/id"
 	"repro/internal/workload"
@@ -29,7 +27,6 @@ func main() {
 	out := flag.String("o", "", "write the compiled program as a TTDA object file")
 	check := flag.Bool("check", false, "run the static type checker and report diagnostics")
 	dot := flag.Bool("dot", false, "print the graph in Graphviz DOT format instead of text")
-	emitGo := flag.Bool("emit-go", false, "print the program as standalone Go source (direct-execution oracle)")
 	flag.Parse()
 
 	var src string
@@ -81,19 +78,7 @@ func main() {
 			return
 		}
 	}
-	if *emitGo {
-		src, err := direct.EmitGo(prog)
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(src)
-		if !*run {
-			return
-		}
-	}
 	switch {
-	case *emitGo:
-		// the generated source is the whole dump
 	case *stats:
 		fmt.Printf("program %q: %d blocks, %d instructions\n", prog.Name, len(prog.Blocks), prog.NumInstructions())
 		for _, oc := range prog.Stats() {

@@ -119,8 +119,8 @@ type ttdaAdapter struct {
 	res  []token.Value
 }
 
-func newTTDAAdapter(c *compiled, pes, shards, window int, compiledPlan bool) *ttdaAdapter {
-	m := core.NewMachine(core.Config{PEs: pes, NetLatency: 4, Shards: shards, EpochWindow: window, Compiled: compiledPlan}, c.prog)
+func newTTDAAdapter(c *compiled, pes, shards, window int, ownPlan bool) *ttdaAdapter {
+	m := newTTDA(c, core.Config{PEs: pes, NetLatency: 4, Shards: shards, EpochWindow: window}, ownPlan)
 	return &ttdaAdapter{m: m, args: c.args}
 }
 
@@ -180,8 +180,9 @@ func (a *vliwAdapter) snapshot() (Snapshot, error) {
 }
 
 // checkCheckpoint runs the split-run check across the fleet, crossing the
-// TTDA with the conservative parallel kernel and the compiled plan, and
-// the shardable baselines with the parallel kernel.
+// TTDA with the conservative parallel kernel and with machines that build
+// their own plan instead of sharing the seed's, and the shardable
+// baselines with the parallel kernel.
 func checkCheckpoint(ct *counter, c *compiled) {
 	rng := sim.NewRNG(c.w.Seed ^ 0x5EEDC4C7)
 
@@ -212,8 +213,8 @@ func checkCheckpoint(ct *counter, c *compiled) {
 		// run must still match the uninterrupted one bit-for-bit.
 		{"ttda/shards=2/window=4", func() resumable { return newTTDAAdapter(c, 4, 2, 4, false) }},
 		{"ttda/shards=2/window=adaptive", func() resumable { return newTTDAAdapter(c, 4, 2, -1, false) }},
-		{"ttda/compiled", func() resumable { return newTTDAAdapter(c, 2, 0, 0, true) }},
-		{"ttda/compiled/shards=2", func() resumable { return newTTDAAdapter(c, 4, 2, 0, true) }},
+		{"ttda/own-plan", func() resumable { return newTTDAAdapter(c, 2, 0, 0, true) }},
+		{"ttda/own-plan/shards=2", func() resumable { return newTTDAAdapter(c, 4, 2, 0, true) }},
 		{"vn", func() resumable {
 			m := newVNMachine(c, 2, 4)
 			return &baselineAdapter{m: m, snap: vnSnap(

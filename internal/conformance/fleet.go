@@ -62,14 +62,23 @@ func coreStats(s *Snapshot, c *vn.Core) {
 type compiled struct {
 	w    Workload
 	prog *graph.Program // dataflow graph (TTDA, emulator, interpreter)
-	asm  *vn.Program    // vn machine code (all Section-1.2 baselines)
-	args []token.Value  // entry tokens for the dataflow forms
+	// plan is prog's execution plan, built once per seed and shared by
+	// every TTDA machine the oracles build on it (sequential and sharded
+	// alike), except the own-plan references of the compiled-equivalence
+	// and checkpoint oracles.
+	plan *graph.CompiledGraph
+	asm  *vn.Program   // vn machine code (all Section-1.2 baselines)
+	args []token.Value // entry tokens for the dataflow forms
 }
 
 func compile(w Workload) (*compiled, error) {
 	prog, err := id.Compile(w.IDSource())
 	if err != nil {
 		return nil, fmt.Errorf("compile ID form: %v", err)
+	}
+	plan, err := graph.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("compile plan: %v", err)
 	}
 	args, err := id.EntryArgs(prog, []token.Value{token.Int(w.N)})
 	if err != nil {
@@ -79,7 +88,7 @@ func compile(w Workload) (*compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("assemble vn form: %v", err)
 	}
-	return &compiled{w: w, prog: prog, asm: asm, args: args}, nil
+	return &compiled{w: w, prog: prog, plan: plan, asm: asm, args: args}, nil
 }
 
 // runInterp executes the reference interpreter and returns the answer
@@ -110,11 +119,11 @@ func forceLegacy(e interface{ Register(sim.Component) }) {
 // machine. shards > 1 selects the conservative parallel kernel (never
 // combined with legacy, which requires the sequential engine); window sets
 // the parallel kernel's epoch window width (0/1 per-tick, >= 2 capped, < 0
-// adaptive — meaningful only with shards > 1); compiledPlan selects the
-// ahead-of-time compiled dispatch core, which the compiled-equivalence
-// oracle pins against the interpreted core.
-func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy bool, shards, window int, compiledPlan bool) (Snapshot, error) {
-	m := core.NewMachine(core.Config{PEs: pes, NetLatency: netLatency, Shards: shards, EpochWindow: window, Compiled: compiledPlan}, c.prog)
+// adaptive — meaningful only with shards > 1). The machine runs the seed's
+// shared plan, or with ownPlan a private one NewMachine compiles, which
+// the compiled-equivalence oracle pins the shared plan against.
+func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy bool, shards, window int, ownPlan bool) (Snapshot, error) {
+	m := newTTDA(c, core.Config{PEs: pes, NetLatency: netLatency, Shards: shards, EpochWindow: window}, ownPlan)
 	if legacy {
 		forceLegacy(m.Engine())
 	}
@@ -136,6 +145,15 @@ func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy bool, shards, wi
 		Extra:  [4]uint64{sum.Fired, sum.Matches, sum.NetSends, sum.ISReads + sum.ISWrites},
 		Engine: m.Engine().Counters(),
 	}, nil
+}
+
+// newTTDA builds a tagged-token machine on the seed's shared plan, or with
+// ownPlan on a plan of its own.
+func newTTDA(c *compiled, cfg core.Config, ownPlan bool) *core.Machine {
+	if ownPlan {
+		return core.NewMachine(cfg, c.prog)
+	}
+	return core.NewMachineWithPlan(cfg, c.plan)
 }
 
 // runEmulator executes the graph on the hypercube emulation facility.

@@ -424,41 +424,44 @@ func checkParallel(ct *counter, c *compiled) {
 	}
 }
 
-// --- oracle 6: compiled-vs-interpreted equivalence --------------------
+// --- oracle 6: compiled-plan equivalence -------------------------------
 
-// checkCompiled runs the TTDA once through the interpreted dispatch core
-// and once through the ahead-of-time compiled plan, demanding the FULL
-// snapshot — results, cycles, machine statistics, and the engine's own
-// counters — be bit-identical. Compilation is a pure host-side speedup: it
-// may not perturb even the scheduler's wake pattern. A second check
-// crosses the compiled plan with the conservative parallel kernel against
-// the interpreted sequential reference.
+// checkCompiled pins the seed's shared execution plan to a private one.
+// By the time it runs, the shared plan has served every other TTDA run of
+// the seed. The first check demands that a machine on the shared plan and
+// one whose NewMachine compiled its own agree on the FULL snapshot —
+// results, cycles, machine statistics, and the engine's own counters — so
+// a plan that some run had mutated would show here. The second crosses
+// the shared plan with the conservative parallel kernel against the
+// own-plan sequential reference: shard workers read the one plan
+// concurrently, which the race detector checks under go test -race.
 func checkCompiled(ct *counter, c *compiled) {
-	interp, err1 := runTTDA(c, 2, 4, false, 0, 0, false)
-	plan, err2 := runTTDA(c, 2, 4, false, 0, 0, true)
+	own, err1 := runTTDA(c, 2, 4, false, 0, 0, true)
+	shared, err2 := runTTDA(c, 2, 4, false, 0, 0, false)
 	if err1 != nil || err2 != nil {
 		ct.fail(OracleCompiled, "ttda", fmt.Errorf("run errors: %v / %v", err1, err2))
 		return
 	}
-	ct.checkAt(OracleCompiled, "ttda", interp.Cycles, interp == plan, func() string {
-		return fmt.Sprintf("compiled run diverged from interpreted (full snapshot):\n  interpreted %+v\n  compiled    %+v", interp, plan)
+	ct.checkAt(OracleCompiled, "ttda", own.Cycles, own == shared, func() string {
+		return fmt.Sprintf("shared-plan run diverged from own-plan run (full snapshot):\n  own plan    %+v\n  shared plan %+v", own, shared)
 	})
 
-	seq, err := runTTDA(c, 4, 4, false, 0, 0, false)
+	seq, err := runTTDA(c, 4, 4, false, 0, 0, true)
 	if err != nil {
 		ct.fail(OracleCompiled, "ttda/pes=4", err)
 		return
 	}
 	want := seq.Observables()
 	for _, n := range parallelShardCounts {
-		par, err := runTTDA(c, 4, 4, false, n, 0, true)
+		name := fmt.Sprintf("ttda/shared-plan/shards=%d", n)
+		par, err := runTTDA(c, 4, 4, false, n, 0, false)
 		if err != nil {
-			ct.fail(OracleCompiled, fmt.Sprintf("ttda/compiled/shards=%d", n), err)
+			ct.fail(OracleCompiled, name, err)
 			continue
 		}
 		got := par.Observables()
-		ct.checkAt(OracleCompiled, fmt.Sprintf("ttda/compiled/shards=%d", n), want.Cycles, got == want, func() string {
-			return fmt.Sprintf("compiled parallel run diverged from interpreted sequential:\n  sequential %+v\n  parallel   %+v", want, got)
+		ct.checkAt(OracleCompiled, name, want.Cycles, got == want, func() string {
+			return fmt.Sprintf("shared-plan parallel run diverged from own-plan sequential:\n  sequential %+v\n  parallel   %+v", want, got)
 		})
 	}
 }

@@ -3,35 +3,24 @@ package core
 import (
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/id"
-	"repro/internal/sim"
 	"repro/internal/token"
 	"repro/internal/workload"
 )
 
-// benchRun drives one full matmul(4) run on 8 PEs — the kernel point the
-// bench harness (cmd/critique-bench) reports mcycles_per_sec for.
-func benchRun(b *testing.B, compiled bool) {
+// BenchmarkMatMul4 drives one full matmul(4) run on 8 PEs — the kernel
+// point the bench harness (cmd/critique-bench) reports mcycles_per_sec
+// for. Each iteration builds its machine with NewMachine, so the plan
+// build is part of the measured cost, as it is for every caller.
+func BenchmarkMatMul4(b *testing.B) {
 	prog, err := id.Compile(workload.MatMulID)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var plan *graph.CompiledGraph
-	if compiled {
-		if plan, err = graph.Compile(prog); err != nil {
-			b.Fatal(err)
-		}
-	}
 	var cycles uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var m *Machine
-		if compiled {
-			m = NewMachineWithPlan(Config{PEs: 8}, plan)
-		} else {
-			m = NewMachine(Config{PEs: 8}, prog)
-		}
+		m := NewMachine(Config{PEs: 8}, prog)
 		if _, err := m.Run(500_000_000, token.Int(4)); err != nil {
 			b.Fatal(err)
 		}
@@ -43,8 +32,41 @@ func benchRun(b *testing.B, compiled bool) {
 		secs := b.Elapsed().Seconds() / float64(b.N)
 		b.ReportMetric(perRun/secs/1e6, "mcycles/s")
 	}
-	_ = sim.Cycle(0)
 }
 
-func BenchmarkMatMul4Interpreted(b *testing.B) { benchRun(b, false) }
-func BenchmarkMatMul4Compiled(b *testing.B)    { benchRun(b, true) }
+// TestHotPathAllocations pins what a firing costs the host heap when
+// tracing is off. Tokens are built from the plan and trace arguments are
+// boxed only behind a Config.Trace check, so a long loop allocates nothing
+// per firing, and a call-heavy program allocates less than once per
+// invocation context (the record pool and the stage rings absorb the
+// rest).
+func TestHotPathAllocations(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		src  string
+		n    int64
+		per  func(Summary) uint64
+		max  float64
+	}{
+		{"sumloop(20000) per firing", workload.SumLoopID, 20000, func(s Summary) uint64 { return s.Fired }, 0.01},
+		{"fib(18) per context", workload.FibID, 18, func(s Summary) uint64 { return s.CtxAllocated }, 1},
+	} {
+		prog, err := id.Compile(c.src)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", c.name, err)
+		}
+		var sum Summary
+		allocs := testing.AllocsPerRun(1, func() {
+			m := NewMachine(Config{PEs: 8}, prog)
+			if _, err := m.Run(500_000_000, token.Int(c.n)); err != nil {
+				t.Fatalf("%s: run: %v", c.name, err)
+			}
+			sum = m.Summarize()
+		})
+		per := allocs / float64(c.per(sum))
+		t.Logf("%s: %.0f mallocs, %.4f each", c.name, allocs, per)
+		if per >= c.max {
+			t.Errorf("%s: %.4f mallocs, want < %g", c.name, per, c.max)
+		}
+	}
+}

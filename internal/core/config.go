@@ -13,7 +13,9 @@
 //
 // The machine executes the same compiled graphs as the reference
 // interpreter (internal/graph) and the emulator (internal/emulator), and
-// must agree with them on every answer.
+// must agree with them on every answer. Like the interpreter, it runs the
+// graph's ahead-of-time execution plan (graph.CompiledGraph), never the
+// IR itself.
 package core
 
 import (
@@ -38,12 +40,12 @@ type Config struct {
 	// opcode at machine construction into a dense table.
 	OpTime func(graph.Opcode) sim.Cycle
 
-	// Compiled executes the ahead-of-time compiled plan (graph.Compile)
-	// instead of walking the IR per token. The plan is a pure host-side
-	// acceleration: simulated behaviour — results, cycle counts, every
-	// statistic, even the engine's scheduling counters — is bit-identical
-	// to the interpreted path, which the conformance suite's
-	// compiled-equivalence oracle and the -compiled golden runs enforce.
+	// Compiled is ignored: every machine executes the ahead-of-time
+	// compiled plan (graph.Compile), built by NewMachine or supplied to
+	// NewMachineWithPlan.
+	//
+	// Deprecated: leave it unset. It remains only so that existing callers
+	// still compile.
 	Compiled bool
 
 	// Shards > 1 runs the machine on the conservative parallel simulation

@@ -19,11 +19,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current simulator")
 
-// -compiled runs every golden scenario through the ahead-of-time compiled
-// plan instead of the IR interpreter. The committed golden numbers must
-// not move: the plan is a pure host-side acceleration.
-var compiledGolden = flag.Bool("compiled", false, "execute golden scenarios in compiled (plan) mode")
-
 // -shards runs every golden scenario on the conservative parallel kernel
 // with that many shards; -window additionally sets Config.EpochWindow
 // (0/1 per-tick, >=2 capped multi-tick epochs, negative adaptive). The
@@ -131,15 +126,18 @@ func snapshotRun(t *testing.T, sc goldenScenario) runSnapshot {
 	if err != nil {
 		t.Fatalf("%s: compile: %v", sc.name, err)
 	}
+	return snapshotWith(t, sc, func(cfg Config) *Machine { return NewMachine(cfg, prog) })
+}
+
+// snapshotWith is snapshotRun on a machine from build.
+func snapshotWith(t *testing.T, sc goldenScenario, build func(Config) *Machine) runSnapshot {
+	t.Helper()
 	cfg := sc.cfg()
-	if *compiledGolden {
-		cfg.Compiled = true
-	}
 	if *shardsGolden > 0 && cfg.Shards == 0 {
 		cfg.Shards = *shardsGolden
 		cfg.EpochWindow = *windowGolden
 	}
-	m := NewMachine(cfg, prog)
+	m := build(cfg)
 	res, err := m.Run(500_000_000, sc.args...)
 	if err != nil {
 		t.Fatalf("%s: run: %v", sc.name, err)
@@ -196,7 +194,9 @@ const goldenPath = "testdata/golden.json"
 // cycle counts, result tokens, and every deterministic statistic must be
 // bit-identical to the committed golden file. Kernel optimizations
 // (active-lists, cycle skipping, event-driven statistics) must not move a
-// single number here. Regenerate deliberately with:
+// single number here. The file predates the plan-only pipeline: it was
+// recorded by the IR-walking pipeline the plan replaced, so it also pins
+// that replacement. Regenerate deliberately with:
 //
 //	go test ./internal/core -run TestGoldenStats -update
 func TestGoldenStats(t *testing.T) {
@@ -218,14 +218,7 @@ func TestGoldenStats(t *testing.T) {
 		t.Logf("wrote %s (%d scenarios)", goldenPath, len(got))
 		return
 	}
-	buf, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	want := map[string]runSnapshot{}
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := loadGolden(t)
 	if len(want) != len(got) {
 		t.Errorf("golden has %d scenarios, current suite has %d", len(want), len(got))
 	}
@@ -241,6 +234,20 @@ func TestGoldenStats(t *testing.T) {
 	}
 }
 
+// loadGolden reads the committed golden snapshots.
+func loadGolden(t *testing.T) map[string]runSnapshot {
+	t.Helper()
+	buf, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	want := map[string]runSnapshot{}
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 func mustJSON(v interface{}) string {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -249,25 +256,31 @@ func mustJSON(v interface{}) string {
 	return string(b)
 }
 
-// TestCompiledGoldenStats re-runs every golden scenario with
-// Config.Compiled set and requires the full snapshot — results, cycles,
-// every machine and per-PE statistic — to be bit-identical to the
-// interpreted run. This is the core's half of the compiled-equivalence
-// contract (the conformance suite checks it again across seeds and shard
-// counts, including engine scheduling counters).
+// TestCompiledGoldenStats runs every golden scenario through
+// NewMachineWithPlan, on one plan per program compiled up front and shared
+// by all of that program's scenarios, and requires the committed golden
+// numbers. A machine only reads its plan, so a plan that has already
+// served other PE counts, networks and timings must simulate exactly what
+// NewMachine's private plan does.
 func TestCompiledGoldenStats(t *testing.T) {
-	if *compiledGolden {
-		t.Skip("-compiled already routes TestGoldenStats through the plan")
-	}
+	want := loadGolden(t)
+	plans := map[string]*graph.CompiledGraph{}
 	for _, sc := range goldenScenarios() {
-		base := snapshotRun(t, sc)
-		csc := sc
-		inner := sc.cfg
-		csc.cfg = func() Config { c := inner(); c.Compiled = true; return c }
-		comp := snapshotRun(t, csc)
-		if !reflect.DeepEqual(base, comp) {
-			t.Errorf("scenario %s: compiled mode diverged from interpreted:\n  interpreted: %s\n  compiled:    %s",
-				sc.name, mustJSON(base), mustJSON(comp))
+		plan := plans[sc.src]
+		if plan == nil {
+			prog, err := id.Compile(sc.src)
+			if err != nil {
+				t.Fatalf("%s: compile: %v", sc.name, err)
+			}
+			if plan, err = graph.Compile(prog); err != nil {
+				t.Fatalf("%s: plan: %v", sc.name, err)
+			}
+			plans[sc.src] = plan
+		}
+		got := snapshotWith(t, sc, func(cfg Config) *Machine { return NewMachineWithPlan(cfg, plan) })
+		if !reflect.DeepEqual(want[sc.name], got) {
+			t.Errorf("scenario %s on a shared plan diverged from golden:\n  golden:  %s\n  current: %s",
+				sc.name, mustJSON(want[sc.name]), mustJSON(got))
 		}
 	}
 }

@@ -23,10 +23,12 @@ import (
 type Machine struct {
 	cfg  Config
 	prog *graph.Program
-	// plan is the ahead-of-time compiled execution plan (Config.Compiled
-	// or NewMachineWithPlan); nil selects the IR-walking paths. Both paths
-	// simulate bit-identically — the plan only removes host-side work.
-	plan *graph.CompiledGraph
+	// plan is the ahead-of-time compiled execution plan (graph.Compile)
+	// the pipeline executes: dispatch kinds, literals, and destination nt
+	// fields all come from it, never from the IR. It is read-only, so
+	// machines may share one. planErr keeps a compile failure for Run.
+	plan    *graph.CompiledGraph
+	planErr error
 	// opTimes is Config.OpTime sampled per opcode at construction, so the
 	// ALU issue path indexes a dense table instead of calling a closure.
 	opTimes [graph.NumOpcodes]sim.Cycle
@@ -98,10 +100,9 @@ type ctxRecord struct {
 	block       graph.BlockID
 	parent      token.ActivityName
 	parentBlock graph.BlockID
-	// returnDests (interpreted mode) and returnDestsC (compiled mode) name
-	// the caller-side receivers; exactly one is non-nil per machine mode.
-	returnDests  []graph.Dest
-	returnDestsC []graph.CDest
+	// returnDests names the caller-side receivers (the GET-CONTEXT's
+	// lowered return arcs in the plan).
+	returnDests []graph.CDest
 	// reclamation state (see graph.Interp: non-strict calls may return
 	// before all arguments arrive)
 	argsSent int
@@ -123,8 +124,28 @@ type replyTag struct {
 	nt       uint8
 }
 
-// NewMachine builds a machine for the given program.
+// NewMachine builds a machine for the given program, compiling its
+// execution plan (graph.Compile) at construction. A program that fails to
+// compile still yields a machine; its Run reports the error.
 func NewMachine(cfg Config, prog *graph.Program) *Machine {
+	plan, err := graph.Compile(prog)
+	m := newMachine(cfg, prog)
+	m.plan, m.planErr = plan, err
+	return m
+}
+
+// NewMachineWithPlan builds a machine that executes a pre-compiled plan
+// (graph.Compile), amortizing compilation across many runs of the same
+// program. The machine only reads the plan, so any number of machines,
+// sequential or sharded and running concurrently, may share one.
+func NewMachineWithPlan(cfg Config, plan *graph.CompiledGraph) *Machine {
+	m := newMachine(cfg, plan.Prog)
+	m.plan = plan
+	return m
+}
+
+// newMachine builds everything but the plan.
+func newMachine(cfg Config, prog *graph.Program) *Machine {
 	cfg = cfg.withDefaults()
 	m := &Machine{
 		cfg:      cfg,
@@ -173,17 +194,6 @@ func NewMachine(cfg Config, prog *graph.Program) *Machine {
 		m.seqDrv = &machineDriver{m: m, isNext: sim.Never, peNext: sim.Never}
 		eng.Register(m.seqDrv)
 	}
-	return m
-}
-
-// NewMachineWithPlan builds a machine that executes a pre-compiled plan
-// (graph.Compile), amortizing compilation across many runs of the same
-// program. The machine simulates exactly what NewMachine with
-// Config.Compiled does.
-func NewMachineWithPlan(cfg Config, plan *graph.CompiledGraph) *Machine {
-	cfg.Compiled = true
-	m := NewMachine(cfg, plan.Prog)
-	m.plan = plan
 	return m
 }
 
@@ -428,17 +438,9 @@ func (m *Machine) ctxLookup(u token.Context) *ctxRecord {
 }
 
 // getContext allocates a fresh invocation context.
-func (m *Machine) getContext(target graph.BlockID, parent token.ActivityName, parentBlock graph.BlockID, returnDests []graph.Dest) token.Context {
+func (m *Machine) getContext(target graph.BlockID, parent token.ActivityName, parentBlock graph.BlockID, returnDests []graph.CDest) token.Context {
 	u, rec := m.allocCtx()
 	rec.block, rec.parent, rec.parentBlock, rec.returnDests = target, parent, parentBlock, returnDests
-	return u
-}
-
-// getContextC is getContext for the compiled path: return destinations come
-// from the plan's lowered CDest arrays.
-func (m *Machine) getContextC(target graph.BlockID, parent token.ActivityName, parentBlock graph.BlockID, returnDests []graph.CDest) token.Context {
-	u, rec := m.allocCtx()
-	rec.block, rec.parent, rec.parentBlock, rec.returnDestsC = target, parent, parentBlock, returnDests
 	return u
 }
 
@@ -446,7 +448,7 @@ func (m *Machine) getContextC(target graph.BlockID, parent token.ActivityName, p
 // every callee entry received its argument. The record goes on a free list
 // for reuse; callers must not touch rec afterwards.
 func (m *Machine) maybeFreeContext(u token.Context, rec *ctxRecord) {
-	if rec.returned && rec.argsSent >= len(m.prog.Block(rec.block).Entries) {
+	if rec.returned && rec.argsSent >= len(m.plan.Blocks[rec.block].Entries) {
 		m.ctxs[u] = nil
 		m.ctxLive--
 		m.ctxFree = append(m.ctxFree, rec)
@@ -566,18 +568,11 @@ func (m *Machine) sweepPEsQ(now sim.Cycle, q *idQueue) sim.Cycle {
 // are injected only on the first call of a run; a continuation ignores
 // them.
 func (m *Machine) Run(limit sim.Cycle, args ...token.Value) ([]token.Value, error) {
-	if err := m.prog.Validate(); err != nil {
-		return nil, err
-	}
-	if m.cfg.Compiled && m.plan == nil {
-		cg, err := graph.Compile(m.prog)
-		if err != nil {
-			return nil, err
-		}
-		m.plan = cg
+	if m.planErr != nil {
+		return nil, m.planErr
 	}
 	if !m.started {
-		entry := m.prog.Entry()
+		entry := m.plan.Block(0)
 		if len(args) != len(entry.Entries) {
 			return nil, fmt.Errorf("core: program %q wants %d arguments, got %d", m.prog.Name, len(entry.Entries), len(args))
 		}
@@ -586,7 +581,7 @@ func (m *Machine) Run(limit sim.Cycle, args ...token.Value) ([]token.Value, erro
 			t := token.Token{
 				Class: token.Normal,
 				Tag:   token.Tag{Activity: act},
-				NT:    entry.Instr(entry.Entries[j]).NT,
+				NT:    entry.EntryNT[j],
 				Port:  0,
 				Value: v,
 			}

@@ -473,3 +473,21 @@ def main(n) =
 		t.Fatalf("allocated %d, freed %d", s.CtxAllocated, s.CtxFreed)
 	}
 }
+
+// TestInvalidProgramFailsAtRun pins NewMachine's handling of a program
+// that does not compile: construction succeeds, and Run and a checkpoint
+// restore both report the compile error instead of panicking.
+func TestInvalidProgramFailsAtRun(t *testing.T) {
+	prog := &graph.Program{Name: "empty"}
+	want := prog.Validate()
+	if want == nil {
+		t.Fatal("an empty program validated")
+	}
+	m := NewMachine(Config{PEs: 2}, prog)
+	if _, err := m.Run(1000); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Run: got %v, want %v", err, want)
+	}
+	if err := m.LoadState(sim.NewDec(nil)); err == nil || err.Error() != want.Error() {
+		t.Fatalf("LoadState: got %v, want %v", err, want)
+	}
+}

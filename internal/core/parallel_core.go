@@ -105,10 +105,8 @@ type shardOp struct {
 	tick sim.Cycle
 	pe   *PE
 	pkt  *network.Packet
-	// in (interpreted mode) or cin (compiled mode) names the deferred
-	// instruction for opCtrl/opExec; at most one is non-nil.
-	in   *graph.Instruction
-	cin  *graph.CInstr
+	// in names the deferred instruction for opCtrl/opExec.
+	in   *graph.CInstr
 	act  token.ActivityName
 	vals [2]token.Value
 	err  error
@@ -312,24 +310,11 @@ func (m *Machine) applyOp(op *shardOp) {
 		}
 		pe.stats.NetSends.Inc()
 	case opCtrl:
-		if op.cin != nil {
-			pe.execCtrlC(ctrlRequest{act: op.act, cin: op.cin, value: op.vals[0]})
-			return
-		}
-		pe.execCtrl(ctrlRequest{act: op.act, instr: op.in, value: op.vals[0]})
+		pe.execCtrl(ctrlRequest{act: op.act, in: op.in, value: op.vals[0]})
 	case opExec:
-		if op.cin != nil {
-			if op.cin.Kind == graph.KindSendArg {
-				pe.execSendArgC(op.cin, op.act, op.vals)
-			} else {
-				pe.execReturnC(op.cin, op.act, op.vals)
-			}
-			return
-		}
-		switch op.in.Op {
-		case graph.OpSendArg, graph.OpL:
+		if op.in.Kind == graph.KindSendArg {
 			pe.execSendArg(op.in, op.act, op.vals)
-		default:
+		} else {
 			pe.execReturn(op.in, op.act, op.vals)
 		}
 	case opFail:

@@ -89,12 +89,10 @@ type enabledInstr struct {
 	vals [2]token.Value
 }
 
-// ctrlRequest is a d=2 manager operation. Exactly one of instr
-// (interpreted mode) and cin (compiled mode) is non-nil.
+// ctrlRequest is a d=2 manager operation.
 type ctrlRequest struct {
 	act   token.ActivityName // the requesting instruction instance
-	instr *graph.Instruction
-	cin   *graph.CInstr
+	in    *graph.CInstr
 	value token.Value // operand (allocation size, or trigger)
 }
 
@@ -323,24 +321,7 @@ func (pe *PE) stepALU(now sim.Cycle) {
 	}
 	e := pe.ready.PopNoClear() // enabledInstr is pointer-free
 	pe.aluN--
-	if plan := pe.m.plan; plan != nil {
-		cin := &plan.Blocks[e.act.CodeBlock].Instrs[e.act.Statement]
-		d := pe.m.opTimes[cin.Op]
-		pe.aluBusyUntil = now + d
-		pe.noteBusy(pe.aluBusyUntil)
-		if d == 0 {
-			d = 1 // the firing cycle itself counts busy even for free ops
-		}
-		pe.stats.ALU.AddBusy(uint64(d))
-		if pe.m.cfg.Trace != nil {
-			pe.trace(TraceFire, "%s %s", cin.Op, traceActivity(e.act))
-		}
-		pe.executeC(cin, e)
-		pe.stats.Fired.Inc()
-		return
-	}
-	blk := pe.m.prog.Block(graph.BlockID(e.act.CodeBlock))
-	in := blk.Instr(e.act.Statement)
+	in := &pe.m.plan.Blocks[e.act.CodeBlock].Instrs[e.act.Statement]
 	d := pe.m.opTimes[in.Op]
 	pe.aluBusyUntil = now + d
 	pe.noteBusy(pe.aluBusyUntil)
@@ -348,8 +329,10 @@ func (pe *PE) stepALU(now sim.Cycle) {
 		d = 1 // the firing cycle itself counts busy even for free ops
 	}
 	pe.stats.ALU.AddBusy(uint64(d))
-	pe.trace(TraceFire, "%s %s", in.Op, traceActivity(e.act))
-	pe.execute(blk, in, e)
+	if pe.m.cfg.Trace != nil {
+		pe.trace(TraceFire, "%s %s", in.Op, e.act)
+	}
+	pe.execute(in, e)
 	pe.stats.Fired.Inc()
 }
 
@@ -373,11 +356,7 @@ func (pe *PE) stepController(now sim.Cycle) {
 	pe.ctrlBusyUntil = now + pe.m.cfg.ControllerTime
 	pe.noteBusy(pe.ctrlBusyUntil)
 	if pe.sh != nil {
-		pe.sh.push(shardOp{kind: opCtrl, pe: pe, in: r.instr, cin: r.cin, act: r.act, vals: [2]token.Value{r.value}})
-		return
-	}
-	if r.cin != nil {
-		pe.execCtrlC(r)
+		pe.sh.push(shardOp{kind: opCtrl, pe: pe, in: r.in, act: r.act, vals: [2]token.Value{r.value}})
 		return
 	}
 	pe.execCtrl(r)
@@ -386,12 +365,15 @@ func (pe *PE) stepController(now sim.Cycle) {
 // execCtrl performs a d=2 manager operation. Serial contexts only: the
 // sequential controller step, or the parallel kernel's commit phase.
 func (pe *PE) execCtrl(r ctrlRequest) {
-	switch r.instr.Op {
-	case graph.OpGetContext:
-		u := pe.m.getContext(r.instr.Target, r.act, graph.BlockID(r.act.CodeBlock), r.instr.ReturnDests)
-		pe.trace(TraceGetCtx, "u=%d for block %d", u, r.instr.Target)
-		pe.sendToDests(r.act, r.instr.Dests, token.Int(int64(u)))
-	case graph.OpAllocate:
+	in := r.in
+	switch in.Kind {
+	case graph.KindGetContext:
+		u := pe.m.getContext(in.Target, r.act, graph.BlockID(r.act.CodeBlock), in.RetDests)
+		if pe.m.cfg.Trace != nil {
+			pe.trace(TraceGetCtx, "u=%d for block %d", u, in.Target)
+		}
+		pe.sendToDests(r.act, in.Dests, token.Int(int64(u)))
+	case graph.KindAllocate:
 		n, err := r.value.AsInt()
 		if err != nil || n < 0 {
 			pe.m.fail(fmt.Errorf("core: allocate at %s: bad size %s", r.act, r.value))
@@ -402,10 +384,12 @@ func (pe *PE) execCtrl(r ctrlRequest) {
 			pe.m.fail(err)
 			return
 		}
-		pe.trace(TraceAlloc, "base=%d len=%d", base, n)
-		pe.sendToDests(r.act, r.instr.Dests, token.NewRef(token.Ref{Base: base, Len: uint32(n)}))
+		if pe.m.cfg.Trace != nil {
+			pe.trace(TraceAlloc, "base=%d len=%d", base, n)
+		}
+		pe.sendToDests(r.act, in.Dests, token.NewRef(token.Ref{Base: base, Len: uint32(n)}))
 	default:
-		pe.m.fail(fmt.Errorf("core: controller cannot service %s", r.instr.Op))
+		pe.m.fail(fmt.Errorf("core: controller cannot service %s", in.Op))
 	}
 }
 
@@ -482,15 +466,15 @@ func (pe *PE) match(t token.Token, now sim.Cycle) {
 
 // sendToDests builds result tokens with the standard tag transformation
 // (same context, same initiation, destination statement) and queues them at
-// the output section.
-func (pe *PE) sendToDests(act token.ActivityName, dests []graph.Dest, v token.Value) {
+// the output section. The destination's nt field rides in the plan's CDest,
+// so no instruction is fetched per token.
+func (pe *PE) sendToDests(act token.ActivityName, dests []graph.CDest, v token.Value) {
 	pe.sendToDestsInit(act, dests, v, act.Initiation)
 }
 
 // sendToDestsInit is sendToDests with an explicit initiation number (for D
 // and D⁻¹).
-func (pe *PE) sendToDestsInit(act token.ActivityName, dests []graph.Dest, v token.Value, initiation uint32) {
-	blk := pe.m.prog.Block(graph.BlockID(act.CodeBlock))
+func (pe *PE) sendToDestsInit(act token.ActivityName, dests []graph.CDest, v token.Value, initiation uint32) {
 	for _, d := range dests {
 		newAct := token.ActivityName{
 			Context:    act.Context,
@@ -498,25 +482,17 @@ func (pe *PE) sendToDestsInit(act token.ActivityName, dests []graph.Dest, v toke
 			Statement:  d.Stmt,
 			Initiation: initiation,
 		}
-		t := token.Token{
-			Class: token.Normal,
-			Tag:   token.Tag{Activity: newAct},
-			NT:    blk.Instr(d.Stmt).NT,
-			Port:  d.Port,
-			Value: v,
-		}
-		t.PE = t.Tag.HomePE(pe.m.cfg.PEs)
-		pe.emit(t)
+		pe.sendToken(newAct, d.NT, d.Port, v)
 	}
 }
 
-// sendToken emits a fully-formed token (cross-block sends).
-func (pe *PE) sendToken(act token.ActivityName, blkID graph.BlockID, stmt uint16, port uint8, v token.Value) {
-	blk := pe.m.prog.Block(blkID)
+// sendToken emits a fully-formed token whose receiver nt is already known
+// from the plan.
+func (pe *PE) sendToken(act token.ActivityName, nt, port uint8, v token.Value) {
 	t := token.Token{
 		Class: token.Normal,
 		Tag:   token.Tag{Activity: act},
-		NT:    blk.Instr(stmt).NT,
+		NT:    nt,
 		Port:  port,
 		Value: v,
 	}
@@ -525,28 +501,26 @@ func (pe *PE) sendToken(act token.ActivityName, blkID graph.BlockID, stmt uint16
 }
 
 // execute performs one instruction, the heart of the ALU stage. Its case
-// analysis must agree exactly with the reference interpreter. Cases that
-// touch the shared context table (SEND-ARG/L, RETURN/L⁻¹) run at the
-// commit barrier in sharded mode; everything else touches only this PE,
-// its co-located I-structure module, or the deferred-op log.
-func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInstr) {
+// analysis must agree exactly with the reference interpreter; it switches
+// on the plan's precomputed dispatch kind. Cases that touch the shared
+// context table (SEND-ARG/L, RETURN/L⁻¹) run at the commit barrier in
+// sharded mode; everything else touches only this PE, its co-located
+// I-structure module, or the deferred-op log.
+func (pe *PE) execute(in *graph.CInstr, e enabledInstr) {
 	act := e.act
 	vals := e.vals
-	if in.HasLiteral {
-		vals[in.LiteralPort] = in.Literal
+	if in.HasLit {
+		vals[in.LitPort] = in.Lit
 	}
-	switch {
-	case in.Op.IsPure():
+	switch in.Kind {
+	case graph.KindPure:
 		v, err := graph.Eval(in.Op, vals[0], vals[1])
 		if err != nil {
 			pe.fail(fmt.Errorf("core: %v at %s %s", err, act, in.Op))
 			return
 		}
 		pe.sendToDests(act, in.Dests, v)
-		return
-	}
-	switch in.Op {
-	case graph.OpSwitch:
+	case graph.KindSwitch:
 		c, err := vals[1].AsBool()
 		if err != nil {
 			pe.fail(fmt.Errorf("core: switch control at %s: %v", act, err))
@@ -557,27 +531,27 @@ func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInst
 		} else {
 			pe.sendToDests(act, in.DestsFalse, vals[0])
 		}
-	case graph.OpGetContext, graph.OpAllocate:
+	case graph.KindGetContext, graph.KindAllocate:
 		// d=2: manager request to the PE controller
 		pe.stats.TokensD2.Inc()
-		pe.ctrlQ.Push(ctrlRequest{act: act, instr: in, value: vals[0]})
-	case graph.OpSendArg, graph.OpL:
+		pe.ctrlQ.Push(ctrlRequest{act: act, in: in, value: vals[0]})
+	case graph.KindSendArg:
 		if pe.sh != nil {
 			pe.sh.push(shardOp{kind: opExec, pe: pe, in: in, act: act, vals: vals})
 			return
 		}
 		pe.execSendArg(in, act, vals)
-	case graph.OpD:
+	case graph.KindD:
 		pe.sendToDestsInit(act, in.Dests, vals[0], act.Initiation+1)
-	case graph.OpDInv:
+	case graph.KindDInv:
 		pe.sendToDestsInit(act, in.Dests, vals[0], 1)
-	case graph.OpReturn, graph.OpLInv:
+	case graph.KindReturn:
 		if pe.sh != nil {
 			pe.sh.push(shardOp{kind: opExec, pe: pe, in: in, act: act, vals: vals})
 			return
 		}
 		pe.execReturn(in, act, vals)
-	case graph.OpFetch:
+	case graph.KindFetch:
 		// Reading nextAddr from a shard's parallel step is benign: it is
 		// written only at the commit barrier, and an address allocated in
 		// cycle t cannot reach a consumer before t+2 (the base travels
@@ -597,19 +571,23 @@ func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInst
 				Initiation: act.Initiation,
 			},
 			port: d.Port,
-			nt:   blk.Instr(d.Stmt).NT,
+			nt:   d.NT,
 		}
-		pe.trace(TraceISRead, "addr=%d for %s", addr, traceActivity(rt.activity))
+		if pe.m.cfg.Trace != nil {
+			pe.trace(TraceISRead, "addr=%d for %s", addr, rt.activity)
+		}
 		pe.emitIS(isRequest{op: istructure.OpRead, addr: uint32(addr), replyTo: rt})
-	case graph.OpStore:
+	case graph.KindStore:
 		addr, err := vals[0].AsInt()
 		if err != nil || addr < 0 || uint32(addr) >= pe.m.nextAddr {
 			pe.fail(fmt.Errorf("core: store at %s: bad address %s", act, vals[0]))
 			return
 		}
-		pe.trace(TraceISWrite, "addr=%d value=%s", addr, vals[1])
+		if pe.m.cfg.Trace != nil {
+			pe.trace(TraceISWrite, "addr=%d value=%s", addr, vals[1])
+		}
 		pe.emitIS(isRequest{op: istructure.OpWrite, addr: uint32(addr), value: vals[1]})
-	case graph.OpSink, graph.OpNop:
+	case graph.KindSink, graph.KindNop:
 		// absorbed
 	default:
 		pe.fail(fmt.Errorf("core: cannot execute %s", in.Op))
@@ -617,9 +595,10 @@ func (pe *PE) execute(blk *graph.CodeBlock, in *graph.Instruction, e enabledInst
 }
 
 // execSendArg performs SEND-ARG/L: look up the callee's invocation record,
-// count the argument, and ship it to the callee's entry. Serial contexts
-// only (it reads and mutates the shared context table).
-func (pe *PE) execSendArg(in *graph.Instruction, act token.ActivityName, vals [2]token.Value) {
+// count the argument, and ship it to the callee's entry, whose statement
+// and nt come from the plan's CBlock. Serial contexts only (it reads and
+// mutates the shared context table).
+func (pe *PE) execSendArg(in *graph.CInstr, act token.ActivityName, vals [2]token.Value) {
 	h, err := vals[0].AsInt()
 	if err != nil {
 		pe.m.fail(fmt.Errorf("core: %s handle at %s: %v", in.Op, act, err))
@@ -630,7 +609,7 @@ func (pe *PE) execSendArg(in *graph.Instruction, act token.ActivityName, vals [2
 		pe.m.fail(fmt.Errorf("core: %s at %s: unknown context %d", in.Op, act, h))
 		return
 	}
-	callee := pe.m.prog.Block(rec.block)
+	callee := pe.m.plan.Block(rec.block)
 	if int(in.ArgIndex) >= len(callee.Entries) {
 		pe.m.fail(fmt.Errorf("core: %s at %s: arg %d out of range", in.Op, act, in.ArgIndex))
 		return
@@ -642,17 +621,19 @@ func (pe *PE) execSendArg(in *graph.Instruction, act token.ActivityName, vals [2
 		Statement:  callee.Entries[in.ArgIndex],
 		Initiation: 1,
 	}
-	block := rec.block
+	nt := callee.EntryNT[in.ArgIndex]
 	pe.m.maybeFreeContext(token.Context(h), rec)
-	pe.sendToken(newAct, block, newAct.Statement, 0, vals[1])
+	pe.sendToken(newAct, nt, 0, vals[1])
 }
 
 // execReturn performs RETURN/L⁻¹: deliver the value to the parent's return
 // destinations (or the program results in context 0) and retire the
 // invocation record. Serial contexts only.
-func (pe *PE) execReturn(in *graph.Instruction, act token.ActivityName, vals [2]token.Value) {
+func (pe *PE) execReturn(in *graph.CInstr, act token.ActivityName, vals [2]token.Value) {
 	if act.Context == 0 {
-		pe.trace(TraceResult, "%s", vals[0])
+		if pe.m.cfg.Trace != nil {
+			pe.trace(TraceResult, "%s", vals[0])
+		}
 		pe.m.results = append(pe.m.results, vals[0])
 		return
 	}
@@ -669,7 +650,7 @@ func (pe *PE) execReturn(in *graph.Instruction, act token.ActivityName, vals [2]
 			Statement:  d.Stmt,
 			Initiation: rec.parent.Initiation,
 		}
-		pe.sendToken(newAct, rec.parentBlock, d.Stmt, d.Port, vals[0])
+		pe.sendToken(newAct, d.NT, d.Port, vals[0])
 	}
 	pe.m.maybeFreeContext(act.Context, rec)
 }

@@ -16,16 +16,16 @@ import (
 // stage queues and waiting-matching store, the interconnect, and every
 // I-structure module — everything needed to resume bit-identically.
 //
-// What is rebuilt rather than serialized: the program and compiled plan
-// (static; the compiled-mode flag is validated and the plan recompiled on
-// load if needed), packet and context-record free lists (host-side pools),
-// and instruction pointers inside queued requests (re-derived from the
-// activity name, so the stream holds no host addresses). Hash tables — the
-// waiting-matching store and the I-structure cell tables — are written in
-// sorted key order and rebuilt by insertion: the rebuilt layout may differ
-// internally, which is fine because no caller ever iterates them. The
-// shard deferred-op logs are provably empty between ticks (commit drains
-// them every tick), so a non-empty log at save is a bug, not state.
+// What is rebuilt rather than serialized: the program and its compiled
+// plan (static, built at machine construction), packet and context-record
+// free lists (host-side pools), and plan-instruction pointers inside queued
+// requests and context records (re-derived from activity names, so the
+// stream holds no host addresses). Hash tables — the waiting-matching
+// store and the I-structure cell tables — are written in sorted key order
+// and rebuilt by insertion: the rebuilt layout may differ internally,
+// which is fine because no caller ever iterates them. The shard
+// deferred-op logs are provably empty between ticks (commit drains them
+// every tick), so a non-empty log at save is a bug, not state.
 
 // isCodec serializes the machine's opaque payloads: the isRequest packets
 // crossing the network (network.PayloadCodec) and the token values and
@@ -157,26 +157,18 @@ func (m *Machine) loadIDQueue(d *sim.Dec, q *idQueue, active []bool, shard int) 
 	return d.Err()
 }
 
-// ctrlInstr re-derives a queued manager request's instruction pointer from
+// ctrlInstr re-derives a queued manager request's plan instruction from
 // its activity name, validating that it names a d=2 manager operation.
-func (m *Machine) ctrlInstr(d *sim.Dec, act token.ActivityName) (in *graph.Instruction, cin *graph.CInstr) {
+func (m *Machine) ctrlInstr(d *sim.Dec, act token.ActivityName) *graph.CInstr {
 	if !m.checkActivity(d, act) {
-		return nil, nil
+		return nil
 	}
-	if m.plan != nil {
-		cin = &m.plan.Blocks[act.CodeBlock].Instrs[act.Statement]
-		if cin.Kind != graph.KindGetContext && cin.Kind != graph.KindAllocate {
-			d.Failf("queued manager request names %s at %s", cin.Op, act)
-			return nil, nil
-		}
-		return nil, cin
-	}
-	in = m.prog.Blocks[act.CodeBlock].Instr(act.Statement)
-	if in.Op != graph.OpGetContext && in.Op != graph.OpAllocate {
+	in := &m.plan.Blocks[act.CodeBlock].Instrs[act.Statement]
+	if in.Kind != graph.KindGetContext && in.Kind != graph.KindAllocate {
 		d.Failf("queued manager request names %s at %s", in.Op, act)
-		return nil, nil
+		return nil
 	}
-	return in, nil
+	return in
 }
 
 // savePE appends one PE's dynamic state.
@@ -306,7 +298,7 @@ func (pe *PE) loadPE(d *sim.Dec, pc isCodec) error {
 	if err := sim.LoadFIFO(d, &pe.ctrlQ, d.Remaining(), func(d *sim.Dec) ctrlRequest {
 		r := ctrlRequest{act: token.LoadActivity(d), value: token.LoadValue(d)}
 		if d.Err() == nil {
-			r.instr, r.cin = m.ctrlInstr(d, r.act)
+			r.in = m.ctrlInstr(d, r.act)
 		}
 		return r
 	}); err != nil {
@@ -337,8 +329,7 @@ func (m *Machine) SaveState(e *sim.Enc) {
 			panic("core: checkpoint with undrained shard ops")
 		}
 	}
-	e.Tag("ttda", 1)
-	e.Bool(m.cfg.Compiled)
+	e.Tag("ttda", 2)
 	m.engine.(sim.Stateful).SaveState(e)
 	e.Bool(m.started)
 	e.Cycle(m.runStart)
@@ -399,25 +390,11 @@ func (m *Machine) SaveState(e *sim.Enc) {
 // LoadState restores the machine (sim.Stateful). On error the machine must
 // be discarded.
 func (m *Machine) LoadState(d *sim.Dec) error {
-	if err := d.Tag("ttda", 1); err != nil {
+	if m.planErr != nil {
+		return m.planErr
+	}
+	if err := d.Tag("ttda", 2); err != nil {
 		return err
-	}
-	compiled := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if compiled != m.cfg.Compiled {
-		d.Failf("checkpoint compiled=%v, machine compiled=%v", compiled, m.cfg.Compiled)
-		return d.Err()
-	}
-	if m.cfg.Compiled && m.plan == nil {
-		// Queued requests hold plan-instruction pointers; compile before
-		// decoding them (Run would have compiled lazily at this point).
-		cg, err := graph.Compile(m.prog)
-		if err != nil {
-			return err
-		}
-		m.plan = cg
 	}
 	if err := m.engine.(sim.Stateful).LoadState(d); err != nil {
 		return err
@@ -462,21 +439,12 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 			return d.Err()
 		}
 		rec.parentBlock = graph.BlockID(rec.parent.CodeBlock)
-		if m.plan != nil {
-			cin := &m.plan.Blocks[rec.parent.CodeBlock].Instrs[rec.parent.Statement]
-			if cin.Kind != graph.KindGetContext {
-				d.Failf("context %d parent %s is %s, not GET-CONTEXT", u, rec.parent, cin.Op)
-				return d.Err()
-			}
-			rec.returnDestsC = cin.RetDests
-		} else {
-			in := m.prog.Blocks[rec.parent.CodeBlock].Instr(rec.parent.Statement)
-			if in.Op != graph.OpGetContext {
-				d.Failf("context %d parent %s is %s, not GET-CONTEXT", u, rec.parent, in.Op)
-				return d.Err()
-			}
-			rec.returnDests = in.ReturnDests
+		in := &m.plan.Blocks[rec.parent.CodeBlock].Instrs[rec.parent.Statement]
+		if in.Kind != graph.KindGetContext {
+			d.Failf("context %d parent %s is %s, not GET-CONTEXT", u, rec.parent, in.Op)
+			return d.Err()
 		}
+		rec.returnDests = in.RetDests
 		m.ctxs = append(m.ctxs, rec)
 		m.ctxLive++
 	}

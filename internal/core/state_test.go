@@ -2,37 +2,57 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/id"
 	"repro/internal/sim"
 	"repro/internal/token"
 	"repro/internal/workload"
 )
 
+// ckptShape is one machine shape the round-trip tests cross.
+type ckptShape struct {
+	cfg Config
+	// compiled builds every machine of the subtest with NewMachineWithPlan
+	// on one plan compiled up front, restored machines included, instead
+	// of letting NewMachine compile a private plan per machine.
+	compiled bool
+}
+
 // ckptConfigs are the machine shapes the round-trip tests cross: the
-// sequential kernel, the sharded kernel, and both crossed with the
-// compiled plan.
-func ckptConfigs() map[string]Config {
-	return map[string]Config{
-		"pe4":              {PEs: 4},
-		"pe4-compiled":     {PEs: 4, Compiled: true},
-		"pe4-sh2":          {PEs: 4, Shards: 2},
-		"pe4-sh2-compiled": {PEs: 4, Shards: 2, Compiled: true},
+// sequential and the sharded kernel, each built from a private plan and
+// from a shared pre-compiled one.
+func ckptConfigs() map[string]ckptShape {
+	return map[string]ckptShape{
+		"pe4":              {cfg: Config{PEs: 4}},
+		"pe4-compiled":     {cfg: Config{PEs: 4}, compiled: true},
+		"pe4-sh2":          {cfg: Config{PEs: 4, Shards: 2}},
+		"pe4-sh2-compiled": {cfg: Config{PEs: 4, Shards: 2}, compiled: true},
 	}
+}
+
+// builder returns the shape's machine constructor for prog.
+func (c ckptShape) builder(t *testing.T, prog *graph.Program) func() *Machine {
+	t.Helper()
+	if !c.compiled {
+		return func() *Machine { return NewMachine(c.cfg, prog) }
+	}
+	plan, err := graph.Compile(prog)
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	return func() *Machine { return NewMachineWithPlan(c.cfg, plan) }
 }
 
 // runToEnd runs a fresh machine to completion and returns it with its
 // results. The matmul workload exercises calls, I-structures, and loops,
 // so every serialized subsystem is mid-flight at the pause points.
-func runToEnd(t *testing.T, cfg Config, srcArgs []token.Value) (*Machine, []token.Value) {
+func runToEnd(t *testing.T, build func() *Machine, srcArgs []token.Value) (*Machine, []token.Value) {
 	t.Helper()
-	prog, err := id.Compile(workload.MatMulID)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	m := NewMachine(cfg, prog)
+	m := build()
 	got, err := m.Run(5_000_000, srcArgs...)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -53,10 +73,11 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cfg := range ckptConfigs() {
-		cfg := cfg
+	for name, shape := range ckptConfigs() {
+		shape := shape
 		t.Run(name, func(t *testing.T) {
-			ref, wantRes := runToEnd(t, cfg, args)
+			build := shape.builder(t, prog)
+			ref, wantRes := runToEnd(t, build, args)
 			total := sim.Cycle(ref.Stats().Cycles)
 			if total < 10 {
 				t.Fatalf("run too short to split: %d cycles", total)
@@ -64,7 +85,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			refBytes := sim.Checkpoint(ref)
 
 			for _, frac := range []sim.Cycle{1, total / 3, total / 2, total - 1} {
-				paused := NewMachine(cfg, prog)
+				paused := build()
 				_, err := paused.Run(frac, args...)
 				if err == nil {
 					t.Fatalf("pause at %d: run finished early", frac)
@@ -75,7 +96,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				data := sim.Checkpoint(paused)
 
 				// Canonical encoding: restore → re-save is byte-identical.
-				again := NewMachine(cfg, prog)
+				again := build()
 				if err := sim.Restore(again, data); err != nil {
 					t.Fatalf("restore at %d: %v", frac, err)
 				}
@@ -119,14 +140,15 @@ func TestCheckpointPauseResumeInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cfg := range ckptConfigs() {
-		cfg := cfg
+	for name, shape := range ckptConfigs() {
+		shape := shape
 		t.Run(name, func(t *testing.T) {
-			ref, wantRes := runToEnd(t, cfg, args)
+			build := shape.builder(t, prog)
+			ref, wantRes := runToEnd(t, build, args)
 			refBytes := sim.Checkpoint(ref)
 			total := sim.Cycle(ref.Stats().Cycles)
 
-			m := NewMachine(cfg, prog)
+			m := build()
 			if _, err := m.Run(total/2, args...); err == nil {
 				t.Fatal("run finished before the split point")
 			}
@@ -168,11 +190,45 @@ func TestCheckpointRejectsWrongShape(t *testing.T) {
 
 	for name, cfg := range map[string]Config{
 		"more-pes": {PEs: 8},
-		"compiled": {PEs: 4, Compiled: true},
 		"sharded":  {PEs: 4, Shards: 2},
 	} {
 		if err := sim.Restore(NewMachine(cfg, prog), data); err == nil {
 			t.Errorf("%s: restore accepted a mismatched checkpoint", name)
 		}
+	}
+}
+
+// TestCheckpointRejectsOldFormat pins the ttda section's version. Version 1
+// streams carried a compiled-mode byte after the section tag; a machine
+// that always runs its plan has no such mode, so an old stream is refused
+// at the tag instead of being misread one byte out of step.
+func TestCheckpointRejectsOldFormat(t *testing.T) {
+	prog, err := id.Compile(workload.MatMulID)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	args, err := id.EntryArgs(prog, []token.Value{token.Int(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(Config{PEs: 4}, prog)
+	if _, err := m.Run(50, args...); err == nil {
+		t.Fatal("run finished early")
+	}
+	data := sim.Checkpoint(m)
+	if err := sim.Restore(NewMachine(Config{PEs: 4}, prog), data); err != nil {
+		t.Fatalf("current stream refused: %v", err)
+	}
+
+	// Rewrite the stream as version 1 wrote it: section version 1, then
+	// compiled=false.
+	at := bytes.Index(data, []byte("ttda")) + len("ttda")
+	old := append([]byte(nil), data[:at]...)
+	old = binary.LittleEndian.AppendUint32(old, 1)
+	old = append(old, 0)
+	old = append(old, data[at+4:]...)
+	err = sim.Restore(NewMachine(Config{PEs: 4}, prog), old)
+	if err == nil || !strings.Contains(err.Error(), `section "ttda" version 1, want 2`) {
+		t.Fatalf("version 1 stream: got %v, want a section version error", err)
 	}
 }

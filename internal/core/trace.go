@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/sim"
-	"repro/internal/token"
 )
 
 // TraceEvent is one recorded machine event.
@@ -99,7 +98,10 @@ func (t *Tracer) String() string {
 	return b.String()
 }
 
-// trace records an event if tracing is enabled.
+// trace records an event if tracing is enabled. Call sites on the hot
+// path also guard it with a Config.Trace nil check: the variadic arguments
+// are boxed into interfaces before the call, so an unguarded call
+// allocates on every firing even with tracing off.
 func (pe *PE) trace(kind TraceKind, format string, args ...interface{}) {
 	tr := pe.m.cfg.Trace
 	if tr == nil {
@@ -112,9 +114,3 @@ func (pe *PE) trace(kind TraceKind, format string, args ...interface{}) {
 		Detail: fmt.Sprintf(format, args...),
 	})
 }
-
-// traceActivity passes an activity through for trace details unformatted:
-// trace arguments are evaluated even when tracing is off, so returning the
-// value (whose String method fmt invokes lazily inside record) keeps the
-// Sprintf off the firing hot path.
-func traceActivity(act token.ActivityName) token.ActivityName { return act }

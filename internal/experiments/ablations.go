@@ -59,7 +59,7 @@ func A1Optimizer(opt Options) Result {
 		r.Err = err
 		return r
 	}
-	sRaw, err := runMat(core.Config{PEs: 8, Compiled: opt.Compiled}, raw, n)
+	sRaw, err := runMat(core.Config{PEs: 8}, raw, n)
 	if err != nil {
 		r.Err = err
 		return r
@@ -70,7 +70,7 @@ func A1Optimizer(opt Options) Result {
 		r.Err = err
 		return r
 	}
-	sOpt, err := runMat(core.Config{PEs: 8, Compiled: opt.Compiled}, opts, n)
+	sOpt, err := runMat(core.Config{PEs: 8}, opts, n)
 	if err != nil {
 		r.Err = err
 		return r
@@ -117,7 +117,7 @@ func A2MatchCapacity(opt Options) Result {
 	var base uint64
 	var worst float64
 	for _, c := range caps {
-		m := core.NewMachine(core.Config{PEs: 8, MatchCapacity: c, Compiled: opt.Compiled}, prog)
+		m := core.NewMachine(core.Config{PEs: 8, MatchCapacity: c}, prog)
 		res, err := m.Run(1_000_000_000, token.Int(n))
 		if err != nil {
 			r.Err = err
@@ -170,7 +170,7 @@ func A3PipelineBandwidth(opt Options) Result {
 		cfgs = []cfg{{1, 1}, {2, 2}}
 	}
 	for _, c := range cfgs {
-		s, err := runMat(core.Config{PEs: 8, MatchBandwidth: c.mb, OutputBandwidth: c.ob, Compiled: opt.Compiled}, prog, n)
+		s, err := runMat(core.Config{PEs: 8, MatchBandwidth: c.mb, OutputBandwidth: c.ob}, prog, n)
 		if err != nil {
 			r.Err = err
 			return r
@@ -216,7 +216,7 @@ func A4Topology(opt Options) Result {
 	var first uint64
 	for _, mkn := range nets {
 		net := mkn.net()
-		m := core.NewMachine(core.Config{PEs: pes, Net: net, Compiled: opt.Compiled}, prog)
+		m := core.NewMachine(core.Config{PEs: pes, Net: net}, prog)
 		res, err := m.Run(1_000_000_000, token.Int(n))
 		if err != nil {
 			r.Err = fmt.Errorf("%s: %w", mkn.name, err)
@@ -279,7 +279,7 @@ func A5OpTiming(opt Options) Result {
 		{"unit time", nil},
 		{"weighted (MUL=3, DIV=6)", weighted},
 	} {
-		s, err := runMat(core.Config{PEs: 8, OpTime: m.f, Compiled: opt.Compiled}, prog, n)
+		s, err := runMat(core.Config{PEs: 8, OpTime: m.f}, prog, n)
 		if err != nil {
 			r.Err = err
 			return r
@@ -296,7 +296,7 @@ func A5OpTiming(opt Options) Result {
 	speed.Name = "speedup (weighted ALU)"
 	var one uint64
 	for _, p := range pick(opt, []int{1, 2, 4, 8, 16}, []int{1, 8}) {
-		s, err := runMat(core.Config{PEs: p, OpTime: weighted, Compiled: opt.Compiled}, prog, n)
+		s, err := runMat(core.Config{PEs: p, OpTime: weighted}, prog, n)
 		if err != nil {
 			r.Err = err
 			return r

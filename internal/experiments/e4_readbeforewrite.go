@@ -142,7 +142,7 @@ func E4ReadBeforeWrite(opt Options) Result {
 		if err != nil {
 			return 0, 0, err
 		}
-		m := core.NewMachine(core.Config{PEs: 8, Shards: opt.Shards, Compiled: opt.Compiled}, prog)
+		m := core.NewMachine(core.Config{PEs: 8, Shards: opt.Shards}, prog)
 		res, err := m.Run(100_000_000, token.Int(n))
 		if err != nil {
 			return 0, 0, err

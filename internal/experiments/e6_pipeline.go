@@ -45,7 +45,7 @@ func E6PipelineAnatomy(opt Options) Result {
 			r.Err = err
 			return r
 		}
-		m := core.NewMachine(core.Config{PEs: 8, Compiled: opt.Compiled}, prog)
+		m := core.NewMachine(core.Config{PEs: 8}, prog)
 		if _, err := m.Run(500_000_000, j.args...); err != nil {
 			r.Err = fmt.Errorf("%s: %w", j.name, err)
 			return r
@@ -62,7 +62,7 @@ func E6PipelineAnatomy(opt Options) Result {
 		r.Err = err
 		return r
 	}
-	m := core.NewMachine(core.Config{PEs: 8, Compiled: opt.Compiled}, prog)
+	m := core.NewMachine(core.Config{PEs: 8}, prog)
 	if _, err := m.Run(500_000_000, token.Int(nmm)); err != nil {
 		r.Err = err
 		return r

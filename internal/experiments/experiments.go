@@ -22,12 +22,6 @@ type Options struct {
 	// many shards. Results are bit-identical to sequential runs, so every
 	// experiment table and finding is unchanged; only wall time moves.
 	Shards int
-	// Compiled runs every TTDA simulation through the ahead-of-time
-	// compiled execution plan instead of the graph interpreter. Like
-	// Shards, this is a pure host-side speedup: cycle counts, statistics,
-	// and findings are bit-identical (the conformance suite's
-	// compiled-equivalence oracle enforces it).
-	Compiled bool
 	// SweepWorkers bounds the parallel sweep runner's worker pool for
 	// each experiment's parameter sweep (internal/sweep); <= 0 means
 	// GOMAXPROCS. Results are deterministic at any setting.

@@ -17,8 +17,6 @@ import (
 //   - flattened destination arrays whose entries carry the destination's
 //     nt field, so emitting a token no longer fetches the destination
 //     instruction;
-//   - predecessor arrays per statement (who feeds whom), used by the
-//     optional rewrite passes and exposed for analysis;
 //   - a static match-slot index per two-operand statement, so a
 //     waiting-matching store can be an activation-frame slot array instead
 //     of a per-activity hash map (the dense-table idea of
@@ -130,10 +128,6 @@ type CBlock struct {
 	// Slots is the activation-frame size: the number of two-operand
 	// statements in the block.
 	Slots int
-	// Base is the global statement id of Instrs[0]; statement s of this
-	// block has global id Base+s. Global ids index the plan-wide
-	// predecessor arrays.
-	Base int
 }
 
 // CompiledGraph is an immutable execution plan. It references (and, when
@@ -145,17 +139,7 @@ type CompiledGraph struct {
 	Prog   *Program
 	Blocks []CBlock
 
-	// NumStmts is the size of the global statement id space.
-	NumStmts int
-
-	// Preds lists, for each global statement id, the global ids of the
-	// statements whose destination lists feed it (callers' return arcs
-	// count for the GetContext statement's block). Entries are in
-	// producer-scan order and may repeat (one entry per arc).
-	Preds [][]int32
-
 	destArena []CDest
-	predArena []int32
 }
 
 // Block returns the compiled block with the given id.
@@ -211,15 +195,13 @@ func Compile(p *Program, opts ...CompileOption) (*CompiledGraph, error) {
 
 	cg := &CompiledGraph{Prog: p, Blocks: make([]CBlock, len(p.Blocks))}
 
-	// Pass 1: global statement ids, frame slots, destination arena sizing.
+	// Pass 1: frame slots, destination arena sizing.
 	nDests := 0
 	for bi, blk := range p.Blocks {
 		cb := &cg.Blocks[bi]
 		cb.ID = blk.ID
 		cb.Name = blk.Name
 		cb.Entries = blk.Entries
-		cb.Base = cg.NumStmts
-		cg.NumStmts += len(blk.Instrs)
 		cb.EntryNT = make([]uint8, len(blk.Entries))
 		for j, e := range blk.Entries {
 			cb.EntryNT[j] = blk.Instrs[e].NT
@@ -262,8 +244,6 @@ func Compile(p *Program, opts ...CompileOption) (*CompiledGraph, error) {
 			ci.RetDests = cg.lowerDests(blk, in.ReturnDests)
 		}
 	}
-
-	cg.buildPreds()
 	return cg, nil
 }
 
@@ -281,61 +261,6 @@ func (cg *CompiledGraph) lowerDests(blk *CodeBlock, dests []Dest) []CDest {
 		})
 	}
 	return cg.destArena[base:len(cg.destArena):len(cg.destArena)]
-}
-
-// buildPreds computes the per-statement predecessor arrays over global
-// statement ids with a two-pass count/fill over one shared arena.
-func (cg *CompiledGraph) buildPreds() {
-	counts := make([]int32, cg.NumStmts)
-	visit := func(f func(from, to int32)) {
-		for bi := range cg.Blocks {
-			cb := &cg.Blocks[bi]
-			for s := range cb.Instrs {
-				from := int32(cb.Base + s)
-				ci := &cb.Instrs[s]
-				for _, d := range ci.Dests {
-					f(from, int32(cb.Base)+int32(d.Stmt))
-				}
-				for _, d := range ci.DestsFalse {
-					f(from, int32(cb.Base)+int32(d.Stmt))
-				}
-				// Return arcs land in the GetContext's own block.
-				for _, d := range ci.RetDests {
-					f(from, int32(cb.Base)+int32(d.Stmt))
-				}
-				// Call linkage: a GetContext makes the target block's
-				// entries receivable.
-				if ci.Kind == KindGetContext {
-					tb := &cg.Blocks[ci.Target]
-					for _, e := range tb.Entries {
-						f(from, int32(tb.Base)+int32(e))
-					}
-				}
-			}
-		}
-	}
-	visit(func(_, to int32) { counts[to]++ })
-	total := int32(0)
-	starts := make([]int32, cg.NumStmts)
-	for i, c := range counts {
-		starts[i] = total
-		total += c
-	}
-	cg.predArena = make([]int32, total)
-	fill := make([]int32, cg.NumStmts)
-	copy(fill, starts)
-	visit(func(from, to int32) {
-		cg.predArena[fill[to]] = from
-		fill[to]++
-	})
-	cg.Preds = make([][]int32, cg.NumStmts)
-	for i := range cg.Preds {
-		end := total
-		if i+1 < cg.NumStmts {
-			end = starts[i+1]
-		}
-		cg.Preds[i] = cg.predArena[starts[i]:end:end]
-	}
 }
 
 // Clone deep-copies a program: blocks, instructions, and destination

@@ -10,11 +10,12 @@ import (
 
 // FuzzCompiledEquivalence is the differential fuzz target for the
 // ahead-of-time compilation stage: any MiniID program that compiles must
-// behave bit-identically on the cycle-accurate machine whether the machine
-// interprets the graph IR or executes the compiled plan — same results,
-// same error disposition, same cycle count, same statistics. A third run
-// with the optional rewrite passes (constant folding, dead-arc
-// elimination) must preserve the answer, though not the timing.
+// behave bit-identically on the cycle-accurate machine whether NewMachine
+// compiles the plan itself or NewMachineWithPlan is handed a fresh
+// graph.Compile plan — same results, same error disposition, same cycle
+// count, same statistics. A third run with the optional rewrite passes
+// (constant folding, dead-arc elimination) must preserve the answer,
+// though not the timing.
 func FuzzCompiledEquivalence(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s, int64(3))
@@ -44,7 +45,7 @@ func FuzzCompiledEquivalence(f *testing.F) {
 		}
 		// The cycle budget is deliberately small: fuzz programs are tiny,
 		// and a generated infinite recursion must exhaust it inside the
-		// fuzzer's per-input deadline. Both dispatch modes share the budget,
+		// fuzzer's per-input deadline. Both constructions share the budget,
 		// so a timeout is itself compared for equivalence.
 		exec := func(m *core.Machine) run {
 			res, err := m.Run(200_000, args...)
@@ -54,21 +55,25 @@ func FuzzCompiledEquivalence(f *testing.F) {
 			return run{ok: true, vals: stringify(res), sum: m.Summarize()}
 		}
 
-		interp := exec(core.NewMachine(core.Config{PEs: 3, NetLatency: 3}, prog))
-		compiled := exec(core.NewMachine(core.Config{PEs: 3, NetLatency: 3, Compiled: true}, prog))
-		if interp != compiled {
-			t.Fatalf("compiled dispatch diverged from interpreted:\n  interpreted %+v\n  compiled    %+v\nprogram:\n%s", interp, compiled, src)
+		own := exec(core.NewMachine(core.Config{PEs: 3, NetLatency: 3}, prog))
+		plan, err := graph.Compile(prog)
+		if err != nil {
+			t.Fatalf("compiled program has no plan: %v", err)
+		}
+		given := exec(core.NewMachineWithPlan(core.Config{PEs: 3, NetLatency: 3}, plan))
+		if own != given {
+			t.Fatalf("machine on a given plan diverged from one that compiled its own:\n  own   %+v\n  given %+v\nprogram:\n%s", own, given, src)
 		}
 
 		// Rewrite passes change timing but never the answer (they refuse to
 		// compile programs whose folded constants fault).
-		plan, err := graph.Compile(prog, graph.WithConstantFolding(), graph.WithDeadArcElimination())
+		plan, err = graph.Compile(prog, graph.WithConstantFolding(), graph.WithDeadArcElimination())
 		if err != nil {
 			return
 		}
 		optimized := exec(core.NewMachineWithPlan(core.Config{PEs: 3, NetLatency: 3}, plan))
-		if interp.ok && (!optimized.ok || optimized.vals != interp.vals) {
-			t.Fatalf("rewrite passes changed the answer: %+v -> %+v\nprogram:\n%s", interp, optimized, src)
+		if own.ok && (!optimized.ok || optimized.vals != own.vals) {
+			t.Fatalf("rewrite passes changed the answer: %+v -> %+v\nprogram:\n%s", own, optimized, src)
 		}
 	})
 }

@@ -162,6 +162,7 @@ func TestErrorContract(t *testing.T) {
 		{"shards out of range", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"shards":65}}`, http.StatusBadRequest},
 		{"epoch window without shards", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"epoch_window":8}}`, http.StatusBadRequest},
 		{"max_cycles over cap", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"max_cycles":600000000}}`, http.StatusBadRequest},
+		{"removed compiled knob", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","args":[3],"config":{"compiled":true}}`, http.StatusBadRequest},
 		{"cycle budget exhausted", specBody(t, &JobSpec{Kind: KindVNAsm, Machine: "vn", Program: spinAsm, Config: &Config{MaxCycles: 100_000}}), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {

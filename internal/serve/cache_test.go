@@ -32,7 +32,7 @@ func TestKeyDistinguishesProgramForms(t *testing.T) {
 }
 
 // TestKeyDistinguishesConfig: every meaningful field — shards, epoch
-// window, compiled mode, machine knobs, args, program, code version —
+// window, machine knobs, args, program, code version —
 // must change the key, while inapplicable knobs and explicit defaults
 // must not.
 func TestKeyDistinguishesConfig(t *testing.T) {
@@ -43,7 +43,6 @@ func TestKeyDistinguishesConfig(t *testing.T) {
 		"base":         ttda(nil),
 		"shards":       ttda(&Config{Shards: 2}),
 		"epoch window": ttda(&Config{Shards: 2, EpochWindow: 8}),
-		"compiled":     ttda(&Config{Compiled: true}),
 		"pes":          ttda(&Config{PEs: 8}),
 		"net latency":  ttda(&Config{NetLatency: 5}),
 		"max cycles":   ttda(&Config{MaxCycles: 1_000_000}),

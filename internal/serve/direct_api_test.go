@@ -64,7 +64,7 @@ func TestDirectNormalizationZeroesCycleKnobs(t *testing.T) {
 	bare := normKey(t, &JobSpec{Kind: KindMiniID, Machine: "direct", Program: doubleID, Args: []int64{21}})
 	knobbed := normKey(t, &JobSpec{
 		Kind: KindMiniID, Machine: "direct", Program: doubleID, Args: []int64{21},
-		Config: &Config{PEs: 9, NetLatency: 5, Shards: 65, EpochWindow: 8, Compiled: true, Contexts: 3, MemLatency: 7, Combining: true},
+		Config: &Config{PEs: 9, NetLatency: 5, Shards: 65, EpochWindow: 8, Contexts: 3, MemLatency: 7, Combining: true},
 	})
 	if bare != knobbed {
 		t.Fatalf("inapplicable cycle-model knobs fragmented the cache: %s vs %s", bare, knobbed)

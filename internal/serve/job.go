@@ -7,9 +7,8 @@
 // hash of (program, machine, config, code version).
 //
 // The design leans on the repository's central property: every
-// simulation is deterministic, bit-for-bit, at any shard count, window
-// setting, or execution mode (the conformance suite's eight oracle
-// families enforce it). Determinism is what makes the cache exact — a
+// simulation is deterministic, bit-for-bit, at any shard count or window
+// setting (the conformance suite's eight oracle families enforce it). Determinism is what makes the cache exact — a
 // hit is not an approximation of a rerun, it *is* the rerun, byte for
 // byte — and what makes coalescing safe: concurrent identical
 // submissions can share one execution because there is exactly one
@@ -53,8 +52,6 @@ type Config struct {
 	// keeps the stored engine counters exact for the mode that ran.
 	Shards      int `json:"shards,omitempty"`
 	EpochWindow int `json:"epoch_window,omitempty"`
-	// Compiled runs the TTDA through the ahead-of-time compiled plan.
-	Compiled bool `json:"compiled,omitempty"`
 	// Contexts and MemLatency configure the single-core vn machine
 	// (defaults 1 and 4).
 	Contexts   int    `json:"contexts,omitempty"`
@@ -161,7 +158,7 @@ func (s *JobSpec) normalize() error {
 	shards, window := c.Shards, c.EpochWindow
 	contexts, memLat := c.Contexts, c.MemLatency
 	pes, netLat := c.PEs, c.NetLatency
-	combining, compiled := c.Combining, c.Compiled
+	combining := c.Combining
 	*c = Config{MaxCycles: c.MaxCycles}
 	switch s.Machine {
 	case "interp", "direct":
@@ -174,7 +171,7 @@ func (s *JobSpec) normalize() error {
 		if c.NetLatency == 0 {
 			c.NetLatency = 2
 		}
-		c.Shards, c.EpochWindow, c.Compiled = shards, window, compiled
+		c.Shards, c.EpochWindow = shards, window
 	case "vn":
 		c.Contexts, c.MemLatency = contexts, memLat
 		if c.Contexts <= 0 {
@@ -208,8 +205,8 @@ func (s *JobSpec) Key(codeVersion string) string {
 	c := s.Config
 	fmt.Fprintf(h, "critique-serve/1\ncode=%s\n", codeVersion)
 	fmt.Fprintf(h, "experiment=%s\nkind=%s\nmachine=%s\nargs=%v\n", s.Experiment, s.Kind, s.Machine, s.Args)
-	fmt.Fprintf(h, "pes=%d net_latency=%d shards=%d epoch_window=%d compiled=%t contexts=%d mem_latency=%d combining=%t max_cycles=%d\n",
-		c.PEs, c.NetLatency, c.Shards, c.EpochWindow, c.Compiled, c.Contexts, c.MemLatency, c.Combining, c.MaxCycles)
+	fmt.Fprintf(h, "pes=%d net_latency=%d shards=%d epoch_window=%d contexts=%d mem_latency=%d combining=%t max_cycles=%d\n",
+		c.PEs, c.NetLatency, c.Shards, c.EpochWindow, c.Contexts, c.MemLatency, c.Combining, c.MaxCycles)
 	fmt.Fprintf(h, "program=%d\n%s", len(s.Program), s.Program)
 	return hex.EncodeToString(h.Sum(nil))
 }

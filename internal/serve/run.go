@@ -205,7 +205,6 @@ func runTTDAJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
 		NetLatency:  sim.Cycle(c.NetLatency),
 		Shards:      c.Shards,
 		EpochWindow: c.EpochWindow,
-		Compiled:    c.Compiled,
 	}, prog)
 	var res []token.Value
 	var total uint64
