@@ -248,10 +248,10 @@ type benchReport struct {
 	CodeVersion   string `json:"code_version"`
 
 	Quick bool `json:"quick"`
-	// GoMaxProcs is the scheduler-thread count of the measuring host. A
-	// 1-CPU environment cannot exhibit parallel-kernel speedup (the
-	// engine steps shards inline there); readers of KernelShards need
-	// this to interpret the speedup column.
+	// GoMaxProcs is the scheduler-thread count of the measuring host.
+	// The sharded kernel steps its shards on one goroutine at any
+	// setting; the sweep runner's speedup column (SweepScaling) depends on
+	// it.
 	GoMaxProcs int `json:"gomaxprocs"`
 	// SweepWallMs is the wall time of the full experiment sweep run by
 	// this invocation, and SweepExperiments the experiment count behind it.
@@ -300,18 +300,19 @@ type benchReport struct {
 	// counts on the shared sweep runner; on a single-CPU host (see
 	// GoMaxProcs) the speedup column cannot exceed 1.0.
 	SweepScaling []sweepScaleBench `json:"sweep_scaling"`
-	// BarrierNsPerEpoch is the measured cost of one fork/join epoch round
-	// trip — arming, worker wake, the sense-reversing barrier, and the
-	// commit scan — on two shard runners that do no simulated work. On a
-	// single-CPU host (see GoMaxProcs) shards step inline and this measures
-	// only the scan overhead.
+	// BarrierNsPerEpoch is the measured cost of one per-tick epoch of the
+	// sharded kernel — arming two always-due shard runners, stepping them
+	// on the calling goroutine, and the post-commit re-arm scan — when the
+	// runners do no simulated work: the kernel's per-tick overhead over
+	// sequential. (Older BENCH files timed a worker-pool fork/join barrier
+	// here.)
 	BarrierNsPerEpoch float64 `json:"barrier_ns_per_epoch"`
 	// KernelShards sweeps the same kernel workload across parallel-kernel
 	// shard counts, epoch-window settings, and fabric latencies: one row per
 	// (shards, epoch_window, net_latency) point, with shards=1 rows running
 	// the sequential engine and anchoring the speedup column for their
 	// latency. Simulated cycles are identical across rows at equal latency
-	// (bit-identity); wall time, window widths, and the per-worker step
+	// (bit-identity); wall time, window widths, and the per-shard step
 	// counters are what move.
 	KernelShards []kernelShardBench `json:"kernel_shards"`
 	// Baselines records simulated-cycle throughput for the von Neumann
@@ -342,8 +343,8 @@ type kernelShardBench struct {
 	// for per-tick rows).
 	EpochWindows uint64 `json:"epoch_windows"`
 	WindowCycles uint64 `json:"window_cycles"`
-	// WorkerSteps counts shard steps executed per worker goroutine
-	// (empty for the sequential rows).
+	// WorkerSteps counts the steps each shard runner executed, in shard
+	// order (empty for the sequential rows).
 	WorkerSteps []uint64 `json:"worker_steps,omitempty"`
 }
 
@@ -678,8 +679,9 @@ func benchDirect(quick bool) ([]directBench, error) {
 }
 
 // benchKernelShards times the TTDA shard-sweep kernel — matmul(6) on 8
-// PEs, enough parallel work for the worker goroutines to amortize the
-// per-epoch barrier — across (shards, epoch_window, net_latency) points.
+// PEs — across (shards, epoch_window, net_latency) points. Shards step on
+// one goroutine, so the speedup column prices the deferred-op protocol
+// and the per-tick commit against the sequential engine.
 // Each latency's shards=1 row runs the sequential engine and anchors that
 // latency's speedup column; the lat=32 rows show what the adaptive window
 // buys when the fabric's lookahead is wide.
@@ -783,16 +785,16 @@ func benchSweepScaling(quick bool) []sweepScaleBench {
 	return out
 }
 
-// barrierProbe is an always-awake shard runner that performs no simulated
+// barrierProbe is an always-due shard runner that performs no simulated
 // work, so a per-tick run over it times epoch coordination alone.
 type barrierProbe struct{}
 
 func (barrierProbe) Step(sim.Cycle)                    {}
 func (barrierProbe) NextEvent(now sim.Cycle) sim.Cycle { return now }
 
-// benchBarrier measures one fork/join epoch round trip — arming, the
-// worker wake, the sense-reversing barrier, and the commit scan — by
-// running two no-work shard runners for a fixed number of per-tick epochs.
+// benchBarrier measures one per-tick epoch — arming the runners, stepping
+// them in shard order, and the post-commit re-arm scan — by running two
+// no-work shard runners for a fixed number of epochs.
 func benchBarrier() float64 {
 	const epochs = 200_000
 	e := sim.NewParallelEngine()

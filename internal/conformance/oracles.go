@@ -432,9 +432,8 @@ func checkParallel(ct *counter, c *compiled) {
 // one whose NewMachine compiled its own agree on the FULL snapshot —
 // results, cycles, machine statistics, and the engine's own counters — so
 // a plan that some run had mutated would show here. The second crosses
-// the shared plan with the conservative parallel kernel against the
-// own-plan sequential reference: shard workers read the one plan
-// concurrently, which the race detector checks under go test -race.
+// the shared plan with the conservative sharded kernel against the
+// own-plan sequential reference.
 func checkCompiled(ct *counter, c *compiled) {
 	own, err1 := runTTDA(c, 2, 4, false, 0, 0, true)
 	shared, err2 := runTTDA(c, 2, 4, false, 0, 0, false)

@@ -48,13 +48,14 @@ type Config struct {
 	// still compile.
 	Compiled bool
 
-	// Shards > 1 runs the machine on the conservative parallel simulation
-	// kernel: PEs and their co-located I-structure modules are split into
-	// that many contiguous shards, each stepped by a pinned worker
-	// goroutine, with cross-shard effects deferred to a per-cycle commit
-	// barrier. Results, cycle counts, and statistics are bit-identical to
-	// the sequential run (Shards <= 1). Ignored when Trace is set —
-	// tracing samples machine state mid-step and stays single-threaded.
+	// Shards > 1 runs the machine on the conservative sharded simulation
+	// kernel (sim.ParallelEngine): PEs and their co-located I-structure
+	// modules are split into that many contiguous shards, stepped in shard
+	// order on the calling goroutine, with cross-shard effects deferred to
+	// a per-cycle commit. Results, cycle counts, and statistics are
+	// bit-identical to the sequential run (Shards <= 1). Ignored when
+	// Trace is set — tracing samples machine state mid-step and stays on
+	// the sequential driver.
 	Shards int
 
 	// EpochWindow controls multi-tick epoch windows on the parallel

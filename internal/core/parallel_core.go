@@ -11,8 +11,8 @@ import (
 
 // This file is the TTDA's conservative-parallel port: with Config.Shards >
 // 1 the machine runs on sim.ParallelEngine, its PEs and their co-located
-// I-structure modules partitioned into contiguous shards stepped by worker
-// goroutines.
+// I-structure modules partitioned into contiguous shards, each stepped as
+// one shard runner.
 //
 // Why the partition is (PE i, module i) pairs: every same-cycle effect in
 // the sequential sweep is local to such a pair. A module's FETCH response
@@ -49,21 +49,19 @@ type coreShard struct {
 	isNext sim.Cycle
 	peNext sim.Cycle
 
-	// inStep is true while this shard's worker is inside Step. It is
-	// written only by the owning worker and read either by that worker
-	// (member wakes during the step) or by the coordinator after the join
-	// barrier, so it needs no atomics.
+	// inStep is true while this shard is inside Step: wakes of its own
+	// PEs and modules then skip the engine, whose Wake is forbidden in the
+	// runner phase (see wakePE and wakeIS).
 	inStep bool
 
 	// now is the shard's local clock: the tick currently being stepped.
 	// Inside a multi-tick epoch window it runs ahead of the machine's
 	// global clock (which only the serial net driver advances), so every
 	// in-step consumer of "the current cycle" — op tick stamps, the
-	// wakeIS next-cycle fold — reads it instead of m.now. Same ownership
-	// discipline as inStep.
+	// wakeIS next-cycle fold — reads it instead of m.now.
 	now sim.Cycle
 
-	// Deferred cross-shard effects, drained at the epoch barrier.
+	// Deferred cross-shard effects, drained at the epoch's commit.
 	ops []shardOp
 	// busyMax accumulates the shard's busy-horizon contributions; folded
 	// into the engine at commit.
@@ -253,7 +251,7 @@ func (m *Machine) setupShards(shards int) {
 }
 
 // commitOps drains every shard's deferred-op log in ascending shard order
-// — the epoch barrier that makes the parallel run bit-identical to the
+// — the epoch commit that makes the sharded run bit-identical to the
 // sequential sweep. Only ops produced at or before now are drained: in
 // per-tick epochs that is the whole log; inside a multi-tick window the
 // engine replays one production tick per call (clock rewound to it), and

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/id"
+	"repro/internal/sim"
 	"repro/internal/token"
 	"repro/internal/workload"
 )
@@ -39,7 +40,7 @@ func TestShardedBitIdentical(t *testing.T) {
 }
 
 // TestShardedIndependentOfGOMAXPROCS pins the other determinism axis: the
-// worker count the runtime grants must not leak into simulated state.
+// thread count the runtime grants must not leak into simulated state.
 func TestShardedIndependentOfGOMAXPROCS(t *testing.T) {
 	sc := goldenScenario{
 		name: "gomaxprocs-matmul4-pe8",
@@ -62,8 +63,8 @@ func TestShardedIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestShardedWorkerSteps checks the per-worker accounting surface: a
-// sharded run reports one counter per worker and the workers collectively
+// TestShardedWorkerSteps checks the per-shard accounting surface: a
+// sharded run reports one counter per shard and the shards collectively
 // did something; a sequential machine reports none.
 func TestShardedWorkerSteps(t *testing.T) {
 	prog, err := id.Compile(workload.MatMulID)
@@ -76,21 +77,66 @@ func TestShardedWorkerSteps(t *testing.T) {
 	}
 	steps := m.WorkerSteps()
 	if len(steps) == 0 {
-		t.Fatal("sharded machine reported no worker counters")
+		t.Fatal("sharded machine reported no per-shard counters")
 	}
 	var total uint64
 	for _, s := range steps {
 		total += s
 	}
 	if total == 0 {
-		t.Fatal("workers never stepped a shard")
+		t.Fatal("no shard ever stepped")
 	}
 	seq := NewMachine(Config{PEs: 8}, prog)
 	if _, err := seq.Run(500_000_000, token.Int(4)); err != nil {
 		t.Fatal(err)
 	}
 	if seq.WorkerSteps() != nil {
-		t.Fatal("sequential machine should report no worker counters")
+		t.Fatal("sequential machine should report no per-shard counters")
+	}
+}
+
+// TestShardedEngineCountersPinned pins the sharded kernel's scheduling
+// counters and per-shard step counts for matmul(6) on 8 PEs. They are not
+// simulated observables, but serve's /v1/run bodies for shards > 1 carry
+// engine_counters, so cached response bytes depend on them.
+func TestShardedEngineCountersPinned(t *testing.T) {
+	prog, err := id.Compile(workload.MatMulID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepsBy := map[int][]uint64{
+		2: {2411, 2396},
+		4: {2115, 2190, 2154, 2112},
+		8: {1478, 1722, 1675, 1972, 1889, 1832, 1877, 1585},
+	}
+	for _, tc := range []struct {
+		shards, window int
+		want           sim.Counters
+	}{
+		{2, 1, sim.Counters{StepsExecuted: 6999, CyclesSkipped: 38, WakesEnqueued: 11640}},
+		{2, 4, sim.Counters{StepsExecuted: 6474, CyclesSkipped: 39, WakesEnqueued: 7509}},
+		{2, -1, sim.Counters{StepsExecuted: 6474, CyclesSkipped: 39, WakesEnqueued: 7509}},
+		{4, 1, sim.Counters{StepsExecuted: 10763, CyclesSkipped: 38, WakesEnqueued: 11640}},
+		{4, 4, sim.Counters{StepsExecuted: 10238, CyclesSkipped: 39, WakesEnqueued: 7509}},
+		{4, -1, sim.Counters{StepsExecuted: 10238, CyclesSkipped: 39, WakesEnqueued: 7509}},
+		{8, 1, sim.Counters{StepsExecuted: 16222, CyclesSkipped: 38, WakesEnqueued: 11640}},
+		{8, 4, sim.Counters{StepsExecuted: 15697, CyclesSkipped: 39, WakesEnqueued: 7509}},
+		{8, -1, sim.Counters{StepsExecuted: 15697, CyclesSkipped: 39, WakesEnqueued: 7509}},
+	} {
+		m := NewMachine(Config{PEs: 8, Shards: tc.shards, EpochWindow: tc.window}, prog)
+		res, err := m.Run(500_000_000, token.Int(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0] != token.Int(2486) {
+			t.Fatalf("shards=%d window=%d: result %v, want [2486]", tc.shards, tc.window, res)
+		}
+		if got := m.Engine().Counters(); got != tc.want {
+			t.Errorf("shards=%d window=%d: counters %+v, want %+v", tc.shards, tc.window, got, tc.want)
+		}
+		if got := m.WorkerSteps(); !reflect.DeepEqual(got, stepsBy[tc.shards]) {
+			t.Errorf("shards=%d window=%d: worker steps %v, want %v", tc.shards, tc.window, got, stepsBy[tc.shards])
+		}
 	}
 }
 

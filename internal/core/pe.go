@@ -57,7 +57,7 @@ type PE struct {
 	netRetry sim.FIFO[*network.Packet]
 
 	// pktFree recycles this PE's delivered packets. Gets happen on the
-	// PE's own send path (its shard's parallel phase, or the sequential
+	// PE's own send path (its shard's runner phase, or the sequential
 	// sweep); puts happen at delivery, which is always a serial context —
 	// the two never overlap, so the list needs no lock even in sharded
 	// runs.

@@ -41,10 +41,9 @@ func TestWindowedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWindowedIndependentOfGOMAXPROCS pins that the worker count the
-// runtime grants does not leak into a windowed run — in particular that
-// the pooled window passes (GOMAXPROCS >= 2) and the inline degenerate
-// path (GOMAXPROCS = 1) agree bit-for-bit.
+// TestWindowedIndependentOfGOMAXPROCS pins that the thread count the
+// runtime grants does not leak into a windowed run: GOMAXPROCS 1, 2 and 4
+// agree bit-for-bit.
 func TestWindowedIndependentOfGOMAXPROCS(t *testing.T) {
 	sc := goldenScenario{
 		name: "gomaxprocs-window-matmul4-pe8",

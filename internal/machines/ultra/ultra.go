@@ -373,7 +373,8 @@ func (m *Machine) Network() *network.Omega { return m.net }
 // Engine exposes the simulation engine (scheduling counters).
 func (m *Machine) Engine() sim.Driver { return m.engine }
 
-// WorkerSteps reports per-worker shard-step counts (nil when sequential).
+// WorkerSteps reports per-shard step counts, in shard order (nil when
+// sequential).
 func (m *Machine) WorkerSteps() []uint64 {
 	if par, ok := m.engine.(*sim.ParallelEngine); ok {
 		return par.WorkerSteps()

@@ -2,40 +2,42 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 )
 
-// ParallelEngine is the conservative parallel counterpart of Engine: the
-// machine's components are split into a serial prefix (fabrics, pumps,
-// shared managers — everything whose step may touch global state) and a
-// block of shard runners, one per worker goroutine, each owning a disjoint
-// slice of the machine (TTDA PEs plus their I-structure banks, cmmp/ultra
-// processors, Cm* clusters).
+// ParallelEngine is the sharded counterpart of Engine: the machine's
+// components are split into a serial prefix (fabrics, pumps, shared
+// managers — everything whose step may touch global state) and a block of
+// shard runners, each owning a disjoint slice of the machine (TTDA PEs
+// plus their I-structure banks, cmmp/ultra processors, Cm* clusters).
 //
-// Every tick is a fork/join epoch:
+// Every tick is an epoch of three phases, all on the calling goroutine:
 //
 //  1. serial phase — due serial components step in registration order,
 //     exactly as under Engine (network delivery, memory service, event
 //     pumps; anything here may freely mutate shard state and Wake).
-//  2. parallel phase — due shard runners step concurrently, one per
-//     pinned worker. A runner may touch only its shard's state; every
-//     cross-shard effect (a packet injection, a manager request, a shared
-//     counter) is appended to the shard's deferred-op log instead of
-//     applied. Wake is forbidden here; the runner's post-commit NextEvent
-//     answer re-arms it.
+//  2. runner phase — due shard runners step in ascending shard order. A
+//     runner may touch only its shard's state; every cross-shard effect
+//     (a packet injection, a manager request, a shared counter) is
+//     appended to the shard's deferred-op log instead of applied. Wake is
+//     forbidden here; the runner's post-commit NextEvent answer re-arms it.
 //  3. commit phase — the machine's commit hook drains every shard's log
 //     in ascending shard order. Shards own contiguous ascending component
 //     ranges, so the drain replays cross-shard effects in exactly the
 //     order the sequential engine produced them; the tick's cycle number
 //     is still current, so timestamps (InjectedAt, due cycles) match too.
 //
-// Deferring an effect from the parallel phase to the commit phase is
+// Deferring an effect from the runner phase to the commit phase is
 // conservative — and bit-identical to sequential execution — only when no
 // deferred effect can influence another shard within the same tick. That
 // is the fabric's lookahead: the minimum cross-shard latency it declares
 // (network.Lookaheader). The shard planner refuses lookahead < 1.
+//
+// The runners of one tick are independent by construction, so they could
+// step on separate goroutines; an earlier version did, and on two CPUs its
+// fork/join barrier cost more than the shards' work (DESIGN.md §12).
+// Host parallelism lives between runs instead: the sweep runner and the
+// serve workers run whole machines concurrently.
 //
 // Machines whose fabric declares a windowing lookahead (EnableWindows) can
 // widen an epoch to several ticks: see the "adaptive epoch windows"
@@ -72,9 +74,8 @@ type ParallelEngine struct {
 
 	commit func(now Cycle)
 
-	// inPhase is true while the parallel phase runs; set and cleared by
-	// the coordinating goroutine around the barrier, so reads from worker
-	// threads are ordered by the barrier itself.
+	// inPhase is true while shard runners step: Wake panics then, and
+	// MemberWaker settles members in place.
 	inPhase  bool
 	inCommit bool
 
@@ -87,8 +88,6 @@ type ParallelEngine struct {
 	// the LoadState flag that makes the next Run resume without re-arming.
 	gridAnchor    Cycle
 	resumePending bool
-
-	pool *workerPool
 
 	dueRunners []int
 
@@ -113,25 +112,15 @@ type ParallelEngine struct {
 	// deferred ops await their commit slot; Never when none pending.
 	pendTick []Cycle
 	// winMark[k] records which region ticks runner k stepped (census for
-	// exact cycles-skipped accounting); winRes holds per-pass results.
+	// exact cycles-skipped accounting).
 	winMark [][]bool
-	winRes  []windowResult
 
 	winEpochs uint64 // windows executed
 	winTicks  uint64 // simulated cycles covered by those windows
 }
 
-// windowResult is one runner's answer from a window pass.
-type windowResult struct {
-	last  Cycle
-	next  Cycle
-	steps uint64
-	dirty bool
-	ran   bool
-}
-
 // WindowRunner is a shard runner that can execute several consecutive
-// ticks of its local timeline between barriers. EnableWindows requires
+// ticks of its local timeline between commits. EnableWindows requires
 // every registered shard runner to implement it.
 type WindowRunner interface {
 	Component
@@ -164,11 +153,10 @@ func (e *ParallelEngine) Register(c Component) {
 	e.register(c)
 }
 
-// RegisterShard adds a shard runner. Runners step concurrently during the
-// parallel phase, pinned one-per-worker, and commit their deferred ops in
-// registration (= shard) order. Register shards in ascending order of the
-// sequential component range they own: the commit drain then reproduces
-// sequential evaluation order exactly.
+// RegisterShard adds a shard runner. Runners step during the runner phase
+// and commit their deferred ops in registration (= shard) order. Register
+// shards in ascending order of the sequential component range they own:
+// the commit drain then reproduces sequential evaluation order exactly.
 func (e *ParallelEngine) RegisterShard(c Component) {
 	if e.firstRunner < 0 {
 		e.firstRunner = len(e.components)
@@ -240,7 +228,6 @@ func (e *ParallelEngine) EnableWindows(lookahead, cap Cycle) {
 	}
 	e.frontier = make([]Cycle, n)
 	e.pendTick = make([]Cycle, n)
-	e.winRes = make([]windowResult, n)
 	e.winMark = make([][]bool, n)
 	for k := range e.winMark {
 		e.winMark[k] = make([]bool, lookahead)
@@ -260,7 +247,7 @@ func (e *ParallelEngine) WindowStats() (windows, cycles uint64) {
 }
 
 // OnCommit installs the machine's commit hook, called once per tick after
-// the parallel phase joins (even when the deferred logs are empty). The
+// the runner phase (even when the deferred logs are empty). The
 // hook must drain, from every shard's log in ascending shard order, the
 // ops whose production tick is at or before now — in per-tick mode that is
 // every logged op; inside a window later-tick ops stay queued for a later
@@ -294,11 +281,11 @@ func (e *ParallelEngine) SlotNow(c Component) Cycle {
 
 // Wake implements Waker with Engine's settle-then-arm semantics. It must
 // only be called from serial contexts — the serial phase, the commit
-// phase, or between ticks. Shard code running in the parallel phase
+// phase, or between ticks. Shard code running in the runner phase
 // defers instead (see MemberWaker for self-wakes of shard members).
 func (e *ParallelEngine) Wake(c Component, at Cycle) {
 	if e.inPhase {
-		panic("sim: ParallelEngine.Wake during the parallel phase — defer the effect to the commit log")
+		panic("sim: ParallelEngine.Wake during the runner phase — defer the effect to the commit log")
 	}
 	e.wakesEnqueued++
 	i, ok := e.index[c]
@@ -356,8 +343,9 @@ func (e *ParallelEngine) Counters() Counters {
 	}
 }
 
-// WorkerSteps reports per-shard runner Step counts, in shard order — the
-// per-worker share of the parallel phase.
+// WorkerSteps reports per-shard runner Step counts, in shard order: each
+// shard's share of the runner phase. A window pass counts every tick the
+// runner stepped.
 func (e *ParallelEngine) WorkerSteps() []uint64 {
 	out := make([]uint64, len(e.workerSteps))
 	copy(out, e.workerSteps)
@@ -508,7 +496,7 @@ func (e *ParallelEngine) duePop() int {
 	return i
 }
 
-// tick runs one fork/join epoch: serial phase, parallel phase, commit.
+// tick runs one epoch: serial phase, runner phase, commit.
 func (e *ParallelEngine) tick() {
 	for len(e.fheap) > 0 && e.wake[e.fheap[0]] <= e.now {
 		e.duePush(e.heapPopMin())
@@ -527,7 +515,7 @@ func (e *ParallelEngine) tick() {
 			e.arm(i, t)
 		}
 	}
-	// Parallel phase: remaining due entries are runners.
+	// Runner phase: remaining due entries are runners.
 	e.dueRunners = e.dueRunners[:0]
 	for len(e.due) > 0 {
 		i := e.duePop()
@@ -564,8 +552,8 @@ func (e *ParallelEngine) tick() {
 // where runnerMin is the earliest armed runner wake — so an effect a
 // runner defers at tick u >= runnerMin cannot reach another shard (or the
 // fabric's delivery path) before u+lookahead >= wEnd. Inside the window
-// each shard runs its local timeline independently between barriers; the
-// only synchronization left is the dirty-stop protocol:
+// each shard runs its local timeline independently of the others; the
+// only ordering left is the dirty-stop protocol:
 //
 //   - a runner halts its timeline immediately after any tick u on which it
 //     deferred ops (its own state may depend on their commit at u);
@@ -578,8 +566,8 @@ func (e *ParallelEngine) tick() {
 //     tick it already executed.
 //
 // In the worst case (ops on every tick) this degenerates to per-tick
-// epochs; when cross-shard traffic is sparse it collapses a barrier per
-// tick into a barrier per lookahead-window, and fuses the idle jump in.
+// epochs; when cross-shard traffic is sparse it collapses a commit scan
+// per tick into one per lookahead-window, and fuses the idle jump in.
 
 // tryWindow attempts a multi-tick epoch ending no later than maxEnd.
 // It reports false — fall back to a normal tick — when the window would
@@ -712,9 +700,9 @@ func (e *ParallelEngine) runWindow(base, wEnd Cycle) {
 	e.now = endNow
 }
 
-// runWindowPass pops every runner armed before wEnd and runs each from its
-// wake to the horizon (or its dirty stop) — concurrently when workers are
-// available. It returns the highest tick stepped in the pass.
+// runWindowPass pops every runner armed before wEnd and runs each, in
+// ascending shard order, from its wake to the horizon (or its dirty stop).
+// It returns the highest tick stepped in the pass.
 func (e *ParallelEngine) runWindowPass(wEnd, base Cycle) (maxLast Cycle) {
 	e.dueRunners = e.dueRunners[:0]
 	for len(e.fheap) > 0 && e.wake[e.fheap[0]] < wEnd {
@@ -724,76 +712,27 @@ func (e *ParallelEngine) runWindowPass(wEnd, base Cycle) (maxLast Cycle) {
 		}
 		e.dueRunners = append(e.dueRunners, i)
 	}
+	slices.Sort(e.dueRunners)
 	maxLast = base - 1
-	if len(e.dueRunners) == 0 {
-		return maxLast
-	}
-	for k := range e.winRes {
-		e.winRes[k] = windowResult{}
-	}
-	n := e.Shards()
-	if n <= 1 || len(e.dueRunners) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		// Degenerate pass: no concurrency, same phase discipline — see
-		// runPhase for why GOMAXPROCS=1 steps inline.
-		e.inPhase = true
-		for _, i := range e.dueRunners {
-			k := i - e.firstRunner
-			last, next, dirty, steps := e.winRunners[k].StepWindow(e.windowFrom(i), wEnd, e.winMark[k], base)
-			e.winRes[k] = windowResult{last: last, next: next, steps: steps, dirty: dirty, ran: true}
+	// Re-arming runner k before runner k+1 steps is safe: a runner's step
+	// reads only its own wake and frontier, never the heap.
+	e.inPhase = true
+	for _, i := range e.dueRunners {
+		k := i - e.firstRunner
+		last, next, dirty, steps := e.winRunners[k].StepWindow(e.windowFrom(i), wEnd, e.winMark[k], base)
+		e.workerSteps[k] += steps
+		e.stepsExecuted += steps
+		e.frontier[k] = last + 1
+		if last > maxLast {
+			maxLast = last
 		}
-		e.inPhase = false
-	} else {
-		p := e.ensurePool(n)
-		for k := range p.winRunner {
-			p.winRunner[k] = -1
-		}
-		p.winPass = true
-		p.winUntil = wEnd
-		p.winBase = base
-		own := -1
-		busy := false
-		for _, i := range e.dueRunners {
-			k := i - e.firstRunner
-			if k == 0 {
-				own = i
-				continue
-			}
-			p.winRunner[k-1] = i
-			p.winFrom[k-1] = e.windowFrom(i)
-			busy = true
-		}
-		e.inPhase = true
-		if busy {
-			p.dispatch(e)
-		}
-		if own >= 0 {
-			last, next, dirty, steps := e.winRunners[0].StepWindow(e.windowFrom(own), wEnd, e.winMark[0], base)
-			e.winRes[0] = windowResult{last: last, next: next, steps: steps, dirty: dirty, ran: true}
-		}
-		if busy {
-			p.join()
-		}
-		p.winPass = false
-		e.inPhase = false
-	}
-	for k := range e.winRes {
-		r := &e.winRes[k]
-		if !r.ran {
-			continue
-		}
-		i := e.firstRunner + k
-		e.workerSteps[k] += r.steps
-		e.stepsExecuted += r.steps
-		e.frontier[k] = r.last + 1
-		if r.last > maxLast {
-			maxLast = r.last
-		}
-		if r.dirty {
-			e.pendTick[k] = r.last
-		} else if r.next != Never {
-			e.arm(i, r.next)
+		if dirty {
+			e.pendTick[k] = last
+		} else if next != Never {
+			e.arm(i, next)
 		}
 	}
+	e.inPhase = false
 	return maxLast
 }
 
@@ -836,259 +775,16 @@ func (e *ParallelEngine) commitWindowTick(u Cycle) {
 	e.now = saved
 }
 
-// runPhase steps every due runner, each on its pinned worker; the
-// coordinating goroutine takes shard 0's work itself.
+// runPhase steps every due runner, in ascending shard order, on the
+// calling goroutine.
 func (e *ParallelEngine) runPhase() {
-	n := e.Shards()
-	if n <= 1 || len(e.dueRunners) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		// Degenerate tick: no concurrency, but the same phase discipline
-		// (member self-wakes settle in place at the now+1 boundary). The
-		// GOMAXPROCS=1 case matters for correctness of *cost*: with a
-		// single scheduler thread the barrier would just burn the quantum
-		// handing the core back and forth, so the coordinator steps every
-		// shard inline — bit-identity is unaffected (shard steps are
-		// independent by construction; order is immaterial).
-		e.inPhase = true
-		for _, i := range e.dueRunners {
-			k := i - e.firstRunner
-			e.components[i].Step(e.now)
-			e.stepsExecuted++
-			e.workerSteps[k]++
-		}
-		e.inPhase = false
-		return
-	}
-	p := e.ensurePool(n)
-	for k := range p.work {
-		p.work[k] = p.work[k][:0]
-	}
-	var own []int
-	busy := false
-	for _, i := range e.dueRunners {
-		k := i - e.firstRunner
-		if k == 0 {
-			own = append(own, i)
-			continue
-		}
-		p.work[k-1] = append(p.work[k-1], i)
-		busy = true
-	}
 	e.inPhase = true
-	if busy {
-		p.dispatch(e)
-	}
-	for _, i := range own {
+	for _, i := range e.dueRunners {
 		e.components[i].Step(e.now)
-		e.workerSteps[0]++
-	}
-	if busy {
-		p.join()
+		e.workerSteps[i-e.firstRunner]++
 	}
 	e.inPhase = false
 	e.stepsExecuted += uint64(len(e.dueRunners))
-}
-
-func (e *ParallelEngine) ensurePool(shards int) *workerPool {
-	if e.pool == nil {
-		e.pool = newWorkerPool(shards - 1)
-	}
-	return e.pool
-}
-
-// workerPool is a fork/join pool with one goroutine per non-coordinator
-// shard, synchronized by a sense-reversing barrier: the atomic epoch
-// counter is the generalized sense (a worker's private `seen` value vs the
-// shared epoch), so no reset phase is needed between ticks. Waiters — the
-// workers awaiting a dispatch and the coordinator awaiting the join — spin
-// a bounded count hot (ticks are microseconds apart, so the fast path must
-// not syscall), then yield the processor with runtime.Gosched for a while
-// (an oversubscribed GOMAXPROCS must not livelock a quantum), and finally
-// park on a buffered channel (a futex-style sleep under the Go scheduler),
-// so idle shards stop burning cores entirely. Run shuts the pool down on
-// exit so a finished machine holds no goroutines.
-type workerPool struct {
-	epoch atomic.Uint64
-	done  atomic.Int64
-	stop  atomic.Bool
-	eng   *ParallelEngine
-	// workers is the pool size, fixed at construction. Every worker counts
-	// into every join — even one with no work this epoch — so a returned
-	// join guarantees no worker still reads the epoch's assignment fields
-	// when the coordinator starts writing the next epoch's. (A partial
-	// join that skipped idle workers would race: an idle worker late out
-	// of the barrier could read work/winRunner mid-rewrite.)
-	workers int64
-	work    [][]int // per-tick mode: work[k] = due runner indices for worker k+1
-
-	// Window-pass assignment (winPass selects the mode for the epoch):
-	// worker k runs engine component winRunner[k] (-1 = idle this pass)
-	// from winFrom[k] toward winUntil.
-	winPass   bool
-	winUntil  Cycle
-	winBase   Cycle
-	winRunner []int
-	winFrom   []Cycle
-
-	parked      []atomic.Bool
-	workerWake  []chan struct{}
-	coordParked atomic.Bool
-	coordWake   chan struct{}
-	wg          sync.WaitGroup
-}
-
-// Barrier wait tuning: spin hot, then yield, then park.
-const (
-	barrierHotSpins   = 256
-	barrierYieldSpins = 1024
-	joinHotSpins      = 64
-	joinYieldSpins    = 512
-)
-
-func newWorkerPool(workers int) *workerPool {
-	p := &workerPool{
-		workers:    int64(workers),
-		work:       make([][]int, workers),
-		winRunner:  make([]int, workers),
-		winFrom:    make([]Cycle, workers),
-		parked:     make([]atomic.Bool, workers),
-		workerWake: make([]chan struct{}, workers),
-		coordWake:  make(chan struct{}, 1),
-	}
-	for k := 0; k < workers; k++ {
-		p.workerWake[k] = make(chan struct{}, 1)
-		p.wg.Add(1)
-		go p.run(k)
-	}
-	return p
-}
-
-// dispatch publishes the tick to the workers. The atomic epoch store
-// orders every serial-phase write (including the work assignments) before
-// the workers' reads; parked workers are then poked awake.
-func (p *workerPool) dispatch(e *ParallelEngine) {
-	p.eng = e
-	p.done.Store(0)
-	p.epoch.Add(1)
-	for k := range p.workerWake {
-		if p.parked[k].Load() {
-			select {
-			case p.workerWake[k] <- struct{}{}:
-			default:
-			}
-		}
-	}
-}
-
-// join waits until every worker finished the epoch. The atomic done loads
-// order the workers' shard writes before the commit phase's reads. Bounded
-// spin, then yield, then park on coordWake — the last finishing worker
-// sends the wake.
-func (p *workerPool) join() {
-	for spins := 0; p.done.Load() < p.workers; spins++ {
-		switch {
-		case spins < joinHotSpins:
-		case spins < joinHotSpins+joinYieldSpins:
-			runtime.Gosched()
-		default:
-			select {
-			case <-p.coordWake: // drop a stale token before parking
-			default:
-			}
-			p.coordParked.Store(true)
-			if p.done.Load() >= p.workers {
-				p.coordParked.Store(false)
-				return
-			}
-			<-p.coordWake
-			p.coordParked.Store(false)
-		}
-	}
-}
-
-// await blocks worker k until the epoch moves past seen (true) or the pool
-// stops (false).
-func (p *workerPool) await(k int, seen uint64) bool {
-	for spins := 0; ; spins++ {
-		if p.epoch.Load() != seen {
-			return true
-		}
-		if p.stop.Load() {
-			return false
-		}
-		switch {
-		case spins < barrierHotSpins:
-		case spins < barrierHotSpins+barrierYieldSpins:
-			runtime.Gosched()
-		default:
-			ch := p.workerWake[k]
-			select {
-			case <-ch: // drop a stale token before parking
-			default:
-			}
-			// Publish parked before the final re-check: dispatch stores
-			// the epoch before reading parked, so either this worker sees
-			// the new epoch here or dispatch sees parked and sends.
-			p.parked[k].Store(true)
-			if p.epoch.Load() != seen || p.stop.Load() {
-				p.parked[k].Store(false)
-				continue
-			}
-			<-ch
-			p.parked[k].Store(false)
-		}
-	}
-}
-
-func (p *workerPool) run(k int) {
-	defer p.wg.Done()
-	seen := uint64(0)
-	for {
-		if !p.await(k, seen) {
-			return
-		}
-		seen = p.epoch.Load()
-		e := p.eng
-		if p.winPass {
-			if i := p.winRunner[k]; i >= 0 {
-				sk := i - e.firstRunner
-				last, next, dirty, steps := e.winRunners[sk].StepWindow(p.winFrom[k], p.winUntil, e.winMark[sk], p.winBase)
-				e.winRes[sk] = windowResult{last: last, next: next, steps: steps, dirty: dirty, ran: true}
-			}
-		} else {
-			for _, i := range p.work[k] {
-				e.components[i].Step(e.now)
-				e.workerSteps[k+1]++
-			}
-		}
-		// Even an idle worker finishes: see the workers field contract.
-		p.finish()
-	}
-}
-
-// finish counts this worker into the join and wakes the coordinator if it
-// parked waiting for the last one. The done.Add is this worker's last
-// touch of any per-epoch shared state — everything after it reads only
-// construction-time or atomic fields, so the coordinator is free to start
-// the next serial phase the moment the count completes.
-func (p *workerPool) finish() {
-	if p.done.Add(1) >= p.workers && p.coordParked.Load() {
-		select {
-		case p.coordWake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// shutdown stops and joins the workers, waking any that parked.
-func (p *workerPool) shutdown() {
-	p.stop.Store(true)
-	for k := range p.workerWake {
-		select {
-		case p.workerWake[k] <- struct{}{}:
-		default:
-		}
-	}
-	p.wg.Wait()
 }
 
 // settleAll settles per-cycle statistics through the current cycle.
@@ -1102,8 +798,7 @@ func (e *ParallelEngine) settleAll() {
 // same contract as Engine.Run: done is evaluated before each tick, every
 // component is re-armed at entry, idle stretches are skipped against the
 // armed-wake minimum and the busy horizon, and all Settlers are settled
-// on return. Worker goroutines are torn down before returning, so an
-// engine owned by a finished machine holds no resources.
+// on return.
 func (e *ParallelEngine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
 	start := e.now
 	maxEnd := start + limit
@@ -1111,12 +806,6 @@ func (e *ParallelEngine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok b
 		maxEnd = Never // overflow: effectively unbounded
 	}
 	defer e.settleAll()
-	defer func() {
-		if e.pool != nil {
-			e.pool.shutdown()
-			e.pool = nil
-		}
-	}()
 	if e.resumePending {
 		// Resuming from a checkpoint: the restored wake queue is exact;
 		// complete any idle jump the pause interrupted before ticking.
@@ -1195,7 +884,7 @@ func (e *ParallelEngine) idleJump(start, limit Cycle) {
 // MemberWaker adapts a shard member (a core, a bus) to the engine's
 // Waker: wakes and settles aimed at the member are redirected to its
 // owning runner. From serial contexts (delivery callbacks, the commit
-// phase) it forwards to the engine; from the member's own parallel-phase
+// phase) it forwards to the engine; from the member's own runner-phase
 // step it settles the member in place — the slot has passed, so the
 // boundary is now+1, exactly Engine's rule — and leaves arming to the
 // runner's post-commit NextEvent poll, which subsumes the wake (the
@@ -1213,7 +902,7 @@ type MemberWaker struct {
 func (w MemberWaker) Now() Cycle { return w.Eng.now }
 
 // SlotNow reports the member's slot clock: the runner's slot, or the
-// current cycle during the parallel phase (the member is inside its own
+// current cycle during the runner phase (the member is inside its own
 // slot at that instant).
 func (w MemberWaker) SlotNow(c Component) Cycle {
 	if w.Eng.inPhase {
@@ -1223,8 +912,8 @@ func (w MemberWaker) SlotNow(c Component) Cycle {
 }
 
 // Wake redirects a member wake to the owning runner (serial contexts) or
-// settles the member pre-mutation (parallel phase; must be the owning
-// shard's worker).
+// settles the member pre-mutation (runner phase; must be the owning
+// shard's runner).
 func (w MemberWaker) Wake(c Component, at Cycle) {
 	if w.Eng.inPhase {
 		if s, ok := c.(Settler); ok {

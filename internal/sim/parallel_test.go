@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -299,11 +300,67 @@ func TestParallelEngineWorkerSteps(t *testing.T) {
 	}
 	ws := m.peng.WorkerSteps()
 	if len(ws) != 4 {
-		t.Fatalf("want 4 worker counters, got %v", ws)
+		t.Fatalf("want 4 per-shard counters, got %v", ws)
 	}
 	for _, w := range ws {
 		if w == 0 {
-			t.Fatalf("a worker executed zero steps: %v", ws)
+			t.Fatalf("a shard executed zero steps: %v", ws)
+		}
+	}
+}
+
+// goroutineProbe is an always-due shard runner that records the largest
+// goroutine count it observes while stepping.
+type goroutineProbe struct{ max *int }
+
+func (p goroutineProbe) Step(Cycle) {
+	if n := runtime.NumGoroutine(); n > *p.max {
+		*p.max = n
+	}
+}
+
+func (goroutineProbe) NextEvent(now Cycle) Cycle { return now }
+
+func (p goroutineProbe) StepWindow(from, until Cycle, stepped []bool, base Cycle) (last, next Cycle, dirty bool, steps uint64) {
+	for t := from; t < until; t++ {
+		stepped[t-base] = true
+		p.Step(t)
+		steps++
+	}
+	return until - 1, until, false, steps
+}
+
+// TestShardedRunStartsNoGoroutines pins that shard runners step on the
+// calling goroutine, per-tick and windowed alike, even when the runtime
+// offers more threads than there are shards.
+func TestShardedRunStartsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, windowed := range []bool{false, true} {
+		e := NewParallelEngine()
+		seen := 0
+		for k := 0; k < 4; k++ {
+			e.RegisterShard(goroutineProbe{max: &seen})
+		}
+		if windowed {
+			e.EnableWindows(8, 0)
+		}
+		before := runtime.NumGoroutine()
+		if _, ok := e.Run(func() bool { return false }, 200); ok {
+			t.Fatalf("windowed=%v: a never-done run reported done", windowed)
+		}
+		if seen == 0 {
+			t.Fatalf("windowed=%v: no shard runner stepped", windowed)
+		}
+		if seen > before {
+			t.Errorf("windowed=%v: %d goroutines while shards stepped, %d before Run", windowed, seen, before)
+		}
+		if w, _ := e.WindowStats(); windowed != (w > 0) {
+			t.Errorf("windowed=%v: %d windows ran", windowed, w)
+		}
+		for k, s := range e.WorkerSteps() {
+			if s != 200 {
+				t.Errorf("windowed=%v: shard %d stepped %d ticks, want 200", windowed, k, s)
+			}
 		}
 	}
 }

@@ -491,7 +491,7 @@ func (e *Engine) LoadState(d *Dec) error {
 }
 
 // SaveState implements Stateful for the parallel engine; the format
-// mirrors Engine's plus the per-worker step counters.
+// mirrors Engine's plus the per-shard step counters.
 func (e *ParallelEngine) SaveState(enc *Enc) {
 	if e.stepping >= 0 || len(e.due) > 0 || e.inPhase || e.inCommit {
 		panic("sim: ParallelEngine.SaveState mid-tick")

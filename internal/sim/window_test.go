@@ -28,8 +28,9 @@ func chewRing(m *ringMachine) {
 }
 
 // TestWindowedRingMatchesSequential crosses shard counts, window caps, and
-// worker counts (the GOMAXPROCS=1 inline pass vs the pooled pass) against
-// the sequential reference: every simulated observable must be identical.
+// GOMAXPROCS settings against the sequential reference: every simulated
+// observable must be identical, and the runtime's thread count must not
+// matter.
 func TestWindowedRingMatchesSequential(t *testing.T) {
 	const n, latency, budget = 13, 6, 40
 	ref := newRing(n, 0, latency, budget)
@@ -90,8 +91,9 @@ func TestWindowedRingReportsStats(t *testing.T) {
 }
 
 // TestWindowedRingSurvivesConcurrentDirtyTicks seeds several shards so
-// their dirty stops land on different ticks within one window: the engine
-// must still replay every deferred send in exact (tick, shard) order. The
+// their dirty stops land on different ticks within one window pass, which
+// leaves several ticks' ops pending at once: the engine must still replay
+// every deferred send in exact (tick, shard) order. The
 // elapsed-cycle and passed-count comparison against sequential catches any
 // reordering (a send committed early arrives early and shifts the ring's
 // whole downstream timing).

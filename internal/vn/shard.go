@@ -11,9 +11,9 @@ import (
 // memory system — crossbar, omega network, buses, banks — plus an array
 // of cores whose only cross-component effect is MemPort.Request. That
 // makes the cores trivially shardable: a core's Step touches nothing but
-// its own registers and statistics, so contiguous spans of cores can run
-// concurrently as long as their memory requests are deferred to the
-// commit barrier and replayed in ascending core order — exactly the order
+// its own registers and statistics, so contiguous spans of cores can step
+// independently as long as their memory requests are deferred to the
+// commit phase and replayed in ascending core order — exactly the order
 // the sequential engine issues them, which keeps the run bit-identical.
 //
 // Memory completions (ctx.done) fire inside serial components' steps or
@@ -35,7 +35,7 @@ type deferredReq struct {
 }
 
 // deferringPort interposes on a core's memory port: requests issued
-// during the parallel phase append to the owning shard's log instead of
+// during the runner phase append to the owning shard's log instead of
 // touching the shared memory system.
 type deferringPort struct {
 	under MemPort
