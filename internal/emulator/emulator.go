@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 	"repro/internal/token"
 )
 
@@ -168,7 +169,7 @@ type node struct {
 
 	mu    sync.Mutex
 	cond  *sync.Cond
-	queue []message
+	queue sim.FIFO[message] // switch queue: a ring, refilled in place as it drains
 	stop  bool
 
 	// dataflow interpretation state (touched only by this node's goroutine)
@@ -327,7 +328,7 @@ func (f *Facility) post(at int, m message) {
 	f.units.Add(1)
 	nd := f.nodes[at]
 	nd.mu.Lock()
-	nd.queue = append(nd.queue, m)
+	nd.queue.Push(m)
 	nd.mu.Unlock()
 	nd.cond.Signal()
 }

@@ -13,15 +13,14 @@ import (
 func (nd *node) loop() {
 	for {
 		nd.mu.Lock()
-		for len(nd.queue) == 0 && !nd.stop {
+		for nd.queue.Empty() && !nd.stop {
 			nd.cond.Wait()
 		}
 		if nd.stop {
 			nd.mu.Unlock()
 			return
 		}
-		m := nd.queue[0]
-		nd.queue = nd.queue[1:]
+		m := nd.queue.Pop() // Pop, not PopNoClear: a message can hold an *isRequest
 		nd.mu.Unlock()
 
 		nd.handle(m)

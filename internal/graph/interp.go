@@ -151,12 +151,14 @@ func (it *Interp) Run(args ...token.Value) ([]token.Value, error) {
 		}
 		it.profile = append(it.profile, 0)
 		wave := it.current
-		it.current = nil
 		for _, t := range wave {
 			if err := it.deliver(t); err != nil {
 				return nil, err
 			}
 		}
+		// deliver appends only to next, so the processed wave's buffer
+		// becomes next wave's spare: the two lists ping-pong for the run.
+		it.current = wave[:0]
 		if it.fired > it.maxSteps {
 			return nil, fmt.Errorf("graph: program %q exceeded %d firings", it.cg.Prog.Name, it.maxSteps)
 		}

@@ -85,3 +85,23 @@ func TestGoldenMultiContext(t *testing.T) {
 	}
 	simtest.Check(t, "testdata/golden_contexts.json", snapshotCMMP(t, m, cfg, uint64(cycles)))
 }
+
+// wideConfig is E7's largest point: 64 processors and 64 banks make a
+// 128-port crossbar (two words of arbitration mask per output), and every
+// processor spins on the one bank holding the lock, so a few outputs are
+// requested every cycle while most are idle.
+var wideConfig = Config{Processors: 64, Banks: 64}
+
+// wideIters keeps the wide run short: about 33k cycles and 34k packets.
+const wideIters = 4
+
+// TestGoldenWideCrossbar pins the shared counter on the 128-port crossbar:
+// hot-spot arbitration across mask words, with most outputs idle.
+func TestGoldenWideCrossbar(t *testing.T) {
+	m := build(t, counterProgram, wideConfig, wideIters)
+	cycles, err := m.Run(10_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simtest.Check(t, "testdata/golden_wide.json", snapshotCMMP(t, m, wideConfig, uint64(cycles)))
+}

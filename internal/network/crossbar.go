@@ -15,12 +15,17 @@ import (
 // crossbar's cost grows at least quadratically. Cost reports the standard
 // crosspoint count so experiments can plot it.
 //
-// Arbitration is cached rather than rescanned: reqs[out] is a bitmask over
-// inputs whose head-of-line packet addresses out, maintained on every
-// queue push/pop, so each output's round-robin grant is a find-first-set
-// over a couple of words instead of an O(ports) walk of every input queue
-// — the same grants, in the same order, at O(ports·words) per cycle
-// instead of O(ports²).
+// Arbitration is cached rather than rescanned, so the host pays for the
+// traffic a cycle carries, not for the crossbar's size. reqs[out] is a
+// bitmask over inputs whose head-of-line packet addresses out, and wanted
+// is a bitmask over outputs with at least one such input; both are
+// maintained on every queue push/pop. A cycle walks only wanted's set
+// bits, and each output's round-robin grant is a find-first-set over its
+// request words: O(words) per requested output plus one pass over the
+// output mask, so a spin lock hammering one bank of a 128-port crossbar
+// costs a few mask probes a cycle, not 128 output scans. Grants, their
+// order and the round-robin pointers are those of a loop visiting every
+// output in ascending order.
 type Crossbar struct {
 	clocked
 	ports       int
@@ -30,6 +35,7 @@ type Crossbar struct {
 	in      []*queue
 	rr      []int      // per-output round-robin arbitration pointer
 	reqs    [][]uint64 // reqs[out]: bitmask of inputs whose head wants out
+	wanted  []uint64   // bitmask of outputs whose reqs mask is non-empty
 	headDst []int      // cached head-of-line destination per input, -1 if empty
 
 	// inflight holds granted packets until transit completes. switchDelay
@@ -59,10 +65,11 @@ func NewCrossbar(ports int, switchDelay sim.Cycle, queueCap int) *Crossbar {
 		in:          make([]*queue, ports),
 		rr:          make([]int, ports),
 		reqs:        make([][]uint64, ports),
+		wanted:      make([]uint64, (ports+63)/64),
 		headDst:     make([]int, ports),
 		stats:       NewStats(),
 	}
-	words := (ports + 63) / 64
+	words := len(c.wanted)
 	for i := range c.in {
 		c.in[i] = newQueue(queueCap)
 		c.reqs[i] = make([]uint64, words)
@@ -81,8 +88,8 @@ func (c *Crossbar) Ports() int { return c.ports }
 // SetDelivery registers the destination callback.
 func (c *Crossbar) SetDelivery(d Delivery) { c.deliver = d }
 
-// syncHead refreshes input i's cached head destination and the per-output
-// requester bitmasks after a push or pop changed the head of its queue.
+// syncHead refreshes input i's cached head destination and the requester
+// bitmasks after a push or pop changed the head of its queue.
 func (c *Crossbar) syncHead(i int) {
 	d := -1
 	if h := c.in[i].head(); h != nil {
@@ -93,34 +100,51 @@ func (c *Crossbar) syncHead(i int) {
 	}
 	if o := c.headDst[i]; o >= 0 {
 		c.reqs[o][i>>6] &^= 1 << (uint(i) & 63)
+		if isEmpty(c.reqs[o]) {
+			c.wanted[o>>6] &^= 1 << (uint(o) & 63)
+		}
 	}
 	if d >= 0 {
 		c.reqs[d][i>>6] |= 1 << (uint(i) & 63)
+		c.wanted[d>>6] |= 1 << (uint(d) & 63)
 	}
 	c.headDst[i] = d
 }
 
-// firstSetFrom returns the lowest set bit at or cyclically after start, or
-// -1 when the mask is empty. Bits at or above ports are never set.
-func firstSetFrom(mask []uint64, start int) int {
-	w := start >> 6
-	m := ^uint64(0) << (uint(start) & 63)
-	for i := w; i < len(mask); i++ {
-		if v := mask[i] & m; v != 0 {
-			return i<<6 + bits.TrailingZeros64(v)
+func isEmpty(mask []uint64) bool {
+	for _, w := range mask {
+		if w != 0 {
+			return false
 		}
-		m = ^uint64(0)
 	}
-	for i := 0; i <= w && i < len(mask); i++ {
-		v := mask[i]
-		if i == w {
-			v &^= ^uint64(0) << (uint(start) & 63)
-		}
-		if v != 0 {
-			return i<<6 + bits.TrailingZeros64(v)
+	return true
+}
+
+// nextSet returns the lowest set bit at or after start, or -1 when there
+// is none. Bits at or above ports are never set.
+func nextSet(mask []uint64, start int) int {
+	w := start >> 6
+	if w >= len(mask) {
+		return -1
+	}
+	if v := mask[w] & (^uint64(0) << (uint(start) & 63)); v != 0 {
+		return w<<6 + bits.TrailingZeros64(v)
+	}
+	for i := w + 1; i < len(mask); i++ {
+		if mask[i] != 0 {
+			return i<<6 + bits.TrailingZeros64(mask[i])
 		}
 	}
 	return -1
+}
+
+// firstSetFrom returns the lowest set bit at or cyclically after start, or
+// -1 when the mask is empty.
+func firstSetFrom(mask []uint64, start int) int {
+	if b := nextSet(mask, start); b >= 0 {
+		return b
+	}
+	return nextSet(mask, 0)
 }
 
 // Send enqueues at the source's input queue.
@@ -138,8 +162,9 @@ func (c *Crossbar) Send(p *Packet) bool {
 	return true
 }
 
-// Step arbitrates each output among requesting inputs (round-robin) and
-// delivers packets whose transit completes this cycle.
+// Step delivers packets whose transit completes this cycle, then
+// arbitrates each requested output among its requesting inputs
+// (round-robin).
 func (c *Crossbar) Step(now sim.Cycle) {
 	c.now = now
 	for c.inflight.Len() > 0 && c.inflight.Peek().at <= now {
@@ -149,13 +174,12 @@ func (c *Crossbar) Step(now sim.Cycle) {
 		c.deliver(p)
 	}
 
-	// For each output, grant the first requesting input at or cyclically
-	// after the round-robin pointer.
-	for out := 0; out < c.ports; out++ {
+	// Visit requested outputs in ascending order and grant each the first
+	// requesting input at or cyclically after its round-robin pointer.
+	// The output mask is re-read after every grant: a pop can expose a
+	// head that wants a higher output, which this cycle still serves.
+	for out := nextSet(c.wanted, 0); out >= 0; out = nextSet(c.wanted, out+1) {
 		granted := firstSetFrom(c.reqs[out], c.rr[out])
-		if granted < 0 {
-			continue
-		}
 		p := c.in[granted].pop()
 		c.syncHead(granted)
 		p.Hops = 1

@@ -204,11 +204,10 @@ func (c *Crossbar) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 	c.pending = d.Int()
 	loadIntSlice(d, c.rr)
 	got := 0
+	clear(c.wanted)
 	for i, q := range c.in {
 		got += loadQueue(d, q, pc)
-		for j := range c.reqs[i] {
-			c.reqs[i][j] = 0
-		}
+		clear(c.reqs[i])
 		c.headDst[i] = -1
 	}
 	for i := range c.in {

@@ -88,20 +88,19 @@ func Run[P, R any](points []P, fn func(env Env, p P) (R, error), opt Options) ([
 		workers = 1
 	}
 	ctx := opt.Context
-	var done atomic.Int64
+	done := 0 // guarded by progressMu
 	report := func(i int, ok bool) {
 		if opt.Progress == nil {
 			return
 		}
-		d := done.Add(1)
-		// Render outside the lock, write the whole line inside it. The
-		// lock is package-wide (not per-Run) so two sweeps sharing one
-		// writer serialize against each other, not just against
-		// themselves — a per-Run mutex raced on the shared writer.
-		line := fmt.Appendf(nil, "{\"done\":%d,\"total\":%d,\"index\":%d,\"ok\":%t}\n", d, n, i, ok)
+		// Count and write under one lock, so records reach the writer in
+		// done order. The lock is package-wide (not per-Run) so two sweeps
+		// sharing one writer serialize against each other, not just
+		// against themselves — a per-Run mutex raced on the shared writer.
 		progressMu.Lock()
-		opt.Progress.Write(line)
-		progressMu.Unlock()
+		defer progressMu.Unlock()
+		done++
+		opt.Progress.Write(fmt.Appendf(nil, "{\"done\":%d,\"total\":%d,\"index\":%d,\"ok\":%t}\n", done, n, i, ok))
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
