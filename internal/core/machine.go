@@ -335,7 +335,7 @@ func (m *Machine) noteBusy(t sim.Cycle) { m.engine.NoteBusy(t) }
 // the parallel kernel's serial phase).
 func (m *Machine) deliver(p *network.Packet) {
 	if p.HasTok {
-		m.pes[p.Dst].accept(p.Tok)
+		m.pes[p.Dst].accept(&p.Tok)
 		m.pes[p.Dst].putPkt(p)
 		return
 	}
@@ -381,15 +381,7 @@ func (m *Machine) enqueueIS(pe int, r isRequest) error {
 // global, accumulated per shard and folded at commit.
 func (m *Machine) isRespond(pe int, r istructure.Response) {
 	rt := r.ReplyTo.(replyTag)
-	t := token.Token{
-		Class: token.Normal,
-		Tag:   token.Tag{Activity: rt.activity},
-		NT:    rt.nt,
-		Port:  rt.port,
-		Value: r.Value.(token.Value),
-	}
-	t.PE = t.Tag.HomePE(m.cfg.PEs)
-	m.pes[pe].emit(t)
+	m.pes[pe].sendToken(rt.activity, rt.nt, rt.port, r.Value.(token.Value))
 	if sh := m.pes[pe].sh; sh != nil {
 		sh.isResponses++
 	} else {
@@ -586,7 +578,7 @@ func (m *Machine) Run(limit sim.Cycle, args ...token.Value) ([]token.Value, erro
 				Value: v,
 			}
 			t.PE = t.Tag.HomePE(m.cfg.PEs)
-			m.pes[t.PE].accept(t)
+			m.pes[t.PE].accept(&t)
 		}
 		m.started = true
 		m.runStart = m.now

@@ -79,23 +79,25 @@ func (t *matchTable) lookup(k token.ActivityName) *partial {
 	}
 }
 
-// lookupOrInsert returns the partial record for k, inserting a zeroed one
-// when absent (inserted reports which). It fuses the lookup-then-insert
-// pair the matching section performs on every first-operand arrival into
-// one probe sequence: the failed lookup already found the insertion
-// bucket, so insert-after-miss need not rehash and re-probe.
-func (t *matchTable) lookupOrInsert(k token.ActivityName) (p *partial, inserted bool) {
+// lookupOrInsert returns k's bucket and partial record, inserting a zeroed
+// record when absent (inserted reports which). It fuses the
+// lookup-then-insert pair the matching section performs on every
+// first-operand arrival into one probe sequence: the failed lookup already
+// found the insertion bucket, so insert-after-miss need not rehash and
+// re-probe. The bucket holds k until the next insert or remove, so the
+// second operand's arrival hands it to removeAt without probing again.
+func (t *matchTable) lookupOrInsert(k token.ActivityName) (b uint32, p *partial, inserted bool) {
 	if t.idx == nil {
 		t.init(matchTableMinBuckets)
 	}
-	b := uint32(hashActivity(k)) & t.mask
+	b = uint32(hashActivity(k)) & t.mask
 	for {
 		s := t.idx[b]
 		if s == matchEmpty {
 			break
 		}
 		if t.keys[b] == k {
-			return &t.slab[s], false
+			return b, &t.slab[s], false
 		}
 		b = (b + 1) & t.mask
 	}
@@ -119,7 +121,7 @@ func (t *matchTable) lookupOrInsert(k token.ActivityName) (p *partial, inserted 
 	t.keys[b] = k
 	t.idx[b] = s
 	t.n++
-	return &t.slab[s], true
+	return b, &t.slab[s], true
 }
 
 // insert adds a zeroed partial record for k, which must be absent, and
@@ -154,15 +156,11 @@ func (t *matchTable) place(k token.ActivityName, s int32) {
 	t.idx[b] = s
 }
 
-// remove deletes k's entry, recycling its slab record. The key must be
-// present. Backward-shift compaction: entries displaced past the freed
+// removeAt deletes the entry in occupied bucket b, recycling its slab
+// record. Backward-shift compaction: entries displaced past the freed
 // bucket by linear probing move back so every remaining entry stays
 // reachable from its home bucket without tombstones.
-func (t *matchTable) remove(k token.ActivityName) {
-	b := uint32(hashActivity(k)) & t.mask
-	for t.keys[b] != k || t.idx[b] == matchEmpty {
-		b = (b + 1) & t.mask
-	}
+func (t *matchTable) removeAt(b uint32) {
 	t.free = append(t.free, t.idx[b])
 	t.n--
 	// Shift the tail of the probe cluster back over the hole.

@@ -18,6 +18,17 @@ func randomActivity(rng *rand.Rand) token.ActivityName {
 	}
 }
 
+// removeKey removes k, which must be present, the way the matching section
+// does: at the bucket lookupOrInsert found it in.
+func removeKey(t *testing.T, tab *matchTable, k token.ActivityName) {
+	t.Helper()
+	b, _, inserted := tab.lookupOrInsert(k)
+	if inserted {
+		t.Fatalf("remove of absent key %v", k)
+	}
+	tab.removeAt(b)
+}
+
 // TestMatchTableAgainstMap drives the open-addressed table and a reference
 // map through the same random insert/lookup/remove schedule.
 func TestMatchTableAgainstMap(t *testing.T) {
@@ -30,7 +41,7 @@ func TestMatchTableAgainstMap(t *testing.T) {
 		switch {
 		case rng.Intn(3) == 0: // remove (if present)
 			if _, ok := ref[k]; ok {
-				tab.remove(k)
+				removeKey(t, &tab, k)
 				delete(ref, k)
 			} else if tab.lookup(k) != nil {
 				t.Fatalf("op %d: table has %v, reference does not", op, k)
@@ -85,7 +96,7 @@ func TestMatchTableBackwardShift(t *testing.T) {
 		for i, k := range cluster {
 			tab.insert(k).vals[0] = token.Int(int64(i))
 		}
-		tab.remove(cluster[victim])
+		removeKey(t, &tab, cluster[victim])
 		for i, k := range cluster {
 			p := tab.lookup(k)
 			if i == victim {
@@ -104,7 +115,7 @@ func TestMatchTableBackwardShift(t *testing.T) {
 	}
 }
 
-// TestMatchTableSlabReuse checks that remove recycles slab records instead
+// TestMatchTableSlabReuse checks that removeAt recycles slab records instead
 // of growing the slab, and that growth keeps outstanding entries intact.
 func TestMatchTableSlabReuse(t *testing.T) {
 	var tab matchTable
@@ -113,7 +124,7 @@ func TestMatchTableSlabReuse(t *testing.T) {
 	}
 	for i := 0; i < 64; i++ {
 		tab.insert(k(i))
-		tab.remove(k(i))
+		removeKey(t, &tab, k(i))
 	}
 	if len(tab.slab) != 1 {
 		t.Fatalf("slab grew to %d records for a live population of 1", len(tab.slab))

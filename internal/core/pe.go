@@ -123,15 +123,8 @@ func newPE(m *Machine, id int) *PE {
 }
 
 // accept receives a token at the input section.
-func (pe *PE) accept(t token.Token) {
-	pe.input.Push(t)
-	pe.m.wakePE(pe.id)
-}
-
-// emit hands a freshly built token to the output path of this PE: local
-// destinations bypass the network, remote ones are sent (with retry).
-func (pe *PE) emit(t token.Token) {
-	pe.outQ.Push(t)
+func (pe *PE) accept(t *token.Token) {
+	*pe.input.Slot() = *t
 	pe.m.wakePE(pe.id)
 }
 
@@ -296,15 +289,16 @@ func (pe *PE) stepNetRetry() {
 func (pe *PE) stepOutput(now sim.Cycle) {
 	bw := pe.m.cfg.OutputBandwidth
 	for i := 0; i < bw && pe.outQ.Len() > 0; i++ {
-		t := pe.outQ.PopNoClear() // token.Token is pointer-free
+		t := pe.outQ.Head()
 		if t.PE == pe.id {
 			pe.stats.LocalBypass.Inc()
-			pe.input.Push(t)
-			continue
+			*pe.input.Slot() = *t
+		} else {
+			pkt := pe.getPkt()
+			pkt.Src, pkt.Dst, pkt.Tok, pkt.HasTok = pe.id, t.PE, *t, true
+			pe.sendPkt(pkt)
 		}
-		pkt := pe.getPkt()
-		pkt.Src, pkt.Dst, pkt.Tok, pkt.HasTok = pe.id, t.PE, t, true
-		pe.sendPkt(pkt)
+		pe.outQ.Drop() // token.Token is pointer-free
 	}
 }
 
@@ -314,12 +308,14 @@ const aluQueueDepth = 4
 // stepALU executes one enabled instruction when the ALU is free. Busy time
 // is accounted at issue (the op's full service time at once) rather than
 // per cycle; paired with SetTotal at end of run this reproduces exactly
-// the utilization a per-cycle busy tick would record.
+// the utilization a per-cycle busy tick would record. The instruction is
+// executed where it sits at the head of the ready ring: nothing execute
+// does pushes to ready, so the record stays put until the Drop.
 func (pe *PE) stepALU(now sim.Cycle) {
 	if now < pe.aluBusyUntil || pe.aluN == 0 {
 		return
 	}
-	e := pe.ready.PopNoClear() // enabledInstr is pointer-free
+	e := pe.ready.Head()
 	pe.aluN--
 	in := &pe.m.plan.Blocks[e.act.CodeBlock].Instrs[e.act.Statement]
 	d := pe.m.opTimes[in.Op]
@@ -333,6 +329,7 @@ func (pe *PE) stepALU(now sim.Cycle) {
 		pe.trace(TraceFire, "%s %s", in.Op, e.act)
 	}
 	pe.execute(in, e)
+	pe.ready.Drop() // enabledInstr is pointer-free
 	pe.stats.Fired.Inc()
 }
 
@@ -406,9 +403,10 @@ func (pe *PE) stepInput(now sim.Cycle) {
 	bw := pe.m.cfg.MatchBandwidth
 	capLimit := pe.m.cfg.MatchCapacity
 	for i := 0; i < bw && pe.input.Len() > 0; i++ {
-		t := pe.input.PopNoClear() // token.Token is pointer-free
+		t := pe.input.Head()
 		overflowing := capLimit > 0 && pe.waiting.Len() >= capLimit && t.NT >= 2
 		pe.classify(t, now)
+		pe.input.Drop() // token.Token is pointer-free
 		if overflowing {
 			pe.stats.Overflows.Inc()
 			pe.matchBusyUntil = now + overflowPenalty
@@ -424,7 +422,7 @@ const overflowPenalty = 4
 // classify implements Figure 2-3's input-type dispatch. now is the PE's
 // local cycle — under multi-tick epoch windows the machine clock lags the
 // shard's local timeline, so the stepping clock is threaded through.
-func (pe *PE) classify(t token.Token, now sim.Cycle) {
+func (pe *PE) classify(t *token.Token, now sim.Cycle) {
 	switch t.Class {
 	case token.Normal:
 		pe.stats.TokensD0.Inc()
@@ -436,16 +434,17 @@ func (pe *PE) classify(t token.Token, now sim.Cycle) {
 	}
 }
 
-// match pairs tokens by activity name (associative lookup).
-func (pe *PE) match(t token.Token, now sim.Cycle) {
+// match pairs tokens by activity name (associative lookup), writing each
+// enabled instruction straight into its slot in the ready ring.
+func (pe *PE) match(t *token.Token, now sim.Cycle) {
 	if t.NT <= 1 {
-		var vals [2]token.Value
-		vals[t.Port] = t.Value
-		pe.ready.Push(enabledInstr{act: t.Tag.Activity, vals: vals})
+		e := pe.ready.Slot()
+		*e = enabledInstr{act: t.Tag.Activity}
+		e.vals[t.Port] = t.Value
 		return
 	}
 	key := t.Tag.Activity
-	p, inserted := pe.waiting.lookupOrInsert(key)
+	b, p, inserted := pe.waiting.lookupOrInsert(key)
 	if inserted {
 		pe.stats.MatchStoreOccupancy.Update(uint64(now), int64(pe.waiting.Len()))
 	}
@@ -456,11 +455,11 @@ func (pe *PE) match(t token.Token, now sim.Cycle) {
 	p.vals[t.Port] = t.Value
 	p.have[t.Port] = true
 	if p.have[0] && p.have[1] {
-		vals := p.vals
-		pe.waiting.remove(key)
+		e := pe.ready.Slot()
+		e.act, e.vals = key, p.vals
+		pe.waiting.removeAt(b)
 		pe.stats.MatchStoreOccupancy.Update(uint64(now), int64(pe.waiting.Len()))
 		pe.stats.Matches.Inc()
-		pe.ready.Push(enabledInstr{act: key, vals: vals})
 	}
 }
 
@@ -473,31 +472,37 @@ func (pe *PE) sendToDests(act token.ActivityName, dests []graph.CDest, v token.V
 }
 
 // sendToDestsInit is sendToDests with an explicit initiation number (for D
-// and D⁻¹).
+// and D⁻¹). Tag.HomePE ignores the statement, so every destination lives
+// on one PE and the hash is computed once.
 func (pe *PE) sendToDestsInit(act token.ActivityName, dests []graph.CDest, v token.Value, initiation uint32) {
+	act.Initiation = initiation
+	dst := token.Tag{Activity: act}.HomePE(pe.m.cfg.PEs)
 	for _, d := range dests {
-		newAct := token.ActivityName{
-			Context:    act.Context,
-			CodeBlock:  act.CodeBlock,
-			Statement:  d.Stmt,
-			Initiation: initiation,
-		}
-		pe.sendToken(newAct, d.NT, d.Port, v)
+		act.Statement = d.Stmt
+		pe.emit(dst, act, d.NT, d.Port, v)
 	}
 }
 
 // sendToken emits a fully-formed token whose receiver nt is already known
 // from the plan.
 func (pe *PE) sendToken(act token.ActivityName, nt, port uint8, v token.Value) {
-	t := token.Token{
-		Class: token.Normal,
+	pe.emit(token.Tag{Activity: act}.HomePE(pe.m.cfg.PEs), act, nt, port, v)
+}
+
+// emit builds a d=0 token for PE dst in its slot in this PE's output
+// queue: local destinations bypass the network, remote ones are sent (with
+// retry).
+func (pe *PE) emit(dst int, act token.ActivityName, nt, port uint8, v token.Value) {
+	t := pe.outQ.Slot()
+	*t = token.Token{
+		PE:    dst,
 		Tag:   token.Tag{Activity: act},
+		Class: token.Normal,
 		NT:    nt,
 		Port:  port,
 		Value: v,
 	}
-	t.PE = t.Tag.HomePE(pe.m.cfg.PEs)
-	pe.emit(t)
+	pe.m.wakePE(pe.id)
 }
 
 // execute performs one instruction, the heart of the ALU stage. Its case
@@ -505,10 +510,11 @@ func (pe *PE) sendToken(act token.ActivityName, nt, port uint8, v token.Value) {
 // on the plan's precomputed dispatch kind. Cases that touch the shared
 // context table (SEND-ARG/L, RETURN/L⁻¹) run at the commit barrier in
 // sharded mode; everything else touches only this PE, its co-located
-// I-structure module, or the deferred-op log.
-func (pe *PE) execute(in *graph.CInstr, e enabledInstr) {
+// I-structure module, or the deferred-op log. e is the record at the head
+// of the ready ring, which execute may overwrite: the ALU drops it next.
+func (pe *PE) execute(in *graph.CInstr, e *enabledInstr) {
 	act := e.act
-	vals := e.vals
+	vals := &e.vals
 	if in.HasLit {
 		vals[in.LitPort] = in.Lit
 	}
@@ -537,20 +543,20 @@ func (pe *PE) execute(in *graph.CInstr, e enabledInstr) {
 		pe.ctrlQ.Push(ctrlRequest{act: act, in: in, value: vals[0]})
 	case graph.KindSendArg:
 		if pe.sh != nil {
-			pe.sh.push(shardOp{kind: opExec, pe: pe, in: in, act: act, vals: vals})
+			pe.sh.push(shardOp{kind: opExec, pe: pe, in: in, act: act, vals: *vals})
 			return
 		}
-		pe.execSendArg(in, act, vals)
+		pe.execSendArg(in, act, *vals)
 	case graph.KindD:
 		pe.sendToDestsInit(act, in.Dests, vals[0], act.Initiation+1)
 	case graph.KindDInv:
 		pe.sendToDestsInit(act, in.Dests, vals[0], 1)
 	case graph.KindReturn:
 		if pe.sh != nil {
-			pe.sh.push(shardOp{kind: opExec, pe: pe, in: in, act: act, vals: vals})
+			pe.sh.push(shardOp{kind: opExec, pe: pe, in: in, act: act, vals: *vals})
 			return
 		}
-		pe.execReturn(in, act, vals)
+		pe.execReturn(in, act, *vals)
 	case graph.KindFetch:
 		// Reading nextAddr from a shard's parallel step is benign: it is
 		// written only at the commit barrier, and an address allocated in

@@ -100,7 +100,7 @@ func lowerInt(lp *loopPlan) *intPlan {
 			c, t = v.I, tInt
 		case token.KindBool:
 			t = tBool
-			if v.B {
+			if b, _ := v.AsBool(); b {
 				c = 1
 			}
 		default:

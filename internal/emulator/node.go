@@ -20,7 +20,7 @@ func (nd *node) loop() {
 			nd.mu.Unlock()
 			return
 		}
-		m := nd.queue.Pop() // Pop, not PopNoClear: a message can hold an *isRequest
+		m := nd.queue.Pop() // Pop clears the slot, Drop would not: a message can hold an *isRequest
 		nd.mu.Unlock()
 
 		nd.handle(m)

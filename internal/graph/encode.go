@@ -126,14 +126,15 @@ func writeValue(b *bytes.Buffer, v token.Value) error {
 	case token.KindFloat:
 		writeU64(b, math.Float64bits(v.F))
 	case token.KindBool:
-		if v.B {
+		if t, _ := v.AsBool(); t {
 			b.WriteByte(1)
 		} else {
 			b.WriteByte(0)
 		}
 	case token.KindRef:
-		writeU32(b, v.R.Base)
-		writeU32(b, v.R.Len)
+		r, _ := v.AsRef()
+		writeU32(b, r.Base)
+		writeU32(b, r.Len)
 	default:
 		return fmt.Errorf("graph: cannot encode value kind %v", v.Kind)
 	}

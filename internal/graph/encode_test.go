@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/token"
@@ -54,21 +55,44 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncodeLiteralKinds round-trips a literal of each kind and pins the
+// object bytes. The hex was produced by the encoder of the unpacked
+// token.Value layout (separate Ref and bool fields), so it also checks
+// that packing bools into the value's integer word left the format alone.
 func TestEncodeLiteralKinds(t *testing.T) {
 	b := NewBuilder("lits")
 	bb := b.NewBlock("main", 1)
-	f := bb.OpLit(OpAdd, token.Float(2.5), 1, "float lit")
+	lits := []token.Value{token.Float(2.5), token.Int(-0x123456789), token.Int(0), token.Bool(true), token.Bool(false)}
+	f := bb.OpLit(OpAdd, lits[0], 1, "float lit")
+	i := bb.OpLit(OpMul, lits[1], 1, "int lit")
+	c := bb.OpLit(OpLT, lits[2], 1, "")
+	a := bb.OpLit(OpAnd, lits[3], 1, "true lit")
+	o := bb.OpLit(OpOr, lits[4], 1, "false lit")
 	ret := bb.Op(OpReturn, "")
 	bb.Connect(bb.Entry(0), f, 0)
-	bb.Connect(f, ret, 0)
+	bb.Connect(f, i, 0)
+	bb.Connect(i, c, 0)
+	bb.Connect(c, a, 0)
+	bb.Connect(a, o, 0)
+	bb.Connect(o, ret, 0)
 	p, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "545444410100046c6974730100046d61696e0100000007000108010001000000000007656e7472792030020901020000000000000440010002000000000009666c6f6174206c6974040901017798badcfeffffff010003000000000007696e74206c69740d01010100000000000000000100040000000000130901030101000500000000000874727565206c6974140901030001000600000000000966616c7365206c69741f000000000000"
+	if got := hex.EncodeToString(data); got != want {
+		t.Errorf("MarshalBinary = %s\nwant            %s", got, want)
+	}
 	q := roundTrip(t, p)
-	in := q.Entry().Instr(f)
-	if !in.HasLiteral || in.Literal.Kind != token.KindFloat || in.Literal.F != 2.5 {
-		t.Fatalf("literal lost: %+v", in)
+	for k, s := range []uint16{f, i, c, a, o} {
+		in := q.Entry().Instr(s)
+		if !in.HasLiteral || in.Literal != lits[k] {
+			t.Errorf("literal %d: decoded %+v, want %s", k, in, lits[k])
+		}
 	}
 }
 

@@ -453,7 +453,7 @@ func TestEvalProperties(t *testing.T) {
 	if err := quick.Check(func(a, b int32) bool {
 		lt, _ := Eval(OpLT, token.Int(int64(a)), token.Int(int64(b)))
 		ge, _ := Eval(OpGE, token.Int(int64(a)), token.Int(int64(b)))
-		return lt.B != ge.B
+		return lt == token.Bool(a < b) && ge == token.Bool(a >= b)
 	}, cfg); err != nil {
 		t.Fatal(err)
 	}

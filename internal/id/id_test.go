@@ -67,7 +67,7 @@ func TestComparisonAndLogic(t *testing.T) {
 		{"def main() = not (1 < 2);", false},
 	}
 	for _, c := range cases {
-		if got := runMain(t, c.src); got.B != c.want {
+		if got := runMain(t, c.src); got != token.Bool(c.want) {
 			t.Errorf("%s = %s, want %t", c.src, got, c.want)
 		}
 	}
@@ -191,10 +191,10 @@ def isEven(n) = if n == 0 then true else isOdd(n - 1);
 def isOdd(n) = if n == 0 then false else isEven(n - 1);
 def main(n) = isEven(n);
 `
-	if got := runMain(t, src, token.Int(10)); !got.B {
+	if got := runMain(t, src, token.Int(10)); got != token.Bool(true) {
 		t.Fatalf("isEven(10) = %s", got)
 	}
-	if got := runMain(t, src, token.Int(7)); got.B {
+	if got := runMain(t, src, token.Int(7)); got != token.Bool(false) {
 		t.Fatalf("isEven(7) = %s", got)
 	}
 }

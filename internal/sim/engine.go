@@ -453,12 +453,14 @@ func (e *Engine) settleAll() {
 
 // Run advances until done reports true or limit cycles have elapsed,
 // returning the elapsed cycles and whether done was satisfied. done is
-// evaluated before each tick — an already-finished machine costs zero
-// cycles, and the elapsed count on success is the exact cycle the
-// predicate first held. Every component is re-armed at entry, so state
-// mutated between Runs needs no explicit Wake. On return (either way) all
-// Settler components are settled through the final cycle, so statistics
-// read afterwards are complete.
+// evaluated before the first tick, after every tick and after every idle
+// jump that moved time — an already-finished machine costs zero cycles,
+// and the elapsed count on success is the exact cycle the predicate first
+// held. done must depend only on simulation state and time: it is not
+// asked again while neither has changed since it answered false. Every
+// component is re-armed at entry, so state mutated between Runs needs no
+// explicit Wake. On return (either way) all Settler components are settled
+// through the final cycle, so statistics read afterwards are complete.
 func (e *Engine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
 	start := e.now
 	defer e.settleAll()
@@ -477,8 +479,9 @@ func (e *Engine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
 			e.wakeAllAt(e.now)
 		}
 	}
+	asked := false // done answered false and nothing has moved since
 	for e.now-start < limit {
-		if done() {
+		if !asked && done() {
 			return e.now - start, true
 		}
 		if e.legacy {
@@ -487,9 +490,11 @@ func (e *Engine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
 			e.tick()
 		}
 		if done() {
-			continue // report the exact completion cycle, not a jump target
+			return e.now - start, true // the exact completion cycle, not a jump target
 		}
+		before := e.now
 		e.idleJump(start, limit)
+		asked = e.now == before
 	}
 	if ok = done(); !ok {
 		// Paused at the limit: the wake queue is exact, so the next Run

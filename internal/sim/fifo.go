@@ -7,6 +7,14 @@ package sim
 // allocation per refill. Order is strictly first-in first-out — the
 // deterministic-simulation contract depends on it. The zero FIFO is ready
 // to use.
+//
+// Slot, Head and Drop give in-place access for large element types: a
+// producer fills the tail slot where it sits and a consumer reads the head
+// where it sits, so an element is not copied through the stack on its way
+// in or out (the simulators' tokens are 48 bytes, their enabled-instruction
+// records 64). A pointer from Slot or Head stays valid until the next Slot
+// or Push, which may grow the ring and move every element; a pointer to
+// the head also lapses at its Drop.
 type FIFO[T any] struct {
 	buf  []T
 	head int
@@ -20,12 +28,18 @@ func (q *FIFO[T]) Len() int { return q.n }
 func (q *FIFO[T]) Empty() bool { return q.n == 0 }
 
 // Push appends v at the tail.
-func (q *FIFO[T]) Push(v T) {
+func (q *FIFO[T]) Push(v T) { *q.Slot() = v }
+
+// Slot appends an element at the tail and returns it for the caller to
+// fill. The slot keeps whatever the ring last held there (see Drop), so
+// the caller must write every field.
+func (q *FIFO[T]) Slot() *T {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	i := (q.head + q.n) & (len(q.buf) - 1)
 	q.n++
+	return &q.buf[i]
 }
 
 // Pop removes and returns the head element. It panics on an empty queue.
@@ -41,19 +55,25 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
-// PopNoClear is Pop without zeroing the vacated slot. Only for element
-// types that contain no pointers: the stale copy left in the buffer is
-// invisible to callers but would pin garbage if T referenced the heap.
-// Skipping the clear removes a per-dequeue memclr from hot paths moving
-// large value types (simulator tokens are ~72 bytes).
-func (q *FIFO[T]) PopNoClear() T {
+// Head returns the head element where it sits. It panics on an empty
+// queue.
+func (q *FIFO[T]) Head() *T {
 	if q.n == 0 {
-		panic("sim: Pop of empty FIFO")
+		panic("sim: Head of empty FIFO")
 	}
-	v := q.buf[q.head]
+	return &q.buf[q.head]
+}
+
+// Drop removes the head element without clearing its slot. Only for
+// element types that contain no pointers: the stale copy left in the
+// buffer is invisible to callers but would pin garbage if T referenced
+// the heap (use Pop for those). It panics on an empty queue.
+func (q *FIFO[T]) Drop() {
+	if q.n == 0 {
+		panic("sim: Drop of empty FIFO")
+	}
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	return v
 }
 
 // Peek returns the head element without removing it. It panics on an

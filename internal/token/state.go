@@ -16,10 +16,11 @@ func SaveValue(e *sim.Enc, v Value) {
 	case KindFloat:
 		e.F64(v.F)
 	case KindBool:
-		e.Bool(v.B)
+		e.Bool(v.I != 0)
 	case KindRef:
-		e.U32(v.R.Base)
-		e.U32(v.R.Len)
+		r := v.ref()
+		e.U32(r.Base)
+		e.U32(r.Len)
 	}
 }
 
@@ -30,13 +31,13 @@ func LoadValue(d *sim.Dec) Value {
 	case KindNil:
 		return Nil()
 	case KindInt:
-		return Value{Kind: KindInt, I: d.I64()}
+		return Int(d.I64())
 	case KindFloat:
-		return Value{Kind: KindFloat, F: d.F64()}
+		return Float(d.F64())
 	case KindBool:
-		return Value{Kind: KindBool, B: d.Bool()}
+		return Bool(d.Bool())
 	case KindRef:
-		return Value{Kind: KindRef, R: Ref{Base: d.U32(), Len: d.U32()}}
+		return NewRef(Ref{Base: d.U32(), Len: d.U32()})
 	default:
 		d.Failf("invalid value kind %d", k)
 		return Value{}

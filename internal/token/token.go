@@ -56,19 +56,6 @@ func (a ActivityName) String() string {
 	return fmt.Sprintf("(u=%d,c=%d,s=%d,i=%d)", a.Context, a.CodeBlock, a.Statement, a.Initiation)
 }
 
-// WithStatement returns a copy of a addressed to statement s. This is the
-// ordinary tag transformation performed by the output section: same
-// invocation, same iteration, different instruction.
-func (a ActivityName) WithStatement(s uint16) ActivityName {
-	a.Statement = s
-	return a
-}
-
-// Key returns a value usable as a map key identifying the dynamic instance
-// of the activity (all four fields). ActivityName is itself comparable;
-// Key exists for documentation and to allow future widening.
-func (a ActivityName) Key() ActivityName { return a }
-
 // Tag is the runtime name of an activity: the activity name plus mapping
 // information. The PE assignment is derived from the activity name by the
 // output section (see HomePE) but is carried explicitly on the token, as in
@@ -108,9 +95,10 @@ const (
 
 // Token is the complete packet circulated by the machine,
 // <d, PE, tag, nt, port, data>. Field order groups the three one-byte
-// fields after the tag so the struct packs tightly; tokens are the
-// simulators' unit of data movement and their size is a first-order
-// throughput factor.
+// fields after the 12-byte tag, so they share the word the tag ends in:
+// 8 (PE) + 16 (tag and bytes) + 24 (Value) = 48 bytes on 64-bit
+// platforms. Tokens are the simulators' unit of data movement and their
+// size is a first-order throughput factor.
 type Token struct {
 	PE    int   // destination processing element number
 	Tag   Tag   // activity name (plus mapping info)
@@ -123,13 +111,3 @@ type Token struct {
 func (t Token) String() string {
 	return fmt.Sprintf("<%s,PE=%d,%s,nt=%d,port=%d,%s>", t.Class, t.PE, t.Tag, t.NT, t.Port, t.Value)
 }
-
-// MatchKey identifies the rendezvous point in the waiting-matching store:
-// two tokens pair when they name the same activity. The port distinguishes
-// which side each token supplies and is not part of the key.
-type MatchKey struct {
-	Activity ActivityName
-}
-
-// MatchKeyOf returns the waiting-matching key for a token.
-func MatchKeyOf(t Token) MatchKey { return MatchKey{Activity: t.Tag.Activity} }

@@ -1,6 +1,7 @@
 package token
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -26,6 +27,27 @@ func TestValueConversions(t *testing.T) {
 	}
 	if r, err := NewRef(Ref{Base: 10, Len: 4}).AsRef(); err != nil || r.Base != 10 || r.Len != 4 {
 		t.Fatalf("AsRef = %v, %v", r, err)
+	}
+}
+
+// TestAsIntRange pins AsInt to the floats Go converts to int64 the same
+// way on every platform: integral and inside [-2⁶³, 2⁶³).
+func TestAsIntRange(t *testing.T) {
+	for _, f := range []float64{1e19, -1e19, 0x1p63, 1e300, math.Inf(1), math.NaN()} {
+		if n, err := Float(f).AsInt(); err == nil {
+			t.Errorf("Float(%g).AsInt() = %d, want an error", f, n)
+		}
+	}
+	for _, c := range []struct {
+		f    float64
+		want int64
+	}{
+		{-0x1p63, math.MinInt64},
+		{0x1p63 - 1024, math.MaxInt64 - 1023}, // the largest float64 below 2⁶³
+	} {
+		if n, err := Float(c.f).AsInt(); err != nil || n != c.want {
+			t.Errorf("Float(%g).AsInt() = %d, %v; want %d", c.f, n, err, c.want)
+		}
 	}
 }
 
@@ -62,17 +84,6 @@ func TestValueStrings(t *testing.T) {
 		if got := v.String(); got != want {
 			t.Errorf("%v.String() = %q, want %q", v.Kind, got, want)
 		}
-	}
-}
-
-func TestActivityNameWithStatement(t *testing.T) {
-	a := ActivityName{Context: 3, CodeBlock: 2, Statement: 7, Initiation: 4}
-	b := a.WithStatement(9)
-	if b.Statement != 9 || b.Context != 3 || b.CodeBlock != 2 || b.Initiation != 4 {
-		t.Fatalf("WithStatement changed more than the statement: %v", b)
-	}
-	if a.Statement != 7 {
-		t.Fatal("WithStatement must not mutate the receiver")
 	}
 }
 
@@ -120,19 +131,6 @@ func TestHomePESinglePE(t *testing.T) {
 	tag := Tag{Activity: ActivityName{Context: 9, CodeBlock: 9, Statement: 9, Initiation: 9}}
 	if tag.HomePE(1) != 0 || tag.HomePE(0) != 0 {
 		t.Fatal("degenerate machine sizes must map to PE 0")
-	}
-}
-
-func TestMatchKeyIdentifiesActivity(t *testing.T) {
-	a := Token{Tag: Tag{Activity: ActivityName{Context: 1, CodeBlock: 2, Statement: 3, Initiation: 4}}, Port: 0}
-	b := Token{Tag: Tag{Activity: ActivityName{Context: 1, CodeBlock: 2, Statement: 3, Initiation: 4}}, Port: 1}
-	if MatchKeyOf(a) != MatchKeyOf(b) {
-		t.Fatal("port must not be part of the match key")
-	}
-	c := b
-	c.Tag.Activity.Initiation = 5
-	if MatchKeyOf(a) == MatchKeyOf(c) {
-		t.Fatal("different iterations must not match")
 	}
 }
 

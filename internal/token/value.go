@@ -43,16 +43,16 @@ type Ref struct {
 }
 
 // Value is the datum field of a token. It is a small tagged union rather
-// than an interface so tokens stay allocation-free on the hot path. Field
-// order packs the one-byte Kind and B together after the words, so the
-// struct is 32 bytes instead of 40 — values are copied through several
-// queues per instruction, and the simulators' throughput tracks this size.
+// than an interface so tokens stay allocation-free on the hot path. I holds
+// an Int and also the payloads of the two narrow kinds: a Bool as 0 or 1,
+// a Ref as Base | Len<<32 (read them with AsBool and AsRef). F holds a
+// Float. That is two words and the Kind byte, 24 bytes on 64-bit
+// platforms: values are copied through several queues per instruction,
+// and the simulators' throughput tracks this size.
 type Value struct {
 	I    int64
 	F    float64
-	R    Ref
 	Kind Kind
-	B    bool
 }
 
 // Nil returns the empty value.
@@ -65,10 +65,23 @@ func Int(i int64) Value { return Value{Kind: KindInt, I: i} }
 func Float(f float64) Value { return Value{Kind: KindFloat, F: f} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{Kind: KindBool, B: b} }
+func Bool(b bool) Value {
+	v := Value{Kind: KindBool}
+	if b {
+		v.I = 1
+	}
+	return v
+}
 
 // NewRef returns an I-structure reference value.
-func NewRef(r Ref) Value { return Value{Kind: KindRef, R: r} }
+func NewRef(r Ref) Value {
+	return Value{Kind: KindRef, I: int64(uint64(r.Base) | uint64(r.Len)<<32)}
+}
+
+// ref unpacks a KindRef value's payload.
+func (v Value) ref() Ref {
+	return Ref{Base: uint32(v.I), Len: uint32(uint64(v.I) >> 32)}
+}
 
 // AsFloat converts numeric values to float64; it returns an error for
 // non-numeric kinds. Ints convert exactly (up to float precision).
@@ -83,16 +96,21 @@ func (v Value) AsFloat() (float64, error) {
 	}
 }
 
-// AsInt converts numeric values to int64. Floats convert only if integral.
+// AsInt converts numeric values to int64. Floats convert only if integral
+// and inside [-2⁶³, 2⁶³), the range where Go defines int64(f): outside it
+// the conversion's result differs between platforms.
 func (v Value) AsInt() (int64, error) {
 	switch v.Kind {
 	case KindInt:
 		return v.I, nil
 	case KindFloat:
-		if v.F == math.Trunc(v.F) && !math.IsInf(v.F, 0) {
-			return int64(v.F), nil
+		if v.F != math.Trunc(v.F) || math.IsInf(v.F, 0) {
+			return 0, fmt.Errorf("token: float %g is not integral", v.F)
 		}
-		return 0, fmt.Errorf("token: float %g is not integral", v.F)
+		if v.F < -0x1p63 || v.F >= 0x1p63 {
+			return 0, fmt.Errorf("token: float %g is outside the int64 range", v.F)
+		}
+		return int64(v.F), nil
 	default:
 		return 0, fmt.Errorf("token: value %s is not numeric", v)
 	}
@@ -103,7 +121,7 @@ func (v Value) AsBool() (bool, error) {
 	if v.Kind != KindBool {
 		return false, fmt.Errorf("token: value %s is not boolean", v)
 	}
-	return v.B, nil
+	return v.I != 0, nil
 }
 
 // AsRef returns the I-structure reference payload or an error.
@@ -111,7 +129,7 @@ func (v Value) AsRef() (Ref, error) {
 	if v.Kind != KindRef {
 		return Ref{}, fmt.Errorf("token: value %s is not a reference", v)
 	}
-	return v.R, nil
+	return v.ref(), nil
 }
 
 // Equal reports semantic equality. Int and float compare numerically across
@@ -129,9 +147,9 @@ func (v Value) Equal(w Value) bool {
 	case KindNil:
 		return true
 	case KindBool:
-		return v.B == w.B
+		return (v.I != 0) == (w.I != 0)
 	case KindRef:
-		return v.R == w.R
+		return v.I == w.I
 	default:
 		return false
 	}
@@ -146,9 +164,10 @@ func (v Value) String() string {
 	case KindFloat:
 		return fmt.Sprintf("%g", v.F)
 	case KindBool:
-		return fmt.Sprintf("%t", v.B)
+		return fmt.Sprintf("%t", v.I != 0)
 	case KindRef:
-		return fmt.Sprintf("ref[%d+%d]", v.R.Base, v.R.Len)
+		r := v.ref()
+		return fmt.Sprintf("ref[%d+%d]", r.Base, r.Len)
 	default:
 		return "?"
 	}
