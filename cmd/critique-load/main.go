@@ -52,7 +52,7 @@ func main() {
 	repeats := flag.Int("repeats", 9, "replay passes over the program set after the cold pass")
 	concurrency := flag.Int("concurrency", 16, "concurrent client workers")
 	machine := flag.String("machine", "ttda", "machine the traffic targets")
-	config := flag.String("config", "", `machine config attached to every request, as JSON (e.g. '{"pes":16,"shards":4,"epoch_window":16}')`)
+	config := flag.String("config", "", `machine config attached to every request, as JSON (e.g. '{"pes":16,"net_latency":8}')`)
 	argScale := flag.Int64("arg-scale", 1, "multiply each minid program's entry argument (longer cold simulations)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "self-hosted server's worker slots")

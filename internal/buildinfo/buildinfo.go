@@ -11,9 +11,9 @@ import "runtime/debug"
 // CodeVersion identifies the producing binary from its embedded build
 // info: the VCS revision (suffixed +dirty when the tree was modified) when
 // the toolchain recorded one, else the main module version, else
-// "unknown". Binaries built without VCS metadata (`go run` from a
-// non-checkout, test binaries) all report "unknown" and therefore share
-// cache entries only with each other.
+// "unknown". Only `go build` and `go install` inside a git checkout
+// record a revision; `go run` and `go test` binaries never do, so they all
+// report "unknown" and share cache entries only with each other.
 func CodeVersion() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {

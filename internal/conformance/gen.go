@@ -189,16 +189,6 @@ func (w Workload) Expected() int64 {
 	return s
 }
 
-// Terms returns f(1..n), the per-element values a SIMD machine computes
-// locally before the reduction.
-func (w Workload) Terms() []int64 {
-	ts := make([]int64, w.N)
-	for i := int64(1); i <= w.N; i++ {
-		ts[i-1] = w.Body.eval(i)
-	}
-	return ts
-}
-
 // fold applies the accumulation operator.
 func (w Workload) fold(s, v int64) int64 {
 	if w.Op == '*' {

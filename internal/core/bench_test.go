@@ -8,10 +8,10 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkMatMul4 drives one full matmul(4) run on 8 PEs — the kernel
-// point the bench harness (cmd/critique-bench) reports mcycles_per_sec
-// for. Each iteration builds its machine with NewMachine, so the plan
-// build is part of the measured cost, as it is for every caller.
+// BenchmarkMatMul4 drives one full matmul(4) run on 8 PEs and reports
+// simulated Mcycles per second. Each iteration builds its machine with
+// NewMachine, so the plan build is part of the measured cost, as it is for
+// every caller.
 func BenchmarkMatMul4(b *testing.B) {
 	prog, err := id.Compile(workload.MatMulID)
 	if err != nil {

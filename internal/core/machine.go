@@ -660,9 +660,6 @@ func (m *Machine) WindowStats() (windows, cycles uint64) {
 	return m.par.WindowStats()
 }
 
-// ISModules returns the per-PE I-structure modules.
-func (m *Machine) ISModules() []*istructure.Module { return m.is }
-
 // PEStats returns per-PE statistics.
 func (m *Machine) PEStats() []*PEStats {
 	out := make([]*PEStats, len(m.pes))

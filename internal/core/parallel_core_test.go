@@ -97,8 +97,8 @@ func TestShardedWorkerSteps(t *testing.T) {
 
 // TestShardedEngineCountersPinned pins the sharded kernel's scheduling
 // counters and per-shard step counts for matmul(6) on 8 PEs. They are not
-// simulated observables, but serve's /v1/run bodies for shards > 1 carry
-// engine_counters, so cached response bytes depend on them.
+// simulated observables; pinning them makes any change to the shard
+// protocol's scheduling a deliberate one.
 func TestShardedEngineCountersPinned(t *testing.T) {
 	prog, err := id.Compile(workload.MatMulID)
 	if err != nil {

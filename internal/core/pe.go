@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/istructure"
@@ -372,7 +373,7 @@ func (pe *PE) execCtrl(r ctrlRequest) {
 		pe.sendToDests(r.act, in.Dests, token.Int(int64(u)))
 	case graph.KindAllocate:
 		n, err := r.value.AsInt()
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || n > math.MaxUint32 {
 			pe.m.fail(fmt.Errorf("core: allocate at %s: bad size %s", r.act, r.value))
 			return
 		}

@@ -34,6 +34,7 @@ package direct
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/token"
@@ -433,7 +434,7 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 		}
 	case graph.KindAllocate:
 		n, err := vals[0].AsInt()
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || n > math.MaxUint32 {
 			return fmt.Errorf("direct: allocate: bad size %s", vals[0])
 		}
 		base := len(x.cells)

@@ -2,6 +2,7 @@ package emulator
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/token"
@@ -262,7 +263,7 @@ func (nd *node) fire(act token.ActivityName, vals [2]token.Value) {
 		}
 	case graph.OpAllocate:
 		n, err := vals[0].AsInt()
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || n > math.MaxUint32 {
 			f.fail(fmt.Errorf("emulator: allocate at %s: bad size %s", act, vals[0]))
 			return
 		}

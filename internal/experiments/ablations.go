@@ -17,7 +17,7 @@ import (
 // Ablations runs the A-series: sensitivity studies of the design choices
 // in the TTDA model itself, complementing the paper-claim experiments.
 func Ablations(opt Options) []Result {
-	return timed(opt,
+	return runAll(opt,
 		A1Optimizer,
 		A2MatchCapacity,
 		A3PipelineBandwidth,

@@ -63,10 +63,10 @@ func E11Emulator(opt Options) Result {
 		"substrate", "result", "instructions", "simulated cycles", "wall time", "instr/wall-ms")
 	tb.AddRow("detailed simulator", mres[0].String(), simSummary.Fired, simSummary.Cycles,
 		simWall.Round(time.Microsecond).String(),
-		float64(simSummary.Fired)/fmax(1e-3, float64(simWall.Milliseconds())))
+		float64(simSummary.Fired)/fmax(1e-3, float64(simWall)/float64(time.Millisecond)))
 	tb.AddRow("emulation facility", fres[0].String(), f.Fired.Load(), "n/a",
 		emuWall.Round(time.Microsecond).String(),
-		float64(f.Fired.Load())/fmax(1e-3, float64(emuWall.Milliseconds())))
+		float64(f.Fired.Load())/fmax(1e-3, float64(emuWall)/float64(time.Millisecond)))
 	r.Tables = append(r.Tables, tb)
 
 	// Fault tolerance: kill links, verify the answer and the reroute cost.

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -39,8 +38,6 @@ type Result struct {
 	Finding string
 	// Err reports an experiment that failed to run.
 	Err error
-	// Wall is how long the experiment took to run, for BENCH tracking.
-	Wall time.Duration
 }
 
 // String renders the full experiment report.
@@ -58,7 +55,7 @@ func (r Result) String() string {
 
 // All runs every experiment in order.
 func All(opt Options) []Result {
-	return timed(opt,
+	return runAll(opt,
 		E1LatencyTolerance,
 		E2ContextCounts,
 		E3CacheCoherence,
@@ -76,14 +73,11 @@ func All(opt Options) []Result {
 	)
 }
 
-// timed runs each experiment and stamps its wall time on the Result.
-func timed(opt Options, fns ...func(Options) Result) []Result {
+// runAll runs each experiment in order.
+func runAll(opt Options, fns ...func(Options) Result) []Result {
 	out := make([]Result, 0, len(fns))
 	for _, fn := range fns {
-		start := time.Now()
-		r := fn(opt)
-		r.Wall = time.Since(start)
-		out = append(out, r)
+		out = append(out, fn(opt))
 	}
 	return out
 }

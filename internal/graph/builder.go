@@ -48,16 +48,6 @@ func (b *Builder) Finish() (*Program, error) {
 	return b.prog, nil
 }
 
-// MustFinish is Finish for construction paths where a validation failure is
-// a bug in the generator, not an input error.
-func (b *Builder) MustFinish() *Program {
-	p, err := b.Finish()
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // BlockBuilder appends instructions to one code block.
 type BlockBuilder struct {
 	prog *Program
@@ -77,9 +67,6 @@ func (bb *BlockBuilder) AddEntry(stmt uint16) int {
 	bb.blk.Entries = append(bb.blk.Entries, stmt)
 	return len(bb.blk.Entries) - 1
 }
-
-// NumEntries returns the number of entry points registered so far.
-func (bb *BlockBuilder) NumEntries() int { return len(bb.blk.Entries) }
 
 // NumInstrs returns the number of instructions emitted so far.
 func (bb *BlockBuilder) NumInstrs() int { return len(bb.blk.Instrs) }

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-
-	"repro/internal/token"
-)
+import "repro/internal/token"
 
 // This file implements the ahead-of-time compilation stage: Compile lowers
 // a validated Program into a CompiledGraph, an immutable execution plan the
@@ -24,10 +20,7 @@ import (
 //
 // Plans are pure accelerations: executing a plan is observably identical —
 // results, firing counts, cycle counts, statistics — to interpreting the
-// program it was compiled from. The optional passes (constant folding,
-// dead-arc elimination) DO change the instruction stream and therefore
-// timing; they are opt-in and are applied to a private clone, never to the
-// caller's Program.
+// program it was compiled from.
 
 // ExecKind is the dense dispatch class of an instruction. Every opcode
 // maps to exactly one kind; engines switch on the kind instead of testing
@@ -130,12 +123,10 @@ type CBlock struct {
 	Slots int
 }
 
-// CompiledGraph is an immutable execution plan. It references (and, when
-// rewrite passes ran, owns) the Program it was compiled from; neither may
-// be mutated after Compile returns.
+// CompiledGraph is an immutable execution plan. It references the Program
+// it was compiled from; neither may be mutated after Compile returns.
 type CompiledGraph struct {
-	// Prog is the program this plan executes: the caller's program, or the
-	// private rewritten clone when compile passes were requested.
+	// Prog is the program this plan executes, exactly as given to Compile.
 	Prog   *Program
 	Blocks []CBlock
 
@@ -145,52 +136,11 @@ type CompiledGraph struct {
 // Block returns the compiled block with the given id.
 func (cg *CompiledGraph) Block(id BlockID) *CBlock { return &cg.Blocks[id] }
 
-// CompileOption selects an optional rewrite pass.
-type CompileOption func(*compileOptions)
-
-type compileOptions struct {
-	fold     bool
-	deadArcs bool
-}
-
-// WithConstantFolding enables the constant-folding pass: literal operands
-// flowing out of CONST generators are absorbed into their consumers, and
-// fully-constant pure instructions become CONST generators themselves.
-// Folding changes the instruction stream (and therefore firing and cycle
-// counts); it is applied to a private clone of the program.
-func WithConstantFolding() CompileOption { return func(o *compileOptions) { o.fold = true } }
-
-// WithDeadArcElimination enables the dead-arc pass: statements unreachable
-// from any block entry or call linkage are rewritten to NOP and the arcs
-// into them dropped. Applied to a private clone of the program.
-func WithDeadArcElimination() CompileOption { return func(o *compileOptions) { o.deadArcs = true } }
-
-// Compile lowers a validated program into an execution plan. With no
-// options the plan executes the program exactly as given; options select
-// rewrite passes that run on a private clone (the caller's program is
-// never mutated). Compile fails on invalid programs and on passes that
-// expose a latent fault (e.g. folding a constant division by zero).
-func Compile(p *Program, opts ...CompileOption) (*CompiledGraph, error) {
-	var o compileOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
+// Compile lowers a validated program into an execution plan that executes
+// the program exactly as given. It fails on invalid programs.
+func Compile(p *Program) (*CompiledGraph, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if o.fold || o.deadArcs {
-		p = p.Clone()
-		if o.fold {
-			if _, err := FoldConstants(p); err != nil {
-				return nil, err
-			}
-		}
-		if o.deadArcs {
-			EliminateDeadArcs(p)
-		}
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("graph: compile passes produced an invalid program: %v", err)
-		}
 	}
 
 	cg := &CompiledGraph{Prog: p, Blocks: make([]CBlock, len(p.Blocks))}
@@ -261,27 +211,4 @@ func (cg *CompiledGraph) lowerDests(blk *CodeBlock, dests []Dest) []CDest {
 		})
 	}
 	return cg.destArena[base:len(cg.destArena):len(cg.destArena)]
-}
-
-// Clone deep-copies a program: blocks, instructions, and destination
-// lists. Rewrite passes operate on clones so callers' programs stay
-// untouched.
-func (p *Program) Clone() *Program {
-	q := &Program{Name: p.Name, Blocks: make([]*CodeBlock, len(p.Blocks))}
-	for i, b := range p.Blocks {
-		nb := &CodeBlock{
-			ID:      b.ID,
-			Name:    b.Name,
-			Entries: append([]uint16(nil), b.Entries...),
-			Instrs:  append([]Instruction(nil), b.Instrs...),
-		}
-		for s := range nb.Instrs {
-			in := &nb.Instrs[s]
-			in.Dests = append([]Dest(nil), in.Dests...)
-			in.DestsFalse = append([]Dest(nil), in.DestsFalse...)
-			in.ReturnDests = append([]Dest(nil), in.ReturnDests...)
-		}
-		q.Blocks[i] = nb
-	}
-	return q
 }

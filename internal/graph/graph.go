@@ -67,19 +67,6 @@ func (in *Instruction) NumTokenOperands() uint8 {
 	return uint8(n)
 }
 
-// OperandPorts returns which ports arrive as tokens.
-func (in *Instruction) OperandPorts() []uint8 {
-	arity := in.Op.Arity()
-	ports := make([]uint8, 0, arity)
-	for p := 0; p < arity; p++ {
-		if in.HasLiteral && uint8(p) == in.LiteralPort {
-			continue
-		}
-		ports = append(ports, uint8(p))
-	}
-	return ports
-}
-
 // CodeBlock is a procedure or loop body: a numbered list of instructions
 // plus the entry statements that receive arguments or circulating loop
 // variables.

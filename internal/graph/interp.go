@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/token"
 )
@@ -406,7 +407,7 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 		}
 	case KindAllocate:
 		n, err := ops[0].AsInt()
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || n > math.MaxUint32 {
 			return fmt.Errorf("allocate at %s: bad size %s", act, ops[0])
 		}
 		base := len(it.store.cells)

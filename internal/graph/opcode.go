@@ -169,7 +169,3 @@ func (op Opcode) Arity() int {
 func (op Opcode) IsPure() bool {
 	return op >= OpIdentity && op <= OpConst
 }
-
-// IsControl reports whether the engines give the opcode special treatment
-// (tag manipulation, I-structure traffic, routing).
-func (op Opcode) IsControl() bool { return op > OpConst && op < opcodeCount }

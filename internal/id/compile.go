@@ -21,19 +21,6 @@ func Compile(src string) (*graph.Program, error) {
 	return prog, nil
 }
 
-// CompilePlan compiles MiniID source all the way to an executable plan:
-// parse, graph construction, the graph optimizer, then graph.Compile with
-// constant folding and dead-arc elimination. The returned plan drives
-// graph.NewInterpPlan and core.NewMachineWithPlan without any further
-// per-construction analysis.
-func CompilePlan(src string) (*graph.CompiledGraph, error) {
-	prog, err := Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	return graph.Compile(prog, graph.WithConstantFolding(), graph.WithDeadArcElimination())
-}
-
 // CompileRaw compiles without the optimizer — the graphs read exactly as
 // generated, and the optimizer's effect can be measured against them.
 func CompileRaw(src string) (*graph.Program, error) {

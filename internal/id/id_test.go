@@ -536,33 +536,6 @@ def main(n) =
 	}
 }
 
-func TestCompilePlanMatchesInterpreter(t *testing.T) {
-	src := `
-def main(n) =
-  (initial s <- 0
-   for i from 1 to n do new s <- s + i * 3 return s + 2);
-`
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := CompilePlan(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := graph.NewInterp(prog).Run(token.Int(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := graph.NewInterpPlan(plan).Run(token.Int(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || !got[0].Equal(want[0]) {
-		t.Fatalf("CompilePlan run = %v, interpreter = %v", got, want)
-	}
-}
-
 func TestLoopPropertySumMatchesClosedForm(t *testing.T) {
 	src := `
 def main(n) =

@@ -120,8 +120,8 @@ type kmapEvent struct {
 	origDone func(vn.Word)
 }
 
-// kmapQueue is a min-heap of transit events ordered by (at, seq) — the
-// same total order sim.EventQueue dispatches in. Like sim.EventQueue, its
+// kmapQueue is a min-heap of transit events ordered by (at, seq): events
+// due in the same cycle dispatch in the order they were scheduled. Its
 // clock advances to each dispatched event's time, and reply scheduling is
 // measured against that clock.
 type kmapQueue struct {

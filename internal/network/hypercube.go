@@ -78,9 +78,6 @@ func (h *Hypercube) KillLink(node, k int) {
 	h.alive[node^(1<<k)][k] = false
 }
 
-// LinkAlive reports whether node's dimension-k link is usable.
-func (h *Hypercube) LinkAlive(node, k int) bool { return h.alive[node][k] }
-
 // Partition assigns nodes to partitions; traffic cannot cross partitions,
 // statically splitting the facility into independent machines. Passing nil
 // restores the single-partition configuration.
@@ -141,9 +138,6 @@ func (h *Hypercube) RecomputeTables() {
 		}
 	}
 }
-
-// UseECube removes routing tables, restoring dimension-order routing.
-func (h *Hypercube) UseECube() { h.table = nil }
 
 // nextDim returns the outgoing dimension for a packet at cur headed to
 // dst, or -1 when unroutable.

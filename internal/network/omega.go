@@ -97,9 +97,6 @@ func NewOmega(k int, queueCap int, combining bool) *Omega {
 // Ports returns the per-side port count.
 func (o *Omega) Ports() int { return o.n }
 
-// Stages returns log2(n).
-func (o *Omega) Stages() int { return o.k }
-
 // SetDelivery registers the memory-side (forward) callback; for the
 // generic Network interface this is where requests arrive.
 func (o *Omega) SetDelivery(d Delivery) { o.deliverFwd = d }

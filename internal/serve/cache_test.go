@@ -31,28 +31,25 @@ func TestKeyDistinguishesProgramForms(t *testing.T) {
 	}
 }
 
-// TestKeyDistinguishesConfig: every meaningful field — shards, epoch
-// window, machine knobs, args, program, code version —
-// must change the key, while inapplicable knobs and explicit defaults
+// TestKeyDistinguishesConfig: every meaningful field — machine knobs,
+// args, program, code version — must change the key, while inapplicable knobs and explicit defaults
 // must not.
 func TestKeyDistinguishesConfig(t *testing.T) {
 	ttda := func(c *Config) *JobSpec {
 		return &JobSpec{Kind: KindMiniID, Machine: "ttda", Program: doubleID, Args: []int64{21}, Config: c}
 	}
 	variants := map[string]*JobSpec{
-		"base":         ttda(nil),
-		"shards":       ttda(&Config{Shards: 2}),
-		"epoch window": ttda(&Config{Shards: 2, EpochWindow: 8}),
-		"pes":          ttda(&Config{PEs: 8}),
-		"net latency":  ttda(&Config{NetLatency: 5}),
-		"max cycles":   ttda(&Config{MaxCycles: 1_000_000}),
-		"args":         {Kind: KindMiniID, Machine: "ttda", Program: doubleID, Args: []int64{22}},
-		"program":      {Kind: KindMiniID, Machine: "ttda", Program: "def main(n) = n + 2;", Args: []int64{21}},
-		"machine":      {Kind: KindMiniID, Machine: "interp", Program: doubleID, Args: []int64{21}},
-		"vn contexts":  {Kind: KindVNAsm, Machine: "vn", Program: storeAsm(7), Config: &Config{Contexts: 2}},
-		"vn latency":   {Kind: KindVNAsm, Machine: "vn", Program: storeAsm(7), Config: &Config{MemLatency: 8}},
-		"combining":    {Kind: KindVNAsm, Machine: "ultra", Program: storeAsm(7), Config: &Config{Combining: true}},
-		"experiment":   {Experiment: "E3"},
+		"base":        ttda(nil),
+		"pes":         ttda(&Config{PEs: 8}),
+		"net latency": ttda(&Config{NetLatency: 5}),
+		"max cycles":  ttda(&Config{MaxCycles: 1_000_000}),
+		"args":        {Kind: KindMiniID, Machine: "ttda", Program: doubleID, Args: []int64{22}},
+		"program":     {Kind: KindMiniID, Machine: "ttda", Program: "def main(n) = n + 2;", Args: []int64{21}},
+		"machine":     {Kind: KindMiniID, Machine: "interp", Program: doubleID, Args: []int64{21}},
+		"vn contexts": {Kind: KindVNAsm, Machine: "vn", Program: storeAsm(7), Config: &Config{Contexts: 2}},
+		"vn latency":  {Kind: KindVNAsm, Machine: "vn", Program: storeAsm(7), Config: &Config{MemLatency: 8}},
+		"combining":   {Kind: KindVNAsm, Machine: "ultra", Program: storeAsm(7), Config: &Config{Combining: true}},
+		"experiment":  {Experiment: "E3"},
 	}
 	seen := map[string]string{}
 	for name, spec := range variants {

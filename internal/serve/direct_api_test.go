@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -58,13 +59,13 @@ func TestDirectKeyDiscriminatesFromInterp(t *testing.T) {
 // model, so every cycle-model knob is inapplicable and must be zeroed
 // away exactly like the interpreter's — two specs differing only in
 // knobs the backend ignores share one cache entry. The same knobs on the
-// TTDA remain meaningful (epoch_window without shards is still 400
-// there), pinning that the zeroing is per-machine, not global.
+// TTDA remain meaningful (pes moves the ttda key), pinning that the
+// zeroing is per-machine, not global.
 func TestDirectNormalizationZeroesCycleKnobs(t *testing.T) {
 	bare := normKey(t, &JobSpec{Kind: KindMiniID, Machine: "direct", Program: doubleID, Args: []int64{21}})
 	knobbed := normKey(t, &JobSpec{
 		Kind: KindMiniID, Machine: "direct", Program: doubleID, Args: []int64{21},
-		Config: &Config{PEs: 9, NetLatency: 5, Shards: 65, EpochWindow: 8, Contexts: 3, MemLatency: 7, Combining: true},
+		Config: &Config{PEs: 9, NetLatency: 5, Contexts: 3, MemLatency: 7, Combining: true},
 	})
 	if bare != knobbed {
 		t.Fatalf("inapplicable cycle-model knobs fragmented the cache: %s vs %s", bare, knobbed)
@@ -79,14 +80,17 @@ func TestDirectNormalizationZeroesCycleKnobs(t *testing.T) {
 		t.Fatal("max_cycles does not participate in the direct cache key")
 	}
 
-	s := newTestServer(t, Options{})
-	ttda := `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","config":{"epoch_window":8}}`
-	if rr := doJSON(t, s, "POST", "/v1/run", ttda); rr.Code != http.StatusBadRequest {
-		t.Fatalf("ttda epoch_window without shards: status %d, want 400: %s", rr.Code, rr.Body)
+	ttda := func(c *Config) string {
+		return normKey(t, &JobSpec{Kind: KindMiniID, Machine: "ttda", Program: doubleID, Args: []int64{21}, Config: c})
 	}
-	direct := `{"kind":"minid","machine":"direct","program":"def main(n) = n;","args":[3],"config":{"epoch_window":8}}`
-	if rr := doJSON(t, s, "POST", "/v1/run", direct); rr.Code != http.StatusOK {
-		t.Fatalf("direct with zeroed epoch_window: status %d, want 200: %s", rr.Code, rr.Body)
+	if ttda(nil) == ttda(&Config{PEs: 9}) {
+		t.Fatal("pes does not participate in the ttda cache key")
+	}
+	if pes := normKey(t, &JobSpec{
+		Kind: KindMiniID, Machine: "direct", Program: doubleID, Args: []int64{21},
+		Config: &Config{PEs: 9},
+	}); pes != bare {
+		t.Fatalf("pes fragmented the direct cache: %s vs %s", pes, bare)
 	}
 }
 
@@ -111,6 +115,32 @@ func TestDirectRunFailures422(t *testing.T) {
 			rr := doJSON(t, s, "POST", "/v1/run", tc.body)
 			if rr.Code != http.StatusUnprocessableEntity {
 				t.Fatalf("status = %d, want 422: %s", rr.Code, rr.Body)
+			}
+		})
+	}
+}
+
+// TestOversizedAllocation422: an allocation size outside [0, 2³²) faults
+// on the backend as a bad size, so the service answers 422 instead of
+// exhausting its memory (direct) or caching an array narrowed to 32 bits
+// (ttda), and stays healthy afterwards.
+func TestOversizedAllocation422(t *testing.T) {
+	s := newTestServer(t, Options{})
+	cases := []struct {
+		name string
+		body string
+	}{
+		{"direct array(1e12)", `{"kind":"minid","machine":"direct","program":"def main(n) = { a = array(n); a[0] };","args":[1000000000000]}`},
+		{"ttda array(2^32+5)", `{"kind":"minid","machine":"ttda","program":"def main(n) = { a = array(n); len(a) };","args":[4294967301]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rr := doJSON(t, s, "POST", "/v1/run", tc.body)
+			if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), "bad size") {
+				t.Fatalf("status = %d, want 422 with a bad size fault: %s", rr.Code, rr.Body)
+			}
+			if rr := doJSON(t, s, "GET", "/v1/healthz", ""); rr.Code != http.StatusOK {
+				t.Fatalf("healthz after the request = %d %q", rr.Code, rr.Body)
 			}
 		})
 	}

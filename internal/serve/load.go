@@ -32,9 +32,8 @@ type LoadOptions struct {
 	// Machine receives the traffic (default ttda).
 	Machine string
 	// Config, when non-nil, is attached to every generated spec — e.g. a
-	// larger PE array or a sharded kernel, which makes each cold
-	// simulation proportionally heavier while leaving the hit path
-	// untouched.
+	// larger PE array, which makes each cold simulation proportionally
+	// heavier while leaving the hit path untouched.
 	Config *Config
 	// ArgScale multiplies each MiniID program's entry argument (default
 	// 1). Generated workloads iterate 2..10 times — quick enough for the

@@ -201,10 +201,8 @@ func runTTDAJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
 	}
 	c := spec.Config
 	m := core.NewMachine(core.Config{
-		PEs:         c.PEs,
-		NetLatency:  sim.Cycle(c.NetLatency),
-		Shards:      c.Shards,
-		EpochWindow: c.EpochWindow,
+		PEs:        c.PEs,
+		NetLatency: sim.Cycle(c.NetLatency),
 	}, prog)
 	var res []token.Value
 	var total uint64
@@ -328,14 +326,14 @@ func runBaselineJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
 	)
 	switch spec.Machine {
 	case "cmmp":
-		mm := cmmp.New(cmmp.Config{Processors: 2, Banks: 2, Shards: c.Shards}, prog, 1)
+		mm := cmmp.New(cmmp.Config{Processors: 2, Banks: 2}, prog, 1)
 		park(2, mm.Core, prog)
 		core0 = mm.Core(0)
 		peek = func() int64 { return int64(mm.Peek(ResultAddr)) }
 		extras = func(st map[string]uint64) { st["xbar_delivered"] = mm.Crossbar().Stats().Delivered.Value() }
 		m = mm
 	case "cmstar":
-		mm := cmstar.New(cmstar.Config{Clusters: 8, CoresPerCluster: 1, ClusterWords: 32, HopLatency: 3, Shards: c.Shards}, prog)
+		mm := cmstar.New(cmstar.Config{Clusters: 8, CoresPerCluster: 1, ClusterWords: 32, HopLatency: 3}, prog)
 		park(mm.NumCores(), mm.CoreAt, prog)
 		core0 = mm.CoreAt(0)
 		peek = func() int64 { return int64(mm.Peek(ResultAddr)) }
@@ -345,7 +343,7 @@ func runBaselineJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
 		}
 		m = mm
 	case "ultra":
-		mm := ultra.New(ultra.Config{LogProcessors: 2, Combining: c.Combining, Shards: c.Shards}, prog)
+		mm := ultra.New(ultra.Config{LogProcessors: 2, Combining: c.Combining}, prog)
 		park(mm.NumProcessors(), mm.Core, prog)
 		core0 = mm.Core(0)
 		peek = func() int64 { return int64(mm.Peek(ResultAddr)) }
@@ -355,7 +353,7 @@ func runBaselineJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
 		}
 		m = mm
 	case "hep":
-		mm := hep.New(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4, Shards: c.Shards}, prog)
+		mm := hep.New(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4}, prog)
 		park(2, mm.Core, prog)
 		core0 = mm.Core(0)
 		peek = func() int64 { return int64(mm.Memory().Peek(ResultAddr)) }

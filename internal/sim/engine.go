@@ -426,8 +426,8 @@ func (e *Engine) legacyTick() {
 	e.now += e.stride
 }
 
-// legacyNextEvent polls every component, exactly as Scheduler.NextEvent:
-// non-EventAware components pin it to now.
+// legacyNextEvent polls every component for the minimum of their
+// NextEvent answers; non-EventAware components pin it to now.
 func (e *Engine) legacyNextEvent() Cycle {
 	next := Never
 	for _, ea := range e.events {

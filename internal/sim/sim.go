@@ -1,15 +1,11 @@
 // Package sim provides the deterministic simulation kernel shared by every
 // machine model in this repository: a cycle-stepped scheduler for
-// synchronous hardware models, an event heap for discrete-event models, and
-// a seeded pseudo-random number generator so that all experiments are
-// reproducible run-to-run.
+// synchronous hardware models, an event-driven engine that skips the
+// cycles in which no component can act, and a seeded pseudo-random number
+// generator so that all experiments are reproducible run-to-run.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-)
+import "math"
 
 // Cycle is a point in simulated time, measured in machine cycles.
 type Cycle uint64
@@ -84,173 +80,4 @@ func (s *Scheduler) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) 
 		s.Tick()
 	}
 	return s.now - start, done()
-}
-
-// NextEvent reports the earliest cycle at which any registered component
-// can make progress: the minimum of the components' NextEvent answers.
-// Components that are not EventAware pin the answer to now (they must be
-// stepped every cycle).
-func (s *Scheduler) NextEvent() Cycle {
-	next := Never
-	for _, c := range s.components {
-		ea, ok := c.(EventAware)
-		if !ok {
-			return s.now
-		}
-		if t := ea.NextEvent(s.now); t < next {
-			next = t
-		}
-		if next <= s.now {
-			return s.now
-		}
-	}
-	return next
-}
-
-// RunEvented is Run with idle skipping: after each tick, if every
-// component reports its next possible state change lies in the future,
-// simulated time jumps straight there instead of burning empty cycles.
-// Cycle counts are identical to Run's for any component set whose
-// NextEvent contract is honest; a mix of event-aware and plain components
-// degrades gracefully to per-cycle stepping.
-func (s *Scheduler) RunEvented(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
-	start := s.now
-	for s.now-start < limit {
-		if done() {
-			return s.now - start, true
-		}
-		s.Tick()
-		if done() {
-			continue // report the exact completion cycle, not a jump target
-		}
-		if t := s.NextEvent(); t > s.now {
-			if t == Never || t-start > limit {
-				t = start + limit
-			}
-			s.now = t
-		}
-	}
-	return s.now - start, done()
-}
-
-// ErrLimit is returned by MustRun when the cycle limit is exhausted before
-// the completion predicate holds.
-type ErrLimit struct {
-	Limit Cycle
-}
-
-func (e ErrLimit) Error() string {
-	return fmt.Sprintf("sim: cycle limit %d exhausted before completion", e.Limit)
-}
-
-// MustRun is Run, but converts a limit overrun into an error value, for
-// callers that treat non-termination as failure.
-func (s *Scheduler) MustRun(done func() bool, limit Cycle) (Cycle, error) {
-	elapsed, ok := s.Run(done, limit)
-	if !ok {
-		return elapsed, ErrLimit{Limit: limit}
-	}
-	return elapsed, nil
-}
-
-// Event is a scheduled callback in a discrete-event simulation.
-type Event struct {
-	At  Cycle
-	Seq uint64 // tie-break so same-cycle events fire in schedule order
-	Fn  func()
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].Seq < h[j].Seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// EventQueue is a discrete-event kernel: callbacks scheduled at absolute
-// cycles, dispatched in (time, schedule-order) order.
-type EventQueue struct {
-	h   eventHeap
-	now Cycle
-	seq uint64
-}
-
-// NewEventQueue returns an empty queue at cycle 0.
-func NewEventQueue() *EventQueue { return &EventQueue{} }
-
-// Now reports the time of the most recently dispatched event.
-func (q *EventQueue) Now() Cycle { return q.now }
-
-// Len reports the number of pending events.
-func (q *EventQueue) Len() int { return q.h.Len() }
-
-// At schedules fn to run at absolute cycle t. Scheduling in the past
-// (t < Now) is a programming error and panics.
-func (q *EventQueue) At(t Cycle, fn func()) {
-	if t < q.now {
-		panic(fmt.Sprintf("sim: event scheduled at %d, now is %d", t, q.now))
-	}
-	q.seq++
-	heap.Push(&q.h, &Event{At: t, Seq: q.seq, Fn: fn})
-}
-
-// After schedules fn to run d cycles from now.
-func (q *EventQueue) After(d Cycle, fn func()) { q.At(q.now+d, fn) }
-
-// Next reports the cycle of the earliest pending event, or Never when the
-// queue is empty — the queue's NextEvent answer for event-driven owners.
-func (q *EventQueue) Next() Cycle {
-	if q.h.Len() == 0 {
-		return Never
-	}
-	return q.h[0].At
-}
-
-// RunOne dispatches the next event, if any, and reports whether one ran.
-func (q *EventQueue) RunOne() bool {
-	if q.h.Len() == 0 {
-		return false
-	}
-	e := heap.Pop(&q.h).(*Event)
-	q.now = e.At
-	e.Fn()
-	return true
-}
-
-// RunUntil dispatches events until the queue is empty or simulated time
-// would pass the deadline. It returns the number of events dispatched.
-func (q *EventQueue) RunUntil(deadline Cycle) int {
-	n := 0
-	for q.h.Len() > 0 && q.h[0].At <= deadline {
-		q.RunOne()
-		n++
-	}
-	return n
-}
-
-// Drain dispatches every pending event and returns the count dispatched. A
-// limit guards against runaway self-scheduling models; Drain panics if more
-// than limit events fire.
-func (q *EventQueue) Drain(limit int) int {
-	n := 0
-	for q.RunOne() {
-		n++
-		if n > limit {
-			panic(fmt.Sprintf("sim: event queue did not drain within %d events", limit))
-		}
-	}
-	return n
 }

@@ -47,77 +47,6 @@ func TestSchedulerRunHitsLimit(t *testing.T) {
 	if ok || elapsed != 42 {
 		t.Fatalf("elapsed=%d ok=%t, want 42/false", elapsed, ok)
 	}
-	if _, err := s.MustRun(func() bool { return false }, 5); err == nil {
-		t.Fatal("MustRun should report limit exhaustion")
-	}
-}
-
-func TestEventQueueOrdering(t *testing.T) {
-	q := NewEventQueue()
-	var got []int
-	q.At(30, func() { got = append(got, 3) })
-	q.At(10, func() { got = append(got, 1) })
-	q.At(20, func() { got = append(got, 2) })
-	q.At(10, func() { got = append(got, 11) }) // same time: schedule order
-	q.Drain(100)
-	want := []int{1, 11, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event order %v, want %v", got, want)
-		}
-	}
-	if q.Now() != 30 {
-		t.Fatalf("Now() = %d, want 30", q.Now())
-	}
-}
-
-func TestEventQueueSelfScheduling(t *testing.T) {
-	q := NewEventQueue()
-	n := 0
-	var step func()
-	step = func() {
-		n++
-		if n < 5 {
-			q.After(7, step)
-		}
-	}
-	q.At(0, step)
-	q.Drain(100)
-	if n != 5 {
-		t.Fatalf("fired %d times, want 5", n)
-	}
-	if q.Now() != 28 {
-		t.Fatalf("Now() = %d, want 28", q.Now())
-	}
-}
-
-func TestEventQueueRunUntil(t *testing.T) {
-	q := NewEventQueue()
-	fired := 0
-	for i := Cycle(0); i < 10; i++ {
-		q.At(i*10, func() { fired++ })
-	}
-	if n := q.RunUntil(45); n != 5 || fired != 5 {
-		t.Fatalf("RunUntil dispatched %d (fired %d), want 5", n, fired)
-	}
-	if q.Len() != 5 {
-		t.Fatalf("pending %d, want 5", q.Len())
-	}
-}
-
-func TestEventQueuePastSchedulingPanics(t *testing.T) {
-	q := NewEventQueue()
-	q.At(10, func() {})
-	q.RunOne()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past should panic")
-		}
-	}()
-	q.At(5, func() {})
 }
 
 func TestRNGDeterminism(t *testing.T) {

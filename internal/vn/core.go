@@ -205,9 +205,6 @@ func NewCore(prog *Program, mem MemPort, k int) *Core {
 // SetReg/SetPC before the run, Reg after.
 func (c *Core) Context(i int) *ContextHandle { return &ContextHandle{ctx: c.ctxs[i]} }
 
-// NumContexts returns k.
-func (c *Core) NumContexts() int { return len(c.ctxs) }
-
 // ContextHandle provides controlled access to one hardware context.
 type ContextHandle struct{ ctx *context }
 

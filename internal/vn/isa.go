@@ -66,15 +66,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// IsMemOp reports whether the opcode touches data memory.
-func (o Op) IsMemOp() bool {
-	switch o {
-	case LD, ST, FAA, TAS, CNS, PRD:
-		return true
-	}
-	return false
-}
-
 // Instr is one decoded instruction.
 type Instr struct {
 	Op         Op
