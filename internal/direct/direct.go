@@ -438,6 +438,9 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 			return fmt.Errorf("direct: allocate: bad size %s", vals[0])
 		}
 		base := len(x.cells)
+		if n > int64(graph.CellBudget-base) {
+			return fmt.Errorf("direct: allocate: I-structure space exhausted (%d cells, limit %d)", n, graph.CellBudget)
+		}
 		x.cells = append(x.cells, make([]cell, n)...)
 		ref := token.NewRef(token.Ref{Base: uint32(base), Len: uint32(n)})
 		for _, dst := range in.Dests {

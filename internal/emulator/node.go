@@ -269,6 +269,11 @@ func (nd *node) fire(act token.ActivityName, vals [2]token.Value) {
 		}
 		f.allocMu.Lock()
 		base := f.nextAddr
+		if n > int64(graph.CellBudget-base) {
+			f.allocMu.Unlock()
+			f.fail(fmt.Errorf("emulator: allocate at %s: I-structure space exhausted (%d cells, limit %d)", act, n, graph.CellBudget))
+			return
+		}
 		f.nextAddr += uint32(n)
 		f.allocMu.Unlock()
 		nd.sendToDests(act, in.Dests, token.NewRef(token.Ref{Base: base, Len: uint32(n)}), act.Initiation)

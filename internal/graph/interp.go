@@ -7,6 +7,18 @@ import (
 	"repro/internal/token"
 )
 
+// CellBudget bounds the I-structure cells one run may allocate in total on
+// the host-side backends: this interpreter, internal/direct and the
+// emulator. An allocation that would pass it faults with "I-structure
+// space exhausted" before any cell exists, as the TTDA does past its
+// ISCellsPerPE × PEs, so neither a size just under 2³² nor a loop that
+// allocates on every iteration can exhaust the host's memory. It is a
+// constant, not a knob: it is about 350 times the most any committed
+// workload allocates in one run (3,000 cells, the kernel benchmark's
+// producer-consumer at its largest size), and it keeps every base
+// address within 32 bits.
+const CellBudget = 1 << 20
+
 // Interp is the sequential reference interpreter for dataflow programs. It
 // executes graphs under idealized dataflow semantics: every enabled
 // instruction fires in the wave after its operands arrive, every firing
@@ -411,6 +423,9 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 			return fmt.Errorf("allocate at %s: bad size %s", act, ops[0])
 		}
 		base := len(it.store.cells)
+		if n > int64(CellBudget-base) {
+			return fmt.Errorf("allocate at %s: I-structure space exhausted (%d cells, limit %d)", act, n, CellBudget)
+		}
 		it.store.cells = append(it.store.cells, make([]idealCell, n)...)
 		emit(in.Dests, token.NewRef(token.Ref{Base: uint32(base), Len: uint32(n)}))
 	case KindFetch:

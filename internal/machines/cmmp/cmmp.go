@@ -239,11 +239,14 @@ func (m *Machine) drainPending() bool {
 }
 
 // Run drives the shared engine until every core halts and the memory
-// system drains.
+// system drains. A core's address fault is returned as the error.
 func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 	elapsed, ok := m.engine.Run(func() bool {
 		return m.Halted() && !m.drainPending()
 	}, limit)
+	if err := vn.FirstFault(m.cores); err != nil {
+		return elapsed, err
+	}
 	if !ok {
 		return elapsed, fmt.Errorf("cmmp: did not halt within %d cycles", limit)
 	}

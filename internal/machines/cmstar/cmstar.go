@@ -268,6 +268,12 @@ type clusterPort struct {
 	cluster int
 }
 
+// Words bounds the cores' addresses to the clusters' memory
+// (vn.AddressSpace), so an address beyond it is a core fault.
+func (p *clusterPort) Words() uint64 {
+	return uint64(p.m.cfg.Clusters) * uint64(p.m.cfg.ClusterWords)
+}
+
 // Request routes locally over the map bus or remotely through the Kmap.
 func (p *clusterPort) Request(r vn.MemRequest) {
 	m := p.m
@@ -351,10 +357,14 @@ func (m *Machine) busy() bool {
 }
 
 // Run drives the shared engine until all cores halt and traffic drains.
+// A core's address fault is returned as the error.
 func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 	elapsed, ok := m.engine.Run(func() bool {
 		return m.Halted() && !m.busy()
 	}, limit)
+	if err := vn.FirstFault(m.cores); err != nil {
+		return elapsed, err
+	}
 	if !ok {
 		return elapsed, fmt.Errorf("cmstar: did not halt within %d cycles", limit)
 	}

@@ -234,10 +234,14 @@ func (m *Machine) Halted() bool {
 }
 
 // Run drives the shared engine until everything halts and memory drains.
+// A core's address fault is returned as the error.
 func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 	elapsed, ok := m.engine.Run(func() bool {
 		return m.Halted() && m.mem.Pending() == 0
 	}, limit)
+	if err := vn.FirstFault(m.cores); err != nil {
+		return elapsed, err
+	}
 	if !ok {
 		return elapsed, fmt.Errorf("hep: did not halt within %d cycles", limit)
 	}

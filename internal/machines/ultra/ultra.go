@@ -341,10 +341,14 @@ func (m *Machine) busy() bool {
 }
 
 // Run drives the shared engine until every core halts and traffic drains.
+// A core's address fault is returned as the error.
 func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 	elapsed, ok := m.engine.Run(func() bool {
 		return m.Halted() && !m.busy()
 	}, limit)
+	if err := vn.FirstFault(m.cores); err != nil {
+		return elapsed, err
+	}
 	if !ok {
 		return elapsed, fmt.Errorf("ultra: did not halt within %d cycles", limit)
 	}

@@ -163,6 +163,8 @@ func TestErrorContract(t *testing.T) {
 		{"removed compiled knob", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","args":[3],"config":{"compiled":true}}`, http.StatusBadRequest},
 		{"removed shards knob", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","args":[3],"config":{"shards":2}}`, http.StatusBadRequest},
 		{"removed epoch_window knob", `{"kind":"minid","machine":"ttda","program":"def main(n) = n;","args":[3],"config":{"epoch_window":8}}`, http.StatusBadRequest},
+		{"pes over the limit", `{"kind":"minid","machine":"ttda","program":"def main(n) = n + 1;","args":[1],"config":{"pes":35184372088832}}`, http.StatusBadRequest},
+		{"contexts over the limit", `{"kind":"vnasm","machine":"vn","program":"halt","config":{"contexts":35184372088832}}`, http.StatusBadRequest},
 		{"cycle budget exhausted", specBody(t, &JobSpec{Kind: KindVNAsm, Machine: "vn", Program: spinAsm, Config: &Config{MaxCycles: 100_000}}), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
@@ -177,16 +179,23 @@ func TestErrorContract(t *testing.T) {
 			if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e.Error == "" {
 				t.Errorf("error body %q is not {\"error\":...}: %v", rr.Body, err)
 			}
+			assertHealthy(t, s)
 		})
 	}
 }
 
+// TestOversizedBody413: a body longer than MaxBody is 413, even when its
+// first JSON value ends inside the limit.
 func TestOversizedBody413(t *testing.T) {
 	s := newTestServer(t, Options{MaxBody: 512})
-	body := runBody(t, KindVNAsm, "vn", strings.Repeat("; padding\n", 200)+storeAsm(1), nil)
-	rr := doJSON(t, s, "POST", "/v1/run", body)
-	if rr.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413: %s", rr.Code, rr.Body)
+	spec := runBody(t, KindVNAsm, "vn", storeAsm(1), nil)
+	for name, body := range map[string]string{
+		"long program":          runBody(t, KindVNAsm, "vn", strings.Repeat("; padding\n", 200)+storeAsm(1), nil),
+		"spaces after the spec": spec + strings.Repeat(" ", 512),
+	} {
+		if rr := doJSON(t, s, "POST", "/v1/run", body); rr.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413: %s", name, rr.Code, rr.Body)
+		}
 	}
 }
 

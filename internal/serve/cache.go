@@ -41,18 +41,29 @@ func NewCache(maxEntries int) *Cache {
 // Get returns the stored body for key. The returned slice is shared and
 // must be treated as read-only. A checksum mismatch evicts the entry
 // and reports a miss.
-func (c *Cache) Get(key string) ([]byte, bool) {
+func (c *Cache) Get(key string) ([]byte, bool) { return c.get(key, true) }
+
+// getHit is Get for a caller that answers a miss by falling back to a
+// path that calls Get itself: a hit counts, a miss does not, so the
+// fallback's own Get counts the request's one miss.
+func (c *Cache) getHit(key string) ([]byte, bool) { return c.get(key, false) }
+
+func (c *Cache) get(key string, countMiss bool) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
+		if countMiss {
+			c.misses++
+		}
 		return nil, false
 	}
 	e := el.Value.(*cacheEntry)
 	if sha256.Sum256(e.body) != e.sum {
 		c.corruptions++
-		c.misses++
+		if countMiss {
+			c.misses++
+		}
 		c.removeLocked(el)
 		return nil, false
 	}

@@ -121,27 +121,27 @@ func TestDirectRunFailures422(t *testing.T) {
 }
 
 // TestOversizedAllocation422: an allocation size outside [0, 2³²) faults
-// on the backend as a bad size, so the service answers 422 instead of
-// exhausting its memory (direct) or caching an array narrowed to 32 bits
-// (ttda), and stays healthy afterwards.
+// on the backend as a bad size, and one inside it that the job's cells
+// cannot hold exhausts the I-structure space, so the service answers 422
+// instead of exhausting its memory (direct, interp) or caching an array
+// narrowed to 32 bits (ttda), and stays healthy afterwards.
 func TestOversizedAllocation422(t *testing.T) {
 	s := newTestServer(t, Options{})
 	cases := []struct {
-		name string
-		body string
+		name, body, msg string
 	}{
-		{"direct array(1e12)", `{"kind":"minid","machine":"direct","program":"def main(n) = { a = array(n); a[0] };","args":[1000000000000]}`},
-		{"ttda array(2^32+5)", `{"kind":"minid","machine":"ttda","program":"def main(n) = { a = array(n); len(a) };","args":[4294967301]}`},
+		{"direct array(1e12)", `{"kind":"minid","machine":"direct","program":"def main(n) = { a = array(n); a[0] };","args":[1000000000000]}`, "bad size"},
+		{"ttda array(2^32+5)", `{"kind":"minid","machine":"ttda","program":"def main(n) = { a = array(n); len(a) };","args":[4294967301]}`, "bad size"},
+		{"direct array(2^32-1)", `{"kind":"minid","machine":"direct","program":"def main(n) = { a = array(n); a[0] };","args":[4294967295]}`, "space exhausted"},
+		{"interp array(2^32-1)", `{"kind":"minid","machine":"interp","program":"def main(n) = { a = array(n); a[0] };","args":[4294967295]}`, "space exhausted"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rr := doJSON(t, s, "POST", "/v1/run", tc.body)
-			if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), "bad size") {
-				t.Fatalf("status = %d, want 422 with a bad size fault: %s", rr.Code, rr.Body)
+			if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), tc.msg) {
+				t.Fatalf("status = %d, want 422 with a %s fault: %s", rr.Code, tc.msg, rr.Body)
 			}
-			if rr := doJSON(t, s, "GET", "/v1/healthz", ""); rr.Code != http.StatusOK {
-				t.Fatalf("healthz after the request = %d %q", rr.Code, rr.Body)
-			}
+			assertHealthy(t, s)
 		})
 	}
 }

@@ -39,6 +39,16 @@ const (
 // document fails with a clear 400 rather than a truncation error.
 const MaxProgramBytes = 128 << 10
 
+// MaxPEs and MaxContexts bound a job's TTDA processing elements and vn
+// hardware contexts. Both machines allocate per PE or per context when
+// they are built, so an unbounded count would exhaust the server's
+// memory before the first cycle; the bounds sit far above every count
+// the experiments, examples and load mixes use (at most 64).
+const (
+	MaxPEs      = 1024
+	MaxContexts = 1024
+)
+
 // Config is the machine configuration of a job. Fields that do not
 // apply to the chosen machine are zeroed during validation, so two
 // specs differing only in an inapplicable knob share one cache entry.
@@ -161,6 +171,9 @@ func (s *JobSpec) normalize() error {
 		if c.PEs <= 0 {
 			c.PEs = 4
 		}
+		if c.PEs > MaxPEs {
+			return errf(http.StatusBadRequest, "pes %d exceeds the limit of %d", c.PEs, MaxPEs)
+		}
 		if c.NetLatency == 0 {
 			c.NetLatency = 2
 		}
@@ -168,6 +181,9 @@ func (s *JobSpec) normalize() error {
 		c.Contexts, c.MemLatency = contexts, memLat
 		if c.Contexts <= 0 {
 			c.Contexts = 1
+		}
+		if c.Contexts > MaxContexts {
+			return errf(http.StatusBadRequest, "contexts %d exceeds the limit of %d", c.Contexts, MaxContexts)
 		}
 		if c.MemLatency == 0 {
 			c.MemLatency = 4

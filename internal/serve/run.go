@@ -282,6 +282,9 @@ func runVNJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
 			return nil, err
 		}
 	}
+	if err := cpu.Fault(); err != nil {
+		return nil, errf(http.StatusUnprocessableEntity, "vn: %v", err)
+	}
 	result := int64(mem.Peek(ResultAddr))
 	cnt := eng.Counters()
 	out := &RunResult{

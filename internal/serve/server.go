@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -22,7 +25,8 @@ type Options struct {
 	// beyond both is shed with 503 rather than queued without limit.
 	Workers int
 	Backlog int
-	// CacheEntries bounds the result cache (default 4096).
+	// CacheEntries bounds the result cache and the request-body aliases
+	// in front of it (default 4096 each).
 	CacheEntries int
 	// Timeout is the per-request simulation budget (default 30s); a job
 	// that exceeds it is cut off at the next engine slice with 504.
@@ -55,9 +59,15 @@ func (o Options) withDefaults() Options {
 // result cache, request coalescing, and the bounded worker-pool job
 // queue, behind an HTTP/JSON API (see Handler for the routes).
 type Server struct {
-	opts        Options
-	pool        *sweep.Pool
-	cache       *Cache
+	opts  Options
+	pool  *sweep.Pool
+	cache *Cache
+	// aliases maps the SHA-256 of a /v1/run request body to the canonical
+	// key that body normalized to, so a byte-identical repeat is answered
+	// from the cache without decode, normalize or Key. An alias is exact
+	// for the server's lifetime: the key is a function of the body and
+	// the code version alone.
+	aliases     *Cache
 	flight      flightGroup
 	mux         *http.ServeMux
 	codeVersion string
@@ -69,6 +79,7 @@ type Server struct {
 
 	executions atomic.Uint64
 	coalesced  atomic.Uint64
+	panics     atomic.Uint64
 
 	jobsMu  sync.Mutex
 	jobs    map[string]*asyncJob
@@ -91,6 +102,7 @@ func New(opts Options) *Server {
 	}
 	s.pool = sweep.NewPool(s.opts.Workers, s.opts.Backlog)
 	s.cache = NewCache(s.opts.CacheEntries)
+	s.aliases = NewCache(s.opts.CacheEntries)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
@@ -130,13 +142,15 @@ func (s *Server) Close() {
 
 // ServerStats is the /v1/stats payload.
 type ServerStats struct {
-	CodeVersion string     `json:"code_version"`
-	Executions  uint64     `json:"executions"`
-	Coalesced   uint64     `json:"coalesced"`
-	Cache       CacheStats `json:"cache"`
-	Workers     int        `json:"workers"`
-	Running     int        `json:"running"`
-	Waiting     int        `json:"waiting"`
+	CodeVersion string `json:"code_version"`
+	Executions  uint64 `json:"executions"`
+	Coalesced   uint64 `json:"coalesced"`
+	// Panics counts executions that panicked and were answered 500.
+	Panics  uint64     `json:"panics"`
+	Cache   CacheStats `json:"cache"`
+	Workers int        `json:"workers"`
+	Running int        `json:"running"`
+	Waiting int        `json:"waiting"`
 }
 
 // Stats snapshots the server counters.
@@ -145,6 +159,7 @@ func (s *Server) Stats() ServerStats {
 		CodeVersion: s.codeVersion,
 		Executions:  s.executions.Load(),
 		Coalesced:   s.coalesced.Load(),
+		Panics:      s.panics.Load(),
 		Cache:       s.cache.Stats(),
 		Workers:     s.pool.Workers(),
 		Running:     s.pool.Running(),
@@ -165,6 +180,15 @@ func (s *Server) execute(ctx context.Context, spec *JobSpec, key string) (body [
 			var out []byte
 			var runErr error
 			if perr := s.pool.Do(ctx, func() {
+				// A panic is a server fault, not the submitter's: answer
+				// 500 with the key, cache nothing, and let the flight
+				// hand the same error to every follower.
+				defer func() {
+					if p := recover(); p != nil {
+						s.panics.Add(1)
+						out, runErr = nil, errf(http.StatusInternalServerError, "internal error: job %s panicked: %v", key, p)
+					}
+				}()
 				if s.runStarted != nil {
 					s.runStarted(key)
 				}
@@ -209,18 +233,28 @@ func (s *Server) execute(ctx context.Context, spec *JobSpec, key string) (body [
 	}
 }
 
-// decodeSpec reads and validates the request body into a normalized
-// spec. Unknown fields are rejected — a typoed config knob must not
-// silently run (and cache) the default configuration.
-func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (*JobSpec, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-	dec.DisallowUnknownFields()
-	spec := &JobSpec{}
-	if err := dec.Decode(spec); err != nil {
+// readBody reads the whole request body, up to MaxBody bytes; a longer
+// body is 413 even when its first JSON value ends inside the limit.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 		}
+		return nil, errf(http.StatusBadRequest, "read request: %v", err)
+	}
+	return raw, nil
+}
+
+// decodeSpec decodes and validates a request body into a normalized
+// spec. Unknown fields are rejected — a typoed config knob must not
+// silently run (and cache) the default configuration.
+func decodeSpec(raw []byte) (*JobSpec, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	spec := &JobSpec{}
+	if err := dec.Decode(spec); err != nil {
 		return nil, errf(http.StatusBadRequest, "decode request: %v", err)
 	}
 	if err := spec.normalize(); err != nil {
@@ -269,21 +303,47 @@ func mustJSONString(s string) string {
 	return string(b)
 }
 
+// handleRun answers a byte-identical repeat of an earlier body from its
+// alias and the result cache; any other body (or an alias whose result
+// was evicted or failed its checksum) is decoded, keyed and executed,
+// and its alias is recorded once it has a key.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	spec, err := s.decodeSpec(w, r)
+	raw, err := s.readBody(w, r)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
+	digest := sha256.Sum256(raw)
+	alias := string(digest[:])
+	if k, ok := s.aliases.Get(alias); ok {
+		key := string(k)
+		start := time.Now()
+		if body, ok := s.cache.getHit(key); ok {
+			writeResult(w, body, "hit", key, start)
+			return
+		}
+	}
+	spec, err := decodeSpec(raw)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	key := spec.Key(s.codeVersion)
+	s.aliases.Put(alias, []byte(key))
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	key := spec.Key(s.codeVersion)
 	start := time.Now()
 	body, source, err := s.execute(ctx, spec, key)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
+	writeResult(w, body, source, key, start)
+}
+
+// writeResult writes a /v1/run success: the result bytes, how they were
+// produced, their key, and the server's time since start.
+func writeResult(w http.ResponseWriter, body []byte, source, key string, start time.Time) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("X-Cache", source)
@@ -304,7 +364,12 @@ type asyncJob struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := s.decodeSpec(w, r)
+	raw, err := s.readBody(w, r)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	spec, err := decodeSpec(raw)
 	if err != nil {
 		writeErr(w, err)
 		return

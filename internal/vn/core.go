@@ -66,6 +66,24 @@ type MemPort interface {
 	Request(r MemRequest)
 }
 
+// AddressSpace is implemented by memory ports that hold fewer than 2³²
+// words; a core faults on any address at or beyond Words.
+type AddressSpace interface {
+	Words() uint64
+}
+
+// AddressFault is a memory instruction whose address, base plus offset,
+// lies outside its port's address space. The core halts without issuing
+// the request, and the machine's Run returns the fault as its error.
+type AddressFault struct {
+	Base, Offset Word
+	Words        uint64
+}
+
+func (f *AddressFault) Error() string {
+	return fmt.Sprintf("memory address %d%+d outside [0, %d)", f.Base, f.Offset, f.Words)
+}
+
 // CoreStats measures one core's cycle budget.
 type CoreStats struct {
 	// Busy counts cycles an instruction issued; Idle counts cycles the
@@ -173,6 +191,11 @@ type Core struct {
 	// saveID is the core's identity inside DoneRefCoreCtx refs (SetSaveID).
 	saveID uint32
 
+	// words is the memory port's address space; fault is the address
+	// fault that halted the core, if any.
+	words uint64
+	fault *AddressFault
+
 	// Settlement state for event-driven runs: cycles an engine jumps over
 	// are accounted lazily, at the context state frozen when the core last
 	// stepped (jumped-over cycles are activity-free, so the frozen state is
@@ -194,7 +217,10 @@ func NewCore(prog *Program, mem MemPort, k int) *Core {
 	if k < 1 {
 		k = 1
 	}
-	c := &Core{prog: prog, mem: mem}
+	c := &Core{prog: prog, mem: mem, words: 1 << 32}
+	if as, ok := mem.(AddressSpace); ok {
+		c.words = as.Words()
+	}
 	for i := 0; i < k; i++ {
 		c.ctxs = append(c.ctxs, &context{idx: i})
 	}
@@ -236,6 +262,24 @@ func (c *Core) Halted() bool {
 
 // Stats returns the core's measurements.
 func (c *Core) Stats() *CoreStats { return &c.stats }
+
+// Fault returns the address fault that halted the core, or nil.
+func (c *Core) Fault() error {
+	if c.fault == nil {
+		return nil
+	}
+	return c.fault
+}
+
+// FirstFault returns the first core's address fault, in order, or nil.
+func FirstFault(cores []*Core) error {
+	for _, c := range cores {
+		if c.fault != nil {
+			return c.fault
+		}
+	}
+	return nil
+}
 
 // Step advances the core one cycle: pick the next runnable context
 // (round-robin), execute one instruction. Memory operations issue and mark
@@ -395,17 +439,17 @@ func (c *Core) execute(ctx *context) {
 	case JR:
 		ctx.pc = int(ctx.regs[rs])
 	case LD:
-		c.issueMem(ctx, MemRequest{Op: MemRead, Addr: memAddr(ctx.regs[rs], in.Imm)}, rd)
+		c.access(ctx, MemRead, ctx.regs[rs], in.Imm, 0, rd)
 	case ST:
-		c.issueMem(ctx, MemRequest{Op: MemWrite, Addr: memAddr(ctx.regs[rs], in.Imm), Value: ctx.regs[rt]}, 0)
+		c.access(ctx, MemWrite, ctx.regs[rs], in.Imm, ctx.regs[rt], 0)
 	case FAA:
-		c.issueMem(ctx, MemRequest{Op: MemFetchAdd, Addr: memAddr(ctx.regs[rs], 0), Value: ctx.regs[rt]}, rd)
+		c.access(ctx, MemFetchAdd, ctx.regs[rs], 0, ctx.regs[rt], rd)
 	case TAS:
-		c.issueMem(ctx, MemRequest{Op: MemTestSet, Addr: memAddr(ctx.regs[rs], 0)}, rd)
+		c.access(ctx, MemTestSet, ctx.regs[rs], 0, 0, rd)
 	case CNS:
-		c.issueMem(ctx, MemRequest{Op: MemConsume, Addr: memAddr(ctx.regs[rs], 0)}, rd)
+		c.access(ctx, MemConsume, ctx.regs[rs], 0, 0, rd)
 	case PRD:
-		c.issueMem(ctx, MemRequest{Op: MemProduce, Addr: memAddr(ctx.regs[rs], 0), Value: ctx.regs[rt]}, 0)
+		c.access(ctx, MemProduce, ctx.regs[rs], 0, ctx.regs[rt], 0)
 	default:
 		panic(fmt.Sprintf("vn: cannot execute %s", in.Op))
 	}
@@ -421,12 +465,20 @@ func (c *Core) issueMem(ctx *context, req MemRequest, rd uint8) {
 	c.mem.Request(req)
 }
 
-func memAddr(base Word, off Word) uint32 {
+// access issues a memory operation at base+off, or faults when that
+// address, computed without overflow, is outside [0, words): the fault
+// halts every context of the core, so no request is ever narrowed to a
+// wrong address.
+func (c *Core) access(ctx *context, op MemOp, base, off, val Word, rd uint8) {
 	a := base + off
-	if a < 0 {
-		panic(fmt.Sprintf("vn: negative memory address %d", a))
+	if (a >= base) != (off >= 0) || a < 0 || uint64(a) >= c.words {
+		c.fault = &AddressFault{Base: base, Offset: off, Words: c.words}
+		for _, x := range c.ctxs {
+			x.halted = true
+		}
+		return
 	}
-	return uint32(a)
+	c.issueMem(ctx, MemRequest{Op: op, Addr: uint32(a), Value: val}, rd)
 }
 
 func b2w(b bool) Word {
