@@ -16,10 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/core"
@@ -164,7 +164,7 @@ func runWithCheckpoints(m *core.Machine, limit sim.Cycle, every uint64, out stri
 			}
 			return res, nil
 		}
-		if !strings.Contains(err.Error(), "did not finish") {
+		if !errors.Is(err, sim.ErrLimit) {
 			return nil, err
 		}
 		if m.Engine().Now() >= limit {

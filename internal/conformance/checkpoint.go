@@ -4,18 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/machines/cmmp"
-	"repro/internal/machines/cmstar"
 	"repro/internal/machines/connection"
 	"repro/internal/machines/hep"
 	"repro/internal/machines/ultra"
 	"repro/internal/machines/vliw"
 	"repro/internal/sim"
-	"repro/internal/token"
-	"repro/internal/vn"
 )
 
 // --- oracle 7: checkpoint equivalence ---------------------------------
@@ -28,132 +24,18 @@ import (
 // stream itself must be canonical (restore→save byte-identical) with the
 // end-of-run states of both runs byte-equal.
 
-// resumable is the machine surface the checkpoint oracle drives: run
-// advances at most limit further cycles and reports completion; snapshot
-// is valid once run reported done.
+// resumable is the machine surface the checkpoint oracle drives: Run
+// advances at most limit further cycles and reports completion; Snapshot
+// is valid once Run reported done. Every fleet Machine is one.
 type resumable interface {
 	sim.Stateful
-	run(limit sim.Cycle) (done bool, err error)
-	snapshot() (Snapshot, error)
+	Run(limit sim.Cycle) (done bool, err error)
+	Snapshot() Snapshot
 }
 
-// pausable is the shared Run shape of the Section-1.2 baselines.
-type pausable interface {
-	sim.Stateful
-	Run(limit sim.Cycle) (sim.Cycle, error)
-}
-
-// baselineAdapter adapts a vn-family machine: a cycle-limit error from Run
-// marks a resumable pause, anything else a real failure.
-type baselineAdapter struct {
-	m    pausable
-	snap func() (Snapshot, error)
-}
-
-func (a *baselineAdapter) SaveState(e *sim.Enc)       { a.m.SaveState(e) }
-func (a *baselineAdapter) LoadState(d *sim.Dec) error { return a.m.LoadState(d) }
-
-func (a *baselineAdapter) run(limit sim.Cycle) (bool, error) {
-	if _, err := a.m.Run(limit); err != nil {
-		if strings.Contains(err.Error(), "did not halt") {
-			return false, nil
-		}
-		return false, err
-	}
-	return true, nil
-}
-
-func (a *baselineAdapter) snapshot() (Snapshot, error) { return a.snap() }
-
-// vnMachine couples the single vn core, its latency memory, and the
-// engine into one checkpointable unit — the composition runVN drives.
-type vnMachine struct {
-	eng *sim.Engine
-	mem *vn.LatencyMemory
-	cpu *vn.Core
-}
-
-func newVNMachine(c *compiled, contexts int, latency sim.Cycle) *vnMachine {
-	mem := vn.NewLatencyMemory(latency)
-	cpu := vn.NewCore(c.asm, mem, contexts)
-	eng := sim.NewEngine()
-	eng.Register(mem)
-	eng.Register(cpu)
-	return &vnMachine{eng: eng, mem: mem, cpu: cpu}
-}
-
-func (v *vnMachine) Run(limit sim.Cycle) (sim.Cycle, error) {
-	elapsed, ok := v.eng.Run(func() bool { return v.cpu.Halted() && v.mem.Pending() == 0 }, limit)
-	if !ok {
-		return elapsed, fmt.Errorf("vn: did not halt within %d cycles", limit)
-	}
-	return elapsed, nil
-}
-
-func (v *vnMachine) SaveState(e *sim.Enc) {
-	e.Tag("vnmach", 1)
-	v.eng.SaveState(e)
-	v.mem.SaveTo(e)
-	v.cpu.SaveState(e)
-}
-
-func (v *vnMachine) LoadState(d *sim.Dec) error {
-	if err := d.Tag("vnmach", 1); err != nil {
-		return err
-	}
-	if err := v.eng.LoadState(d); err != nil {
-		return err
-	}
-	if err := v.mem.LoadFrom(d, vn.Resolver([]*vn.Core{v.cpu})); err != nil {
-		return err
-	}
-	return v.cpu.LoadState(d)
-}
-
-// ttdaAdapter drives the tagged-token machine. Entry arguments are passed
-// on every Run call; the machine injects them only when starting fresh, so
-// resumed and restored runs continue instead of restarting.
-type ttdaAdapter struct {
-	m    *core.Machine
-	args []token.Value
-	res  []token.Value
-}
-
-func newTTDAAdapter(c *compiled, pes, shards, window int, ownPlan bool) *ttdaAdapter {
-	m := newTTDA(c, core.Config{PEs: pes, NetLatency: 4, Shards: shards, EpochWindow: window}, ownPlan)
-	return &ttdaAdapter{m: m, args: c.args}
-}
-
-func (a *ttdaAdapter) SaveState(e *sim.Enc)       { a.m.SaveState(e) }
-func (a *ttdaAdapter) LoadState(d *sim.Dec) error { return a.m.LoadState(d) }
-
-func (a *ttdaAdapter) run(limit sim.Cycle) (bool, error) {
-	res, err := a.m.Run(limit, a.args...)
-	if err != nil {
-		if strings.Contains(err.Error(), "did not finish") {
-			return false, nil
-		}
-		return false, err
-	}
-	a.res = res
-	return true, nil
-}
-
-func (a *ttdaAdapter) snapshot() (Snapshot, error) {
-	if len(a.res) != 1 {
-		return Snapshot{}, fmt.Errorf("ttda: %d results", len(a.res))
-	}
-	v, err := a.res[0].AsInt()
-	if err != nil {
-		return Snapshot{}, err
-	}
-	sum := a.m.Summarize()
-	return Snapshot{
-		Result: v,
-		Cycles: sum.Cycles,
-		Extra:  [4]uint64{sum.Fired, sum.Matches, sum.NetSends, sum.ISReads + sum.ISWrites},
-		Engine: a.m.Engine().Counters(),
-	}, nil
+// ckptTTDA is the checkpoint oracle's tagged-token machine.
+func ckptTTDA(c *compiled, pes, shards, window int, ownPlan bool) *TTDA {
+	return newTTDA(c, core.Config{PEs: pes, NetLatency: 4, Shards: shards, EpochWindow: window}, ownPlan)
 }
 
 // vliwAdapter drives the resumable VLIW runner.
@@ -165,18 +47,18 @@ type vliwAdapter struct {
 func (a *vliwAdapter) SaveState(e *sim.Enc)       { a.m.SaveState(e) }
 func (a *vliwAdapter) LoadState(d *sim.Dec) error { return a.m.LoadState(d) }
 
-func (a *vliwAdapter) run(limit sim.Cycle) (bool, error) {
+func (a *vliwAdapter) Run(limit sim.Cycle) (bool, error) {
 	res, done := a.m.Run(limit)
 	a.res = res
 	return done, nil
 }
 
-func (a *vliwAdapter) snapshot() (Snapshot, error) {
+func (a *vliwAdapter) Snapshot() Snapshot {
 	return Snapshot{
 		Cycles: uint64(a.res.Cycles),
-		Extra:  [4]uint64{a.res.TotalOps, uint64(a.res.StallCycles), a.res.Misses, a.res.Loads},
+		Extra:  [5]uint64{a.res.TotalOps, uint64(a.res.StallCycles), a.res.Misses, a.res.Loads},
 		Engine: a.res.Engine,
-	}, nil
+	}
 }
 
 // checkCheckpoint runs the split-run check across the fleet, crossing the
@@ -185,105 +67,49 @@ func (a *vliwAdapter) snapshot() (Snapshot, error) {
 // baselines with the parallel kernel.
 func checkCheckpoint(ct *counter, c *compiled) {
 	rng := sim.NewRNG(c.w.Seed ^ 0x5EEDC4C7)
-
-	vnSnap := func(eng func() sim.Driver, result func() int64, cpu func() *vn.Core, extra func() [4]uint64) func() (Snapshot, error) {
-		return func() (Snapshot, error) {
-			s := Snapshot{
-				Result: result(),
-				Cycles: uint64(eng().Now()),
-				Engine: eng().Counters(),
-			}
-			if extra != nil {
-				s.Extra = extra()
-			}
-			coreStats(&s, cpu())
-			return s, nil
-		}
-	}
-
-	entries := []struct {
+	type entry struct {
 		name  string
 		build func() resumable
-	}{
-		{"ttda", func() resumable { return newTTDAAdapter(c, 2, 0, 0, false) }},
-		{"ttda/shards=2", func() resumable { return newTTDAAdapter(c, 4, 2, 0, false) }},
-		{"ttda/shards=4", func() resumable { return newTTDAAdapter(c, 4, 4, 0, false) }},
+	}
+	ttda := func(pes, shards, window int, ownPlan bool) func() resumable {
+		return func() resumable { return ckptTTDA(c, pes, shards, window, ownPlan) }
+	}
+	entries := []entry{
+		{"ttda", ttda(2, 0, 0, false)},
+		{"ttda/shards=2", ttda(4, 2, 0, false)},
+		{"ttda/shards=4", ttda(4, 4, 0, false)},
 		// Windowed kernels checkpoint only at window boundaries: Run's pause
 		// lands between windows, where the shards' clocks agree, so the split
 		// run must still match the uninterrupted one bit-for-bit.
-		{"ttda/shards=2/window=4", func() resumable { return newTTDAAdapter(c, 4, 2, 4, false) }},
-		{"ttda/shards=2/window=adaptive", func() resumable { return newTTDAAdapter(c, 4, 2, -1, false) }},
-		{"ttda/own-plan", func() resumable { return newTTDAAdapter(c, 2, 0, 0, true) }},
-		{"ttda/own-plan/shards=2", func() resumable { return newTTDAAdapter(c, 4, 2, 0, true) }},
-		{"vn", func() resumable {
-			m := newVNMachine(c, 2, 4)
-			return &baselineAdapter{m: m, snap: vnSnap(
-				func() sim.Driver { return m.eng },
-				func() int64 { return int64(m.mem.Peek(ResultAddr)) },
-				func() *vn.Core { return m.cpu }, nil)}
-		}},
+		{"ttda/shards=2/window=4", ttda(4, 2, 4, false)},
+		{"ttda/shards=2/window=adaptive", ttda(4, 2, -1, false)},
+		{"ttda/own-plan", ttda(2, 0, 0, true)},
+		{"ttda/own-plan/shards=2", ttda(4, 2, 0, true)},
+		{"vn", func() resumable { return NewVN(c.asm, 2, 4) }},
 		{"vliw", func() resumable {
 			return &vliwAdapter{m: vliw.NewMachine(vliwSchedule(c.w), vliw.Config{
 				HitLatency: 1, MissLatency: 8, MissRate: 0.3, Seed: c.w.Seed + 1,
 			})}
 		}},
 	}
-
-	shardedBaselines := func(shards int) []struct {
-		name  string
-		build func() resumable
-	} {
+	for _, shards := range []int{0, 2} {
 		suffix := ""
 		if shards > 0 {
 			suffix = fmt.Sprintf("/shards=%d", shards)
 		}
-		return []struct {
-			name  string
-			build func() resumable
-		}{
-			{"cmmp" + suffix, func() resumable {
-				m := cmmp.New(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: 2, Shards: shards}, c.asm, 1)
-				park(2, 1, m.Core, c.asm)
-				return &baselineAdapter{m: m, snap: vnSnap(
-					m.Engine,
-					func() int64 { return int64(m.Peek(ResultAddr)) },
-					func() *vn.Core { return m.Core(0) },
-					func() [4]uint64 { return [4]uint64{m.Crossbar().Stats().Delivered.Value()} })}
+		entries = append(entries,
+			entry{"cmmp" + suffix, func() resumable {
+				return NewCmmp(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: 2, Shards: shards}, c.asm)
 			}},
-			{"cmstar" + suffix, func() resumable {
-				cfg := cmstarConfig(8)
-				cfg.Shards = shards
-				m := cmstar.New(cfg, c.asm)
-				park(m.NumCores(), 1, m.CoreAt, c.asm)
-				return &baselineAdapter{m: m, snap: vnSnap(
-					m.Engine,
-					func() int64 { return int64(m.Peek(ResultAddr)) },
-					func() *vn.Core { return m.CoreAt(0) },
-					func() [4]uint64 {
-						return [4]uint64{m.Stats().LocalRefs.Value(), m.Stats().RemoteRefs.Value()}
-					})}
+			entry{"cmstar" + suffix, func() resumable { return NewCmstar(cmstarConfig(8, shards), c.asm) }},
+			entry{"ultra" + suffix, func() resumable {
+				return NewUltra(ultra.Config{LogProcessors: 2, Combining: true, Shards: shards}, c.asm)
 			}},
-			{"ultra" + suffix, func() resumable {
-				m := ultra.New(ultra.Config{LogProcessors: 2, Combining: true, Shards: shards}, c.asm)
-				park(m.NumProcessors(), 1, m.Core, c.asm)
-				return &baselineAdapter{m: m, snap: vnSnap(
-					m.Engine,
-					func() int64 { return int64(m.Peek(ResultAddr)) },
-					func() *vn.Core { return m.Core(0) },
-					func() [4]uint64 { return [4]uint64{m.BankServed(0), m.Network().CombineOps.Value()} })}
+			entry{"hep" + suffix, func() resumable {
+				return NewHEP(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4, Shards: shards}, c.asm)
 			}},
-			{"hep" + suffix, func() resumable {
-				m := hep.New(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4, Shards: shards}, c.asm)
-				park(2, 1, m.Core, c.asm)
-				return &baselineAdapter{m: m, snap: vnSnap(
-					m.Engine,
-					func() int64 { return int64(m.Memory().Peek(ResultAddr)) },
-					func() *vn.Core { return m.Core(0) }, nil)}
-			}},
-		}
+		)
 	}
-	entries = append(entries, shardedBaselines(0)...)
-	entries = append(entries, shardedBaselines(2)...)
 
 	for _, en := range entries {
 		splitCheck(ct, rng, en.name, en.build)
@@ -295,16 +121,12 @@ func checkCheckpoint(ct *counter, c *compiled) {
 // check at a seed-derived random mid-run cycle.
 func splitCheck(ct *counter, rng *sim.RNG, name string, build func() resumable) {
 	ref := build()
-	done, err := ref.run(runLimit)
+	done, err := ref.Run(runLimit)
 	if err != nil || !done {
 		ct.fail(OracleCheckpoint, name, fmt.Errorf("reference run: done=%v err=%v", done, err))
 		return
 	}
-	want, err := ref.snapshot()
-	if err != nil {
-		ct.fail(OracleCheckpoint, name, err)
-		return
-	}
+	want := ref.Snapshot()
 	refBytes := sim.Checkpoint(ref)
 	total := want.Cycles
 	if total < 2 {
@@ -316,7 +138,7 @@ func splitCheck(ct *counter, rng *sim.RNG, name string, build func() resumable) 
 	pause := sim.Cycle(1 + rng.Intn(int(total-1)))
 
 	m := build()
-	done, err = m.run(pause)
+	done, err = m.Run(pause)
 	if err != nil {
 		ct.fail(OracleCheckpoint, name, fmt.Errorf("pause at cycle %d: %v", pause, err))
 		return
@@ -340,16 +162,12 @@ func splitCheck(ct *counter, rng *sim.RNG, name string, build func() resumable) 
 		})
 		return
 	}
-	done, err = fresh.run(runLimit)
+	done, err = fresh.Run(runLimit)
 	if err != nil || !done {
 		ct.fail(OracleCheckpoint, name, fmt.Errorf("resume from cycle %d: done=%v err=%v", pause, done, err))
 		return
 	}
-	got, err := fresh.snapshot()
-	if err != nil {
-		ct.fail(OracleCheckpoint, name, err)
-		return
-	}
+	got := fresh.Snapshot()
 	ct.checkAt(OracleCheckpoint, name, total, got == want, func() string {
 		return fmt.Sprintf("run split at cycle %d diverged from the uninterrupted run:\n  straight %+v\n  split    %+v", pause, want, got)
 	})
@@ -411,8 +229,8 @@ func MaterializeCheckpoint(seed uint64, at sim.Cycle, path string) (string, erro
 	if err != nil {
 		return "", err
 	}
-	a := newTTDAAdapter(c, 2, 0, 0, false)
-	done, err := a.run(at)
+	a := ckptTTDA(c, 2, 0, 0, false)
+	done, err := a.Run(at)
 	if err != nil {
 		return "", err
 	}
@@ -423,17 +241,14 @@ func MaterializeCheckpoint(seed uint64, at sim.Cycle, path string) (string, erro
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return "", err
 	}
-	fresh := newTTDAAdapter(c, 2, 0, 0, false)
+	fresh := ckptTTDA(c, 2, 0, 0, false)
 	if err := sim.Restore(fresh, data); err != nil {
 		return "", fmt.Errorf("written checkpoint does not restore: %v", err)
 	}
-	if done, err := fresh.run(runLimit); err != nil || !done {
+	if done, err := fresh.Run(runLimit); err != nil || !done {
 		return "", fmt.Errorf("written checkpoint does not resume: done=%v err=%v", done, err)
 	}
-	snap, err := fresh.snapshot()
-	if err != nil {
-		return "", err
-	}
+	snap := fresh.Snapshot()
 	return fmt.Sprintf("checkpoint of seed %d at cycle %d written to %s (%d bytes); verified: resumes to result %d in %d cycles",
 		seed, at, path, len(data), snap.Result, snap.Cycles), nil
 }

@@ -31,7 +31,7 @@ func (d *dishonestResumable) LoadState(dec *sim.Dec) error {
 	return nil
 }
 
-func (d *dishonestResumable) run(limit sim.Cycle) (bool, error) {
+func (d *dishonestResumable) Run(limit sim.Cycle) (bool, error) {
 	target := uint64(100)
 	if d.restored {
 		target = 101 // resumed runs drift by one cycle
@@ -44,8 +44,8 @@ func (d *dishonestResumable) run(limit sim.Cycle) (bool, error) {
 	return true, nil
 }
 
-func (d *dishonestResumable) snapshot() (Snapshot, error) {
-	return Snapshot{Cycles: d.cycles}, nil
+func (d *dishonestResumable) Snapshot() Snapshot {
+	return Snapshot{Cycles: d.cycles}
 }
 
 // TestHarnessDetectsCheckpointDivergence seeds the split-run check with a
@@ -118,19 +118,15 @@ func TestMaterializeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newTTDAAdapter(c, 2, 0, 0, false)
+	a := ckptTTDA(c, 2, 0, 0, false)
 	if err := sim.Restore(a, data); err != nil {
 		t.Fatalf("artifact does not restore: %v", err)
 	}
-	done, err := a.run(runLimit)
+	done, err := a.Run(runLimit)
 	if err != nil || !done {
 		t.Fatalf("artifact does not resume: done=%v err=%v", done, err)
 	}
-	snap, err := a.snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := c.w.Expected(); snap.Result != want {
+	if snap, want := a.Snapshot(), c.w.Expected(); snap.Result != want {
 		t.Fatalf("resumed run computed %d, want %d", snap.Result, want)
 	}
 

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -32,11 +33,19 @@ type Snapshot struct {
 	Cycles uint64
 	// Core 0's statistics (the active core on parked-fleet baselines).
 	Busy, Idle, MemOps, MemWait, Switches, Retired uint64
-	// Extra holds machine-specific counters (bank served, remote refs,
-	// combine ops, fired instructions, ...).
-	Extra [4]uint64
+	// Extra holds the machine-specific counters ExtraNames names.
+	Extra [5]uint64
 	// Engine is the scheduler's own accounting.
 	Engine sim.Counters
+}
+
+// ExtraNames names each fleet member's Snapshot.Extra counters in slot
+// order; the service reports them under these names.
+var ExtraNames = map[string][]string{
+	"ttda":   {"fired", "matches", "net_sends", "is_reads", "is_writes"},
+	"cmmp":   {"xbar_delivered"},
+	"cmstar": {"local_refs", "remote_refs"},
+	"ultra":  {"bank0_served", "combine_ops"},
 }
 
 // Observables strips the engine counters, leaving only what the
@@ -55,6 +64,199 @@ func coreStats(s *Snapshot, c *vn.Core) {
 	s.MemWait = st.MemWait.Value()
 	s.Switches = st.Switches.Value()
 	s.Retired = st.Retired.Value()
+}
+
+// Machine is one member of the fleet, built on a program by its
+// constructor (NewTTDA, NewVN, NewCmmp, NewCmstar, NewUltra, NewHEP) and
+// run by the oracles and the service alike. Run advances at most limit
+// more cycles and reports whether the program finished; a core fault is
+// an error. A pause (done == false) leaves the machine intact: Run
+// continues it, and a checkpoint taken in between restores into a fresh
+// build and continues there, both bit-identical to a run that never
+// paused. Snapshot summarizes the run once Run reported done.
+type Machine interface {
+	sim.Stateful
+	Run(limit sim.Cycle) (done bool, err error)
+	Engine() sim.Driver
+	Snapshot() Snapshot
+}
+
+// TTDA is the tagged-token machine as a fleet member. It holds its entry
+// arguments: the machine injects them only when starting fresh, so a
+// continued or restored run resumes instead of restarting.
+type TTDA struct {
+	m    *core.Machine
+	args []token.Value
+	res  []token.Value
+}
+
+// NewTTDA builds a tagged-token machine that runs plan on args.
+func NewTTDA(cfg core.Config, plan *graph.CompiledGraph, args []token.Value) *TTDA {
+	return &TTDA{m: core.NewMachineWithPlan(cfg, plan), args: args}
+}
+
+func (t *TTDA) SaveState(e *sim.Enc)       { t.m.SaveState(e) }
+func (t *TTDA) LoadState(d *sim.Dec) error { return t.m.LoadState(d) }
+func (t *TTDA) Engine() sim.Driver         { return t.m.Engine() }
+
+func (t *TTDA) Run(limit sim.Cycle) (bool, error) {
+	res, err := t.m.Run(limit, t.args...)
+	if errors.Is(err, sim.ErrLimit) {
+		return false, nil
+	}
+	t.res = res
+	return err == nil, err
+}
+
+// Results returns the program's return values once Run reported done.
+func (t *TTDA) Results() []token.Value { return t.res }
+
+// Snapshot's Result is the program's return value when it returned one
+// integer.
+func (t *TTDA) Snapshot() Snapshot {
+	sum := t.m.Summarize()
+	s := Snapshot{
+		Cycles: sum.Cycles,
+		Extra:  [5]uint64{sum.Fired, sum.Matches, sum.NetSends, sum.ISReads, sum.ISWrites},
+		Engine: t.m.Engine().Counters(),
+	}
+	if len(t.res) == 1 && t.res[0].Kind == token.KindInt {
+		s.Result = t.res[0].I
+	}
+	return s
+}
+
+// vnRunner is the Run shape every vn-family machine shares: a limit
+// reached is a sim.ErrLimit pause, a core's address fault the error.
+type vnRunner interface {
+	sim.Stateful
+	Run(limit sim.Cycle) (sim.Cycle, error)
+	Engine() sim.Driver
+}
+
+// vnMember makes a vn-family machine a fleet member. Its Run shadows the
+// machine's own, turning the pause into done == false; its snapshot is
+// the answer word at ResultAddr, core 0's statistics and the machine's
+// extra counters.
+type vnMember struct {
+	vnRunner
+	core0 *vn.Core
+	peek  func(addr uint32) vn.Word
+	extra func() [5]uint64
+}
+
+func (v *vnMember) Run(limit sim.Cycle) (bool, error) {
+	_, err := v.vnRunner.Run(limit)
+	if errors.Is(err, sim.ErrLimit) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+func (v *vnMember) Snapshot() Snapshot {
+	eng := v.Engine()
+	s := Snapshot{Result: int64(v.peek(ResultAddr)), Cycles: uint64(eng.Now()), Engine: eng.Counters()}
+	if v.extra != nil {
+		s.Extra = v.extra()
+	}
+	coreStats(&s, v.core0)
+	return s
+}
+
+// park points every context of cores 1..n-1 at the program's trailing
+// halt, leaving core 0 to run the program alone — the experiments'
+// single-stream idiom.
+func park(prog *vn.Program, n int, coreAt func(int) *vn.Core) {
+	last := len(prog.Instrs) - 1
+	for i := 1; i < n; i++ {
+		c := coreAt(i)
+		for k := 0; k < c.Contexts(); k++ {
+			c.Context(k).SetPC(last)
+		}
+	}
+}
+
+// vnSingle is the single-core vn machine: one core over LatencyMemory on
+// its own engine.
+type vnSingle struct {
+	eng *sim.Engine
+	mem *vn.LatencyMemory
+	cpu *vn.Core
+}
+
+func (v *vnSingle) Engine() sim.Driver { return v.eng }
+
+func (v *vnSingle) Run(limit sim.Cycle) (sim.Cycle, error) {
+	elapsed, ok := v.eng.Run(func() bool { return v.cpu.Halted() && v.mem.Pending() == 0 }, limit)
+	if !ok {
+		return elapsed, sim.Limitf("vn: did not halt within %d cycles", limit)
+	}
+	return elapsed, v.cpu.Fault()
+}
+
+func (v *vnSingle) SaveState(e *sim.Enc) {
+	e.Tag("vnmach", 1)
+	v.eng.SaveState(e)
+	v.mem.SaveTo(e)
+	v.cpu.SaveState(e)
+}
+
+func (v *vnSingle) LoadState(d *sim.Dec) error {
+	if err := d.Tag("vnmach", 1); err != nil {
+		return err
+	}
+	if err := v.eng.LoadState(d); err != nil {
+		return err
+	}
+	if err := v.mem.LoadFrom(d, vn.Resolver([]*vn.Core{v.cpu})); err != nil {
+		return err
+	}
+	return v.cpu.LoadState(d)
+}
+
+// NewVN builds the single-core vn machine: one core with the given
+// hardware contexts over a memory of the given latency.
+func NewVN(prog *vn.Program, contexts int, latency sim.Cycle) Machine {
+	mem := vn.NewLatencyMemory(latency)
+	cpu := vn.NewCore(prog, mem, contexts)
+	eng := sim.NewEngine()
+	eng.Register(mem)
+	eng.Register(cpu)
+	return &vnMember{vnRunner: &vnSingle{eng: eng, mem: mem, cpu: cpu}, core0: cpu, peek: mem.Peek}
+}
+
+// NewCmmp builds a C.mmp whose processor 0 runs prog.
+func NewCmmp(cfg cmmp.Config, prog *vn.Program) Machine {
+	m := cmmp.New(cfg, prog, 1)
+	park(prog, m.NumProcessors(), m.Core)
+	return &vnMember{vnRunner: m, core0: m.Core(0), peek: m.Peek, extra: func() [5]uint64 {
+		return [5]uint64{m.Crossbar().Stats().Delivered.Value()}
+	}}
+}
+
+// NewCmstar builds a Cm* whose core 0 of cluster 0 runs prog.
+func NewCmstar(cfg cmstar.Config, prog *vn.Program) Machine {
+	m := cmstar.New(cfg, prog)
+	park(prog, m.NumCores(), m.CoreAt)
+	return &vnMember{vnRunner: m, core0: m.CoreAt(0), peek: m.Peek, extra: func() [5]uint64 {
+		return [5]uint64{m.Stats().LocalRefs.Value(), m.Stats().RemoteRefs.Value()}
+	}}
+}
+
+// NewUltra builds an Ultracomputer whose processor 0 runs prog.
+func NewUltra(cfg ultra.Config, prog *vn.Program) Machine {
+	m := ultra.New(cfg, prog)
+	park(prog, m.NumProcessors(), m.Core)
+	return &vnMember{vnRunner: m, core0: m.Core(0), peek: m.Peek, extra: func() [5]uint64 {
+		return [5]uint64{m.BankServed(0), m.Network().CombineOps.Value()}
+	}}
+}
+
+// NewHEP builds a HEP whose processor 0 runs prog on every context.
+func NewHEP(cfg hep.Config, prog *vn.Program) Machine {
+	m := hep.New(cfg, prog)
+	park(prog, m.NumProcessors(), m.Core)
+	return &vnMember{vnRunner: m, core0: m.Core(0), peek: m.Memory().Peek}
 }
 
 // compiled caches the two compiled forms of a workload so every runner
@@ -106,13 +308,23 @@ func runInterp(c *compiled) (int64, *graph.Interp, error) {
 	return v, it, err
 }
 
-// forceLegacy registers an inert non-EventAware component, flipping the
-// engine into its exhaustive per-cycle fallback — the engine-honesty
-// oracle's second arm. It accepts any driver with Register so machines
-// that expose sim.Driver work too; only sequential engines are ever
-// forced (the parallel engine requires EventAware components).
-func forceLegacy(e interface{ Register(sim.Component) }) {
-	e.Register(sim.ComponentFunc(func(sim.Cycle) {}))
+// finish runs a fleet member to completion and returns its snapshot.
+// With legacy set it first registers an inert non-EventAware component,
+// flipping the member's engine into its exhaustive per-cycle fallback —
+// the engine-honesty oracle's second arm. Only sequential engines are
+// ever forced (the parallel engine requires EventAware components).
+func finish(m Machine, legacy bool) (Snapshot, error) {
+	if legacy {
+		m.Engine().Register(sim.ComponentFunc(func(sim.Cycle) {}))
+	}
+	done, err := m.Run(runLimit)
+	if err == nil && !done {
+		err = fmt.Errorf("did not finish within %d cycles", runLimit)
+	}
+	if err != nil {
+		return Snapshot{}, err
+	}
+	return m.Snapshot(), nil
 }
 
 // runTTDA executes the dataflow graph on the cycle-accurate tagged-token
@@ -124,36 +336,20 @@ func forceLegacy(e interface{ Register(sim.Component) }) {
 // the compiled-equivalence oracle pins the shared plan against.
 func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy bool, shards, window int, ownPlan bool) (Snapshot, error) {
 	m := newTTDA(c, core.Config{PEs: pes, NetLatency: netLatency, Shards: shards, EpochWindow: window}, ownPlan)
-	if legacy {
-		forceLegacy(m.Engine())
+	s, err := finish(m, legacy)
+	if res := m.Results(); err == nil && (len(res) != 1 || res[0].Kind != token.KindInt) {
+		err = fmt.Errorf("ttda: results %v, want one integer", res)
 	}
-	res, err := m.Run(runLimit, c.args...)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if len(res) != 1 {
-		return Snapshot{}, fmt.Errorf("ttda: %d results", len(res))
-	}
-	v, err := res[0].AsInt()
-	if err != nil {
-		return Snapshot{}, err
-	}
-	sum := m.Summarize()
-	return Snapshot{
-		Result: v,
-		Cycles: sum.Cycles,
-		Extra:  [4]uint64{sum.Fired, sum.Matches, sum.NetSends, sum.ISReads + sum.ISWrites},
-		Engine: m.Engine().Counters(),
-	}, nil
+	return s, err
 }
 
 // newTTDA builds a tagged-token machine on the seed's shared plan, or with
-// ownPlan on a plan of its own.
-func newTTDA(c *compiled, cfg core.Config, ownPlan bool) *core.Machine {
+// ownPlan on a plan its core.NewMachine compiles.
+func newTTDA(c *compiled, cfg core.Config, ownPlan bool) *TTDA {
 	if ownPlan {
-		return core.NewMachine(cfg, c.prog)
+		return &TTDA{m: core.NewMachine(cfg, c.prog), args: c.args}
 	}
-	return core.NewMachineWithPlan(cfg, c.plan)
+	return NewTTDA(cfg, c.plan, c.args)
 }
 
 // runEmulator executes the graph on the hypercube emulation facility.
@@ -175,147 +371,55 @@ func runEmulator(c *compiled, nodes int) (int64, error) {
 }
 
 // runVN executes the asm form on a single vn core over LatencyMemory,
-// either through the wake-queue engine or the plain exhaustive
-// scheduler (evented=false) — the same pairing the per-package property
-// tests use.
+// either as the fleet's vn machine on the wake-queue engine or on the
+// plain exhaustive scheduler (evented=false) — the same pairing the
+// per-package property tests use.
 func runVN(c *compiled, contexts int, latency sim.Cycle, evented bool) (Snapshot, error) {
+	if evented {
+		return finish(NewVN(c.asm, contexts, latency), false)
+	}
 	mem := vn.NewLatencyMemory(latency)
 	cpu := vn.NewCore(c.asm, mem, contexts)
-	halted := func() bool { return cpu.Halted() && mem.Pending() == 0 }
-
-	var s Snapshot
-	if evented {
-		eng := sim.NewEngine()
-		eng.Register(mem)
-		eng.Register(cpu)
-		elapsed, ok := eng.Run(halted, runLimit)
-		if !ok {
-			return s, fmt.Errorf("vn: no halt in %d cycles", runLimit)
-		}
-		s.Cycles = uint64(elapsed)
-		s.Engine = eng.Counters()
-	} else {
-		sch := sim.NewScheduler()
-		sch.Register(mem)
-		sch.Register(cpu)
-		elapsed, ok := sch.Run(halted, runLimit)
-		if !ok {
-			return s, fmt.Errorf("vn: no halt in %d cycles", runLimit)
-		}
-		s.Cycles = uint64(elapsed)
+	sch := sim.NewScheduler()
+	sch.Register(mem)
+	sch.Register(cpu)
+	elapsed, ok := sch.Run(func() bool { return cpu.Halted() && mem.Pending() == 0 }, runLimit)
+	if !ok {
+		return Snapshot{}, fmt.Errorf("vn: no halt in %d cycles", runLimit)
 	}
-	s.Result = int64(mem.Peek(ResultAddr))
+	s := Snapshot{Result: int64(mem.Peek(ResultAddr)), Cycles: uint64(elapsed)}
 	coreStats(&s, cpu)
 	return s, nil
 }
 
-// park points every context of cores [1, total) at the trailing halt
-// instruction, leaving core 0 to run the program alone — the idiom the
-// experiments use for single-stream runs on multiprocessor models.
-func park(total, contexts int, coreAt func(int) *vn.Core, prog *vn.Program) {
-	last := len(prog.Instrs) - 1
-	for i := 1; i < total; i++ {
-		for k := 0; k < contexts; k++ {
-			coreAt(i).Context(k).SetPC(last)
-		}
-	}
-}
-
 // runCmmp executes the asm form on core 0 of a 2-processor C.mmp.
 func runCmmp(c *compiled, switchDelay sim.Cycle, legacy bool, shards int) (Snapshot, error) {
-	m := cmmp.New(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: switchDelay, Shards: shards}, c.asm, 1)
-	park(2, 1, m.Core, c.asm)
-	if legacy {
-		forceLegacy(m.Engine())
-	}
-	elapsed, err := m.Run(runLimit)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	s := Snapshot{
-		Result: int64(m.Peek(ResultAddr)),
-		Cycles: uint64(elapsed),
-		Extra:  [4]uint64{m.Crossbar().Stats().Delivered.Value()},
-		Engine: m.Engine().Counters(),
-	}
-	coreStats(&s, m.Core(0))
-	return s, nil
+	return finish(NewCmmp(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: switchDelay, Shards: shards}, c.asm), legacy)
 }
 
 // cmstarConfig keeps the cluster space tight so both ResultAddr and the
 // fill array land in clusters remote from core 0 — remote references are
 // what give HopLatency leverage.
-func cmstarConfig(hopLatency sim.Cycle) cmstar.Config {
-	return cmstar.Config{Clusters: 8, CoresPerCluster: 1, ClusterWords: 32, HopLatency: hopLatency}
+func cmstarConfig(hopLatency sim.Cycle, shards int) cmstar.Config {
+	return cmstar.Config{Clusters: 8, CoresPerCluster: 1, ClusterWords: 32, HopLatency: hopLatency, Shards: shards}
 }
 
 // runCmstar executes the asm form on core 0 of cluster 0 of an 8-cluster
 // Cm*; all data addresses are inter-cluster references.
 func runCmstar(c *compiled, hopLatency sim.Cycle, legacy bool, shards int) (Snapshot, error) {
-	cfg := cmstarConfig(hopLatency)
-	cfg.Shards = shards
-	m := cmstar.New(cfg, c.asm)
-	park(m.NumCores(), 1, m.CoreAt, c.asm)
-	if legacy {
-		forceLegacy(m.Engine())
-	}
-	elapsed, err := m.Run(runLimit)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	s := Snapshot{
-		Result: int64(m.Peek(ResultAddr)),
-		Cycles: uint64(elapsed),
-		Extra:  [4]uint64{m.Stats().LocalRefs.Value(), m.Stats().RemoteRefs.Value()},
-		Engine: m.Engine().Counters(),
-	}
-	coreStats(&s, m.CoreAt(0))
-	return s, nil
+	return finish(NewCmstar(cmstarConfig(hopLatency, shards), c.asm), legacy)
 }
 
 // runUltra executes the asm form on core 0 of a 4-processor
 // Ultracomputer.
 func runUltra(c *compiled, combining, legacy bool, shards int) (Snapshot, error) {
-	m := ultra.New(ultra.Config{LogProcessors: 2, Combining: combining, Shards: shards}, c.asm)
-	park(m.NumProcessors(), 1, m.Core, c.asm)
-	if legacy {
-		forceLegacy(m.Engine())
-	}
-	elapsed, err := m.Run(runLimit)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	s := Snapshot{
-		Result: int64(m.Peek(ResultAddr)),
-		Cycles: uint64(elapsed),
-		Extra:  [4]uint64{m.BankServed(0), m.Network().CombineOps.Value()},
-		Engine: m.Engine().Counters(),
-	}
-	coreStats(&s, m.Core(0))
-	return s, nil
+	return finish(NewUltra(ultra.Config{LogProcessors: 2, Combining: combining, Shards: shards}, c.asm), legacy)
 }
 
-// runHEP executes the asm form on core 0 of a 2-processor HEP with two
-// hardware contexts; both contexts of core 0 run the identical program
-// (the fold is idempotent across streams), exercising the full/empty
-// memory's retry path.
+// runHEP executes the asm form on core 0 of a 2-processor HEP with one
+// hardware context per core, through the full/empty memory.
 func runHEP(c *compiled, legacy bool, shards int) (Snapshot, error) {
-	m := hep.New(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4, Shards: shards}, c.asm)
-	park(2, 1, m.Core, c.asm)
-	if legacy {
-		forceLegacy(m.Engine())
-	}
-	elapsed, err := m.Run(runLimit)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	s := Snapshot{
-		Result: int64(m.Memory().Peek(ResultAddr)),
-		Cycles: uint64(elapsed),
-		Engine: m.Engine().Counters(),
-	}
-	coreStats(&s, m.Core(0))
-	return s, nil
+	return finish(NewHEP(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4, Shards: shards}, c.asm), legacy)
 }
 
 // runConnection folds the workload on the Connection Machine model: each

@@ -207,7 +207,7 @@ func checkDeterminism(ct *counter, c *compiled) {
 	})
 	twice("vliw", func() (Snapshot, error) {
 		r := runVLIW(c.w, 8)
-		return Snapshot{Cycles: uint64(r.Cycles), Extra: [4]uint64{r.TotalOps, uint64(r.StallCycles), r.Misses, r.Loads}}, nil
+		return Snapshot{Cycles: uint64(r.Cycles), Extra: [5]uint64{r.TotalOps, uint64(r.StallCycles), r.Misses, r.Loads}}, nil
 	})
 	// The emulator is untimed and internally concurrent; only its answer
 	// is deterministic, which the result oracle already pins.

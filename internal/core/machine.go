@@ -553,12 +553,12 @@ func (m *Machine) sweepPEsQ(now sim.Cycle, q *idQueue) sim.Cycle {
 // run of cycles in which every component would provably no-op. It returns
 // the program results (values returned in context 0).
 //
-// A run that hits the cycle limit returns an error but leaves the machine
-// intact: calling Run again (or checkpointing with sim.Checkpoint and
-// restoring into a fresh machine) continues from the pause cycle, and the
-// completed split run is bit-identical to an uninterrupted one. Arguments
-// are injected only on the first call of a run; a continuation ignores
-// them.
+// A run that hits the cycle limit returns a sim.ErrLimit pause and leaves
+// the machine intact: calling Run again (or checkpointing with
+// sim.Checkpoint and restoring into a fresh machine) continues from the
+// pause cycle, and the completed split run is bit-identical to an
+// uninterrupted one. Arguments are injected only on the first call of a
+// run; a continuation ignores them.
 func (m *Machine) Run(limit sim.Cycle, args ...token.Value) ([]token.Value, error) {
 	if m.planErr != nil {
 		return nil, m.planErr
@@ -592,7 +592,7 @@ func (m *Machine) Run(limit sim.Cycle, args ...token.Value) ([]token.Value, erro
 		return nil, m.runErr
 	}
 	if !ok {
-		return nil, fmt.Errorf("core: program %q did not finish within %d cycles", m.prog.Name, limit)
+		return nil, sim.Limitf("core: program %q did not finish within %d cycles", m.prog.Name, limit)
 	}
 	m.started = false
 	m.finishStats()

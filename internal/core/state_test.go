@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				if err == nil {
 					t.Fatalf("pause at %d: run finished early", frac)
 				}
-				if !strings.Contains(err.Error(), "did not finish") {
+				if !errors.Is(err, sim.ErrLimit) {
 					t.Fatalf("pause at %d: %v", frac, err)
 				}
 				data := sim.Checkpoint(paused)

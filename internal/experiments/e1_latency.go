@@ -39,28 +39,6 @@ func E1LatencyTolerance(opt Options) Result {
 		iters = 40
 	}
 
-	vnUtil := func(latency sim.Cycle, k int) (float64, error) {
-		// Assembled fresh per call: sweep points run concurrently and share
-		// nothing.
-		prog, err := vn.Assemble(workload.MemLoopASM)
-		if err != nil {
-			return 0, err
-		}
-		mem := vn.NewLatencyMemory(latency)
-		c := vn.NewCore(prog, mem, k)
-		for i := 0; i < k; i++ {
-			c.Context(i).SetReg(1, vn.Word(1000+1000*i))
-			c.Context(i).SetReg(4, vn.Word(iters))
-		}
-		eng := sim.NewEngine()
-		eng.Register(mem)
-		eng.Register(c)
-		if _, ok := eng.Run(c.Halted, 10_000_000); !ok {
-			return 0, fmt.Errorf("E1: vN run did not halt")
-		}
-		return c.Stats().Utilization(), nil
-	}
-
 	// The TTDA side runs fib(n): tree-shaped parallelism far wider than
 	// the latency being hidden — the "sufficiently parallel program" the
 	// paper's claim is conditioned on.
@@ -96,13 +74,13 @@ func E1LatencyTolerance(opt Options) Result {
 		lat := sim.Cycle(l)
 		var out row
 		var err error
-		if out.u1, err = vnUtil(lat, 1); err != nil {
+		if out.u1, err = memLoopUtil(lat, 1, iters); err != nil {
 			return out, err
 		}
-		if out.u4, err = vnUtil(lat, 4); err != nil {
+		if out.u4, err = memLoopUtil(lat, 4, iters); err != nil {
 			return out, err
 		}
-		if out.u16, err = vnUtil(lat, 16); err != nil {
+		if out.u16, err = memLoopUtil(lat, 16, iters); err != nil {
 			return out, err
 		}
 		out.tu, out.tc, err = ttda(lat)
@@ -133,4 +111,30 @@ func E1LatencyTolerance(opt Options) Result {
 		"blocking vN falls to %.2f at latency %d while the TTDA slows only %.2fx; fixed context counts land in between",
 		blocking.Points[lastIdx].Y, lats[lastIdx], ttdaSlow.Points[lastIdx].Y)
 	return r
+}
+
+// memLoopUtil runs workload.MemLoopASM on one k-context vn core over
+// LatencyMemory, context i loading iters words from address 1000+1000i,
+// and returns the core's utilization. E1 and E2 both measure with it.
+func memLoopUtil(latency sim.Cycle, k, iters int) (float64, error) {
+	// Assembled fresh per call: sweep points run concurrently and share
+	// nothing.
+	prog, err := vn.Assemble(workload.MemLoopASM)
+	if err != nil {
+		return 0, err
+	}
+	mem := vn.NewLatencyMemory(latency)
+	c := vn.NewCore(prog, mem, k)
+	for i := 0; i < k; i++ {
+		c.Context(i).SetReg(1, vn.Word(1000+1000*i))
+		c.Context(i).SetReg(4, vn.Word(iters))
+	}
+	eng := sim.NewEngine()
+	eng.Register(mem)
+	eng.Register(c)
+	const limit = 20_000_000
+	if _, ok := eng.Run(c.Halted, limit); !ok {
+		return 0, fmt.Errorf("vN run did not halt within %d cycles", limit)
+	}
+	return c.Stats().Utilization(), nil
 }

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/vn"
-	"repro/internal/workload"
 )
 
 // E2ContextCounts quantifies Section 1.1's context-switching argument:
@@ -27,26 +25,6 @@ func E2ContextCounts(opt Options) Result {
 		iters = 30
 	}
 
-	util := func(latency sim.Cycle, k int) (float64, error) {
-		prog, err := vn.Assemble(workload.MemLoopASM)
-		if err != nil {
-			return 0, err
-		}
-		mem := vn.NewLatencyMemory(latency)
-		c := vn.NewCore(prog, mem, k)
-		for i := 0; i < k; i++ {
-			c.Context(i).SetReg(1, vn.Word(1000+1000*i))
-			c.Context(i).SetReg(4, vn.Word(iters))
-		}
-		eng := sim.NewEngine()
-		eng.Register(mem)
-		eng.Register(c)
-		if _, ok := eng.Run(c.Halted, 20_000_000); !ok {
-			return 0, fmt.Errorf("E2: run did not halt")
-		}
-		return c.Stats().Utilization(), nil
-	}
-
 	// Flatten the latency x context grid into independent sweep points,
 	// then scan the results in grid order so the "first k reaching 60%"
 	// answer is schedule-independent.
@@ -58,7 +36,7 @@ func E2ContextCounts(opt Options) Result {
 		}
 	}
 	utils, err := runPoints(opt, grid, func(_ PointEnv, p point) (float64, error) {
-		return util(sim.Cycle(p.l), p.k)
+		return memLoopUtil(sim.Cycle(p.l), p.k, iters)
 	})
 	if err != nil {
 		r.Err = err

@@ -13,8 +13,6 @@
 package cmmp
 
 import (
-	"fmt"
-
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/vn"
@@ -240,6 +238,7 @@ func (m *Machine) drainPending() bool {
 
 // Run drives the shared engine until every core halts and the memory
 // system drains. A core's address fault is returned as the error.
+// Stopping at limit is a sim.ErrLimit pause.
 func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 	elapsed, ok := m.engine.Run(func() bool {
 		return m.Halted() && !m.drainPending()
@@ -248,13 +247,16 @@ func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 		return elapsed, err
 	}
 	if !ok {
-		return elapsed, fmt.Errorf("cmmp: did not halt within %d cycles", limit)
+		return elapsed, sim.Limitf("cmmp: did not halt within %d cycles", limit)
 	}
 	return elapsed, nil
 }
 
 // Core returns processor p.
 func (m *Machine) Core(p int) *vn.Core { return m.cores[p] }
+
+// NumProcessors returns the processor count.
+func (m *Machine) NumProcessors() int { return len(m.cores) }
 
 // Bank returns bank b (for Poke/Peek with bank-local addresses).
 func (m *Machine) Bank(b int) *vn.BankedMemory { return m.banks[b] }

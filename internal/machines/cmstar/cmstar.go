@@ -357,7 +357,8 @@ func (m *Machine) busy() bool {
 }
 
 // Run drives the shared engine until all cores halt and traffic drains.
-// A core's address fault is returned as the error.
+// A core's address fault is returned as the error. Stopping at limit
+// is a sim.ErrLimit pause.
 func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 	elapsed, ok := m.engine.Run(func() bool {
 		return m.Halted() && !m.busy()
@@ -366,7 +367,7 @@ func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 		return elapsed, err
 	}
 	if !ok {
-		return elapsed, fmt.Errorf("cmstar: did not halt within %d cycles", limit)
+		return elapsed, sim.Limitf("cmstar: did not halt within %d cycles", limit)
 	}
 	return elapsed, nil
 }

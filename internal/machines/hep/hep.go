@@ -11,8 +11,6 @@
 package hep
 
 import (
-	"fmt"
-
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/vn"
@@ -220,6 +218,9 @@ func New(cfg Config, prog *vn.Program) *Machine {
 // Core returns processor p.
 func (m *Machine) Core(p int) *vn.Core { return m.cores[p] }
 
+// NumProcessors returns the processor count.
+func (m *Machine) NumProcessors() int { return len(m.cores) }
+
 // Memory returns the shared full/empty memory.
 func (m *Machine) Memory() *FullEmptyMemory { return m.mem }
 
@@ -234,7 +235,8 @@ func (m *Machine) Halted() bool {
 }
 
 // Run drives the shared engine until everything halts and memory drains.
-// A core's address fault is returned as the error.
+// A core's address fault is returned as the error. Stopping at limit
+// is a sim.ErrLimit pause.
 func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 	elapsed, ok := m.engine.Run(func() bool {
 		return m.Halted() && m.mem.Pending() == 0
@@ -243,7 +245,7 @@ func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 		return elapsed, err
 	}
 	if !ok {
-		return elapsed, fmt.Errorf("hep: did not halt within %d cycles", limit)
+		return elapsed, sim.Limitf("hep: did not halt within %d cycles", limit)
 	}
 	return elapsed, nil
 }

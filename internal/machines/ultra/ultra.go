@@ -341,7 +341,8 @@ func (m *Machine) busy() bool {
 }
 
 // Run drives the shared engine until every core halts and traffic drains.
-// A core's address fault is returned as the error.
+// A core's address fault is returned as the error. Stopping at limit
+// is a sim.ErrLimit pause.
 func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 	elapsed, ok := m.engine.Run(func() bool {
 		return m.Halted() && !m.busy()
@@ -350,7 +351,7 @@ func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 		return elapsed, err
 	}
 	if !ok {
-		return elapsed, fmt.Errorf("ultra: did not halt within %d cycles", limit)
+		return elapsed, sim.Limitf("ultra: did not halt within %d cycles", limit)
 	}
 	return elapsed, nil
 }

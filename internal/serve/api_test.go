@@ -364,6 +364,40 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobRecordsEvicted: at most CacheEntries finished job records are
+// kept, the oldest dropped first, and an evicted id answers 404.
+func TestJobRecordsEvicted(t *testing.T) {
+	s := newTestServer(t, Options{CacheEntries: 4})
+	var ids []string
+	for i := 0; i < 10; i++ {
+		rr := doJSON(t, s, "POST", "/v1/jobs", runBody(t, KindVNAsm, "vn", storeAsm(i), nil))
+		var sub struct{ ID string }
+		if err := json.Unmarshal(rr.Body.Bytes(), &sub); err != nil || rr.Code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d %q: %v", i, rr.Code, rr.Body, err)
+		}
+		ids = append(ids, sub.ID)
+		waitFor(t, "job "+sub.ID, func() bool {
+			s.jobsMu.Lock()
+			defer s.jobsMu.Unlock()
+			return len(s.finished) > 0 && s.finished[len(s.finished)-1] == sub.ID
+		})
+	}
+	s.jobsMu.Lock()
+	records := len(s.jobs)
+	s.jobsMu.Unlock()
+	if records > 4 {
+		t.Errorf("%d job records kept, want at most 4", records)
+	}
+	if rr := doJSON(t, s, "GET", "/v1/jobs/"+ids[0], ""); rr.Code != http.StatusNotFound {
+		t.Errorf("first job = %d %s, want 404", rr.Code, rr.Body)
+	}
+	rr := doJSON(t, s, "GET", "/v1/jobs/"+ids[9], "")
+	var job asyncJob
+	if err := json.Unmarshal(rr.Body.Bytes(), &job); err != nil || job.State != "done" {
+		t.Errorf("last job = %d %s, want done", rr.Code, rr.Body)
+	}
+}
+
 func TestStatsAndHealth(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 3})
 	if rr := doJSON(t, s, "GET", "/v1/healthz", ""); rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"ok"`) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"net/http"
-	"strings"
 
 	"repro/internal/conformance"
 	"repro/internal/core"
@@ -27,11 +26,11 @@ const ResultAddr = conformance.ResultAddr
 
 // sliceCycles is the engine budget between cancellation checks: every
 // cycle-accurate run advances in slices of at most this many cycles,
-// polling the request context in between. The machines' pause/resume
-// contract (a Run that hits its limit leaves the machine intact and
-// resumable, PR 7) makes the sliced run bit-identical to an
-// uninterrupted one, so cancellation costs nothing on the simulated
-// timeline — it only bounds how long a dead request can hold a worker.
+// polling the request context in between. The machines' pause contract
+// (a Run that hits its limit returns sim.ErrLimit and leaves the machine
+// intact) makes the sliced run bit-identical to an uninterrupted one, so
+// cancellation costs nothing on the simulated timeline — it only bounds
+// how long a dead request can hold a worker.
 const sliceCycles = 20_000
 
 // RunResult is the deterministic payload of one job. It deliberately
@@ -84,12 +83,8 @@ func runJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
 		return runInterpJob(spec)
 	case "direct":
 		return runDirectJob(spec)
-	case "ttda":
-		return runTTDAJob(ctx, spec)
-	case "vn":
-		return runVNJob(ctx, spec)
 	default:
-		return runBaselineJob(ctx, spec)
+		return runMachineJob(ctx, spec)
 	}
 }
 
@@ -175,222 +170,80 @@ func runDirectJob(spec *JobSpec) (*RunResult, error) {
 	return out, nil
 }
 
-// pausedErr reports a Run error that only means "cycle limit reached,
-// machine intact" — the resumable pause every engine-backed machine
-// signals with a "did not finish/halt within" error.
-func pausedErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "did not")
-}
-
-// checkSlice accounts one slice of a sliced run and decides whether to
-// keep going: nil keeps running, any error aborts. Context errors are
-// returned bare so the HTTP layer can tell a gone client (499) from a
-// per-request timeout (504).
-func checkSlice(ctx context.Context, total *uint64, budget uint64, max uint64) error {
-	*total += budget
-	if *total >= max {
-		return errf(http.StatusUnprocessableEntity, "program did not finish within max_cycles=%d", max)
-	}
-	return ctx.Err()
-}
-
-func runTTDAJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
-	prog, args, err := compileID(spec)
-	if err != nil {
-		return nil, err
-	}
+// buildMachine builds spec's machine from the conformance fleet with the
+// service's configurations.
+func buildMachine(spec *JobSpec) (conformance.Machine, error) {
 	c := spec.Config
-	m := core.NewMachine(core.Config{
-		PEs:        c.PEs,
-		NetLatency: sim.Cycle(c.NetLatency),
-	}, prog)
-	var res []token.Value
-	var total uint64
-	for {
-		budget := min(uint64(sliceCycles), c.MaxCycles-total)
-		res, err = m.Run(sim.Cycle(budget), args...)
-		if err == nil {
-			break
-		}
-		if !pausedErr(err) {
-			return nil, errf(http.StatusUnprocessableEntity, "ttda: %v", err)
-		}
-		if err := checkSlice(ctx, &total, budget, c.MaxCycles); err != nil {
+	if spec.Machine == "ttda" {
+		prog, args, err := compileID(spec)
+		if err != nil {
 			return nil, err
 		}
+		plan, err := graph.Compile(prog)
+		if err != nil {
+			return nil, errf(http.StatusUnprocessableEntity, "ttda: %v", err)
+		}
+		return conformance.NewTTDA(core.Config{PEs: c.PEs, NetLatency: sim.Cycle(c.NetLatency)}, plan, args), nil
 	}
-	sum := m.Summarize()
-	eng := m.Engine().Counters()
-	out := &RunResult{
-		Machine: spec.Machine,
-		Cycles:  sum.Cycles,
-		Stats: map[string]uint64{
-			"fired":     sum.Fired,
-			"matches":   sum.Matches,
-			"net_sends": sum.NetSends,
-			"is_reads":  sum.ISReads,
-			"is_writes": sum.ISWrites,
-		},
-		Engine: &eng,
-	}
-	for _, v := range res {
-		out.Results = append(out.Results, v.String())
-	}
-	return out, nil
-}
-
-func assemble(spec *JobSpec) (*vn.Program, error) {
 	prog, err := vn.Assemble(spec.Program)
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "assemble vnasm: %v", err)
 	}
-	return prog, nil
-}
-
-// vnStats flattens core 0's counters into the result's stats map.
-func vnStats(st map[string]uint64, c *vn.Core) {
-	s := c.Stats()
-	st["busy"] = s.Busy.Value()
-	st["idle"] = s.Idle.Value()
-	st["mem_ops"] = s.MemOps.Value()
-	st["mem_wait"] = s.MemWait.Value()
-	st["switches"] = s.Switches.Value()
-	st["retired"] = s.Retired.Value()
-}
-
-func runVNJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
-	prog, err := assemble(spec)
-	if err != nil {
-		return nil, err
-	}
-	c := spec.Config
-	mem := vn.NewLatencyMemory(sim.Cycle(c.MemLatency))
-	cpu := vn.NewCore(prog, mem, c.Contexts)
-	eng := sim.NewEngine()
-	eng.Register(mem)
-	eng.Register(cpu)
-	halted := func() bool { return cpu.Halted() && mem.Pending() == 0 }
-	var total uint64
-	for {
-		budget := min(uint64(sliceCycles), c.MaxCycles-total)
-		elapsed, ok := eng.Run(halted, sim.Cycle(budget))
-		if ok {
-			total += uint64(elapsed)
-			break
-		}
-		if err := checkSlice(ctx, &total, budget, c.MaxCycles); err != nil {
-			return nil, err
-		}
-	}
-	if err := cpu.Fault(); err != nil {
-		return nil, errf(http.StatusUnprocessableEntity, "vn: %v", err)
-	}
-	result := int64(mem.Peek(ResultAddr))
-	cnt := eng.Counters()
-	out := &RunResult{
-		Machine: spec.Machine,
-		Result:  &result,
-		Cycles:  total,
-		Stats:   map[string]uint64{},
-		Engine:  &cnt,
-	}
-	vnStats(out.Stats, cpu)
-	return out, nil
-}
-
-// baseline abstracts the four multiprocessor baselines behind the two
-// calls the sliced runner needs.
-type baseline interface {
-	Run(limit sim.Cycle) (sim.Cycle, error)
-	Engine() sim.Driver
-}
-
-// park points every context of cores [1, total) at the trailing halt,
-// leaving core 0 to run the submitted program alone — the experiments'
-// single-stream idiom, matching the conformance fleet.
-func park(total int, coreAt func(int) *vn.Core, prog *vn.Program) {
-	last := len(prog.Instrs) - 1
-	for i := 1; i < total; i++ {
-		coreAt(i).Context(0).SetPC(last)
-	}
-}
-
-func runBaselineJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
-	prog, err := assemble(spec)
-	if err != nil {
-		return nil, err
-	}
-	c := spec.Config
-	var (
-		m      baseline
-		core0  *vn.Core
-		peek   func() int64
-		extras func(map[string]uint64)
-	)
 	switch spec.Machine {
+	case "vn":
+		return conformance.NewVN(prog, c.Contexts, sim.Cycle(c.MemLatency)), nil
 	case "cmmp":
-		mm := cmmp.New(cmmp.Config{Processors: 2, Banks: 2}, prog, 1)
-		park(2, mm.Core, prog)
-		core0 = mm.Core(0)
-		peek = func() int64 { return int64(mm.Peek(ResultAddr)) }
-		extras = func(st map[string]uint64) { st["xbar_delivered"] = mm.Crossbar().Stats().Delivered.Value() }
-		m = mm
+		return conformance.NewCmmp(cmmp.Config{Processors: 2, Banks: 2}, prog), nil
 	case "cmstar":
-		mm := cmstar.New(cmstar.Config{Clusters: 8, CoresPerCluster: 1, ClusterWords: 32, HopLatency: 3}, prog)
-		park(mm.NumCores(), mm.CoreAt, prog)
-		core0 = mm.CoreAt(0)
-		peek = func() int64 { return int64(mm.Peek(ResultAddr)) }
-		extras = func(st map[string]uint64) {
-			st["local_refs"] = mm.Stats().LocalRefs.Value()
-			st["remote_refs"] = mm.Stats().RemoteRefs.Value()
-		}
-		m = mm
+		return conformance.NewCmstar(cmstar.Config{Clusters: 8, CoresPerCluster: 1, ClusterWords: 32, HopLatency: 3}, prog), nil
 	case "ultra":
-		mm := ultra.New(ultra.Config{LogProcessors: 2, Combining: c.Combining}, prog)
-		park(mm.NumProcessors(), mm.Core, prog)
-		core0 = mm.Core(0)
-		peek = func() int64 { return int64(mm.Peek(ResultAddr)) }
-		extras = func(st map[string]uint64) {
-			st["bank0_served"] = mm.BankServed(0)
-			st["combine_ops"] = mm.Network().CombineOps.Value()
-		}
-		m = mm
+		return conformance.NewUltra(ultra.Config{LogProcessors: 2, Combining: c.Combining}, prog), nil
 	case "hep":
-		mm := hep.New(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4}, prog)
-		park(2, mm.Core, prog)
-		core0 = mm.Core(0)
-		peek = func() int64 { return int64(mm.Memory().Peek(ResultAddr)) }
-		extras = func(map[string]uint64) {}
-		m = mm
-	default:
-		return nil, errf(http.StatusNotFound, "unknown machine %q", spec.Machine)
+		return conformance.NewHEP(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4}, prog), nil
 	}
+	return nil, errf(http.StatusNotFound, "unknown machine %q", spec.Machine)
+}
 
-	var total uint64
-	for {
-		budget := min(uint64(sliceCycles), c.MaxCycles-total)
-		elapsed, err := m.Run(sim.Cycle(budget))
-		if err == nil {
-			total += uint64(elapsed)
-			break
-		}
-		if !pausedErr(err) {
+// runMachineJob runs spec's fleet machine in slices of at most
+// sliceCycles, checking max_cycles and the request context between
+// slices. Context errors are returned bare so the HTTP layer can tell a
+// gone client (499) from a per-request timeout (504).
+func runMachineJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
+	m, err := buildMachine(spec)
+	if err != nil {
+		return nil, err
+	}
+	limit := spec.Config.MaxCycles
+	for total := uint64(0); ; {
+		budget := min(uint64(sliceCycles), limit-total)
+		done, err := m.Run(sim.Cycle(budget))
+		if err != nil {
 			return nil, errf(http.StatusUnprocessableEntity, "%s: %v", spec.Machine, err)
 		}
-		if err := checkSlice(ctx, &total, budget, c.MaxCycles); err != nil {
+		if done {
+			break
+		}
+		if total += budget; total >= limit {
+			return nil, errf(http.StatusUnprocessableEntity, "program did not finish within max_cycles=%d", limit)
+		}
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	result := peek()
-	cnt := m.Engine().Counters()
-	out := &RunResult{
-		Machine: spec.Machine,
-		Result:  &result,
-		Cycles:  total,
-		Stats:   map[string]uint64{},
-		Engine:  &cnt,
+	s := m.Snapshot()
+	out := &RunResult{Machine: spec.Machine, Cycles: s.Cycles, Engine: &s.Engine}
+	if t, ok := m.(*conformance.TTDA); ok {
+		out.Stats = map[string]uint64{}
+		for _, v := range t.Results() {
+			out.Results = append(out.Results, v.String())
+		}
+	} else {
+		out.Result = &s.Result
+		out.Stats = map[string]uint64{"busy": s.Busy, "idle": s.Idle, "mem_ops": s.MemOps,
+			"mem_wait": s.MemWait, "switches": s.Switches, "retired": s.Retired}
 	}
-	vnStats(out.Stats, core0)
-	extras(out.Stats)
+	for i, name := range conformance.ExtraNames[spec.Machine] {
+		out.Stats[name] = s.Extra[i]
+	}
 	return out, nil
 }

@@ -25,8 +25,9 @@ type Options struct {
 	// beyond both is shed with 503 rather than queued without limit.
 	Workers int
 	Backlog int
-	// CacheEntries bounds the result cache and the request-body aliases
-	// in front of it (default 4096 each).
+	// CacheEntries bounds the result cache, the request-body aliases in
+	// front of it, and the finished async job records (default 4096
+	// each).
 	CacheEntries int
 	// Timeout is the per-request simulation budget (default 30s); a job
 	// that exceeds it is cut off at the next engine slice with 504.
@@ -81,9 +82,12 @@ type Server struct {
 	coalesced  atomic.Uint64
 	panics     atomic.Uint64
 
-	jobsMu  sync.Mutex
-	jobs    map[string]*asyncJob
-	nextJob int
+	jobsMu sync.Mutex
+	jobs   map[string]*asyncJob
+	// finished holds the ids of finished jobs, oldest first; past
+	// CacheEntries the oldest one's record is dropped.
+	finished []string
+	nextJob  int
 
 	// runStarted, when non-nil, runs at execution start — after the
 	// worker slot is acquired, before the engine turns. Test hook: it
@@ -386,13 +390,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		s.setJob(job.ID, func(j *asyncJob) { j.State = "running" })
 		body, source, err := s.execute(ctx, spec, key)
-		s.setJob(job.ID, func(j *asyncJob) {
-			if err != nil {
-				j.State, j.Error = "error", err.Error()
-				return
-			}
-			j.State, j.Source, j.Result = "done", source, json.RawMessage(body)
-		})
+		s.finishJob(job.ID, body, source, err)
 	}()
 
 	w.Header().Set("Content-Type", "application/json")
@@ -406,6 +404,25 @@ func (s *Server) setJob(id string, mut func(*asyncJob)) {
 	defer s.jobsMu.Unlock()
 	if j, ok := s.jobs[id]; ok {
 		mut(j)
+	}
+}
+
+// finishJob records a job's outcome and keeps at most CacheEntries
+// finished records, dropping the oldest first: an evicted id answers
+// 404, like an unknown one.
+func (s *Server) finishJob(id string, body []byte, source string, err error) {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	j := s.jobs[id]
+	if err != nil {
+		j.State, j.Error = "error", err.Error()
+	} else {
+		j.State, j.Source, j.Result = "done", source, json.RawMessage(body)
+	}
+	s.finished = append(s.finished, id)
+	if len(s.finished) > s.opts.CacheEntries {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
 	}
 }
 

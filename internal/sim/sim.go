@@ -5,10 +5,31 @@
 // generator so that all experiments are reproducible run-to-run.
 package sim
 
-import "math"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Cycle is a point in simulated time, measured in machine cycles.
 type Cycle uint64
+
+// ErrLimit is the pause every machine's Run reports when it stops at its
+// cycle limit with the machine intact: calling Run again, or restoring a
+// checkpoint taken now into a fresh machine, continues the run
+// bit-identically to one that never paused. Test for it with errors.Is.
+var ErrLimit = errors.New("sim: cycle limit reached")
+
+// Limitf returns a pause error with the formatted message; it matches
+// ErrLimit under errors.Is.
+func Limitf(format string, a ...any) error {
+	return &limitError{fmt.Sprintf(format, a...)}
+}
+
+type limitError struct{ msg string }
+
+func (e *limitError) Error() string        { return e.msg }
+func (e *limitError) Is(target error) bool { return target == ErrLimit }
 
 // Never is the sentinel "no pending event" cycle: later than any real
 // simulated time. Event-aware components return it from NextEvent when

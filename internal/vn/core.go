@@ -231,6 +231,9 @@ func NewCore(prog *Program, mem MemPort, k int) *Core {
 // SetReg/SetPC before the run, Reg after.
 func (c *Core) Context(i int) *ContextHandle { return &ContextHandle{ctx: c.ctxs[i]} }
 
+// Contexts returns the core's hardware context count.
+func (c *Core) Contexts() int { return len(c.ctxs) }
+
 // ContextHandle provides controlled access to one hardware context.
 type ContextHandle struct{ ctx *context }
 
