@@ -35,7 +35,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	confSmoke := flag.Int("conformance", 0, "run N seeds of the cross-machine conformance harness and exit (nonzero exit on any violation)")
-	shards := flag.Int("shards", 0, "run shardable machines on the conservative parallel kernel with N shards (0 = sequential; results are bit-identical either way)")
 	sweepWorkers := flag.Int("sweep-workers", 0, "bound the parallel sweep runner's worker pool for experiment and conformance sweeps (<= 0 = GOMAXPROCS; results are identical at any setting)")
 	flag.Parse()
 
@@ -83,7 +82,7 @@ func main() {
 		}
 	}
 
-	results := experiments.All(experiments.Options{Quick: *quick, Shards: *shards, SweepWorkers: *sweepWorkers})
+	results := experiments.All(experiments.Options{Quick: *quick, SweepWorkers: *sweepWorkers})
 	if *ablations {
 		results = append(results, experiments.Ablations(experiments.Options{Quick: *quick, SweepWorkers: *sweepWorkers})...)
 	}

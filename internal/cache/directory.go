@@ -35,7 +35,6 @@ type DirectorySystem struct {
 	dirBusyAt sim.Cycle
 	// events holds in-flight point-to-point messages (requests travelling
 	// to the directory, installs travelling back) ordered by (at, seq).
-	// Typed rather than closure-based so a checkpoint can carry them.
 	events  []dirEvent
 	evSeq   uint64
 	lruTick uint64

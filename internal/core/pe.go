@@ -366,6 +366,10 @@ func (pe *PE) execCtrl(r ctrlRequest) {
 	in := r.in
 	switch in.Kind {
 	case graph.KindGetContext:
+		if n := uint64(pe.m.nextCtx); n > graph.ContextBudget {
+			pe.m.fail(fmt.Errorf("core: get-context at %s: context space exhausted (%d contexts, limit %d)", r.act, n, graph.ContextBudget))
+			return
+		}
 		u := pe.m.getContext(in.Target, r.act, graph.BlockID(r.act.CodeBlock), in.RetDests)
 		if pe.m.cfg.Trace != nil {
 			pe.trace(TraceGetCtx, "u=%d for block %d", u, in.Target)

@@ -361,6 +361,9 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 			x.push(d.ctx, d.init, dst.Stmt, dst.Port, vals[0])
 		}
 	case graph.KindGetContext:
+		if len(x.ctxs) > graph.ContextBudget {
+			return fmt.Errorf("direct: get-context: context space exhausted (%d contexts, limit %d)", len(x.ctxs), graph.ContextBudget)
+		}
 		u := uint32(len(x.ctxs))
 		x.ctxs = append(x.ctxs, ctxState{
 			cb:          x.cg.Block(in.Target),

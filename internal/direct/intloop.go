@@ -5,26 +5,25 @@ import (
 	"repro/internal/token"
 )
 
-// Integer specialization of the loop accelerator. Most MiniID loops
-// circulate nothing but integers (induction variables, accumulators,
-// I-structure indices), and for those the token.Value-typed DAG walk in
-// runLoop still pays ~25 ns per op in value copies and kind dispatch.
-// lowerInt type-checks the already-recognized loop plan under a simple
-// static discipline — circulating variables are int64, each DAG slot is
-// int64 or bool depending on the opcode that writes it — and, when every
-// op checks out, re-emits both DAGs as a flat program over one dense
-// int64 register file (bools stored as 0/1). The steady-state iteration
-// then runs as a handful of register-indexed switch dispatches with no
-// allocation and no interface-style dispatch at all.
+// The loop accelerator's integer program. Most MiniID loops circulate
+// nothing but integers (induction variables, accumulators, I-structure
+// indices), and only those are accelerated. lowerInt type-checks the
+// already-recognized loop plan under a simple static discipline —
+// circulating variables are int64, each DAG slot is int64 or bool
+// depending on the opcode that writes it — and, when every op checks out,
+// re-emits both DAGs as a flat program over one dense int64 register file
+// (bools stored as 0/1). The steady-state iteration then runs as a
+// handful of register-indexed switch dispatches with no allocation and no
+// interface-style dispatch at all.
 //
-// The specialization must be bit-identical to graph.Eval on the int
-// tower, so each iop mirrors one verified Eval case: add/sub/mul wrap
+// The program must be bit-identical to graph.Eval on the int tower, so
+// each iop mirrors one verified Eval case: add/sub/mul wrap
 // natively, div/mod truncate with a zero-divisor fault, the ordered
 // comparisons (and int equality, per token.Value.Equal) compare through
 // float64 exactly like Eval's AsFloat tower, and bool equality compares
 // the bools themselves. Anything outside that table — float literals,
 // sqrt, mixed-type equality, a bool circulating variable — rejects the
-// specialization and leaves the general token.Value loop in charge.
+// plan and leaves the block on the delivery engine.
 // Division or modulo by zero cannot be typed away, so those iops bail
 // out of the native loop mid-iteration; the standard injection protocol
 // then has the delivery engine refire the iteration and surface the
@@ -104,7 +103,7 @@ func lowerInt(lp *loopPlan) *intPlan {
 				c = 1
 			}
 		default:
-			return 0, 0, false // float/nil literals: general loop only
+			return 0, 0, false // float/nil literals: delivery engine only
 		}
 		r := uint16(len(regs0))
 		regs0 = append(regs0, c)
@@ -180,7 +179,7 @@ func lowerInt(lp *loopPlan) *intPlan {
 				a, ta, ok := operand(op, 0)
 				b, tb, ok2 := operand(op, 1)
 				if !ok || !ok2 || ta != tb {
-					return false // mixed-type Equal: general loop only
+					return false // mixed-type Equal: delivery engine only
 				}
 				k := iEQf
 				if ta == tBool {
@@ -239,7 +238,7 @@ func lowerInt(lp *loopPlan) *intPlan {
 
 	// The predicate feeds AsBool, so it must be statically bool. A
 	// circulating variable is int by discipline, so a variable predicate
-	// rejects the specialization (the general loop handles it).
+	// rejects the plan (the delivery engine runs the block).
 	if lp.predSrc.isVar {
 		return nil
 	}
@@ -266,18 +265,18 @@ func lowerInt(lp *loopPlan) *intPlan {
 	return &intPlan{regs0: regs0, ops: ops, predReg: predReg, next: next}
 }
 
-// runLoopInt executes steady iterations over the int64 register file.
-// It returns false — having touched nothing — when an entry value is
-// not an integer, in which case the caller falls back to the general
-// token.Value loop. Otherwise it runs until the first non-steady
-// iteration (predicate false, div/mod by zero, or firing budget) and
-// hands the current circulation values back through the caller's vars
-// slice for the standard engine injection.
-func (x *Exec) runLoopInt(lp *loopPlan, vars []token.Value, iterp *uint32) bool {
+// runLoopInt executes steady iterations over the int64 register file
+// and returns the initiation at which the delivery engine takes over. It
+// returns 1 — having touched nothing — when an entry value is not an
+// integer. Otherwise it runs until the first non-steady iteration
+// (predicate false, div/mod by zero, or firing budget) and hands the
+// current circulation values back through the caller's vars slice for the
+// standard engine injection.
+func (x *Exec) runLoopInt(lp *loopPlan, vars []token.Value) uint32 {
 	ip := lp.ip
 	for _, v := range vars {
 		if v.Kind != token.KindInt {
-			return false
+			return 1
 		}
 	}
 	regs := make([]int64, len(ip.regs0))
@@ -393,6 +392,5 @@ steady:
 	for k := 0; k < m; k++ {
 		vars[k] = token.Int(regs[k])
 	}
-	*iterp = iter
-	return true
+	return iter
 }

@@ -27,9 +27,9 @@ import (
 // and the engine refires that iteration — taking the false arms through
 // D-1/L-1, or surfacing the eval fault with the standard activity-name
 // message. Blocks whose shape the recognizer cannot prove (conditionals
-// in the body, I-structure traffic, nested calls) simply get no plan and
-// run entirely on the delivery engine; rejection is always safe, only
-// speed varies.
+// in the body, I-structure traffic, nested calls), or whose values are not
+// all integers (intloop.go), simply get no plan and run entirely on the
+// delivery engine; rejection is always safe, only speed varies.
 
 // loopSrc names where a DAG operand comes from at runtime: a circulating
 // loop variable or a previously-computed op slot.
@@ -58,7 +58,7 @@ type loopPlan struct {
 	bodyOps []loopOp
 	next    []loopSrc // per variable: its value in the next iteration
 	perIter uint64    // firings per steady (predicate-true) iteration
-	ip      *intPlan  // int64 register specialization, when typable
+	ip      *intPlan  // the int64 register program that runs the loop
 }
 
 // roles during recognition.
@@ -78,7 +78,8 @@ type arc struct {
 }
 
 // lowerLoop recognizes the compiler's loop-block shape and returns its
-// plan, or nil when any instruction resists classification.
+// plan, or nil when any instruction resists classification or the loop
+// does not type-check as int64 (lowerInt).
 func lowerLoop(cb *graph.CBlock) *loopPlan {
 	m := len(cb.Entries)
 	n := len(cb.Instrs)
@@ -545,7 +546,9 @@ func lowerLoop(cb *graph.CBlock) *loopPlan {
 		next:    next,
 		perIter: uint64(3*m + len(predOps) + len(bodyOps)),
 	}
-	lp.ip = lowerInt(lp)
+	if lp.ip = lowerInt(lp); lp.ip == nil {
+		return nil // not int64-typable: the block runs on the delivery engine
+	}
 	return lp
 }
 
@@ -562,118 +565,15 @@ func (x *Exec) loopPlanFor(id graph.BlockID) *loopPlan {
 	return x.lps[id]
 }
 
-// evalLoopOp computes one DAG op. The integer fast path mirrors
-// graph.Eval bit for bit (comparisons go through float64 exactly like
-// Eval's AsFloat tower); everything else — floats, faults, div-by-zero —
-// falls through to the shared Eval so the backend cannot diverge.
-func evalLoopOp(op *loopOp, vars, slots []token.Value) (token.Value, error) {
-	var a, b token.Value
-	if op.lit[0] {
-		a = op.litv[0]
-	} else if op.src[0].isVar {
-		a = vars[op.src[0].idx]
-	} else {
-		a = slots[op.src[0].idx]
-	}
-	if op.lit[1] {
-		b = op.litv[1]
-	} else if op.src[1].isVar {
-		b = vars[op.src[1].idx]
-	} else {
-		b = slots[op.src[1].idx]
-	}
-	if a.Kind == token.KindInt && b.Kind == token.KindInt {
-		x, y := a.I, b.I
-		switch op.op {
-		case graph.OpAdd:
-			return token.Int(x + y), nil
-		case graph.OpSub:
-			return token.Int(x - y), nil
-		case graph.OpMul:
-			return token.Int(x * y), nil
-		case graph.OpLT:
-			return token.Bool(float64(x) < float64(y)), nil
-		case graph.OpLE:
-			return token.Bool(float64(x) <= float64(y)), nil
-		case graph.OpGT:
-			return token.Bool(float64(x) > float64(y)), nil
-		case graph.OpGE:
-			return token.Bool(float64(x) >= float64(y)), nil
-		case graph.OpEQ:
-			return token.Bool(float64(x) == float64(y)), nil
-		case graph.OpNE:
-			return token.Bool(float64(x) != float64(y)), nil
-		}
-	} else if op.op == graph.OpIdentity {
-		return a, nil
-	}
-	return graph.Eval(op.op, a, b)
-}
-
-// runLoop executes a fully-argued loop activation natively. It only runs
-// provably-steady iterations; the first iteration that exits, faults, or
-// busts the firing budget is handed back to the delivery engine as plain
-// entry deliveries at the current initiation, and the engine refires it
-// with its ordinary semantics (and its ordinary error messages).
+// runLoop executes a fully-argued loop activation natively over its
+// int64 registers. It only runs provably-steady iterations; the first
+// iteration that exits, faults, or busts the firing budget is handed back
+// to the delivery engine as plain entry deliveries at the current
+// initiation, and the engine refires it with its ordinary semantics (and
+// its ordinary error messages). An entry value that is not an integer is
+// handed back at initiation 1, so the engine runs the whole activation.
 func (x *Exec) runLoop(u uint32, lp *loopPlan, vars []token.Value) {
-	iter := uint32(1)
-	if lp.ip != nil && x.runLoopInt(lp, vars, &iter) {
-		cs := &x.ctxs[u]
-		for k := lp.nVars - 1; k >= 0; k-- {
-			x.push(u, iter, cs.cb.Entries[k], 0, vars[k])
-		}
-		return
-	}
-	slots := make([]token.Value, lp.nSlots)
-	next := make([]token.Value, lp.nVars)
-	for x.fired <= x.maxSteps {
-		steady := true
-		for i := range lp.predOps {
-			op := &lp.predOps[i]
-			v, err := evalLoopOp(op, vars, slots)
-			if err != nil {
-				steady = false
-				break
-			}
-			slots[op.dst] = v
-		}
-		if steady {
-			var pv token.Value
-			if lp.predSrc.isVar {
-				pv = vars[lp.predSrc.idx]
-			} else {
-				pv = slots[lp.predSrc.idx]
-			}
-			cond, err := pv.AsBool()
-			if err != nil || !cond {
-				steady = false
-			}
-		}
-		if steady {
-			for i := range lp.bodyOps {
-				op := &lp.bodyOps[i]
-				v, err := evalLoopOp(op, vars, slots)
-				if err != nil {
-					steady = false
-					break
-				}
-				slots[op.dst] = v
-			}
-		}
-		if !steady {
-			break
-		}
-		for k, src := range lp.next {
-			if src.isVar {
-				next[k] = vars[src.idx]
-			} else {
-				next[k] = slots[src.idx]
-			}
-		}
-		copy(vars, next)
-		x.fired += lp.perIter
-		iter++
-	}
+	iter := x.runLoopInt(lp, vars)
 	cs := &x.ctxs[u]
 	for k := lp.nVars - 1; k >= 0; k-- {
 		x.push(u, iter, cs.cb.Entries[k], 0, vars[k])

@@ -196,6 +196,11 @@ func (nd *node) fire(act token.ActivityName, vals [2]token.Value) {
 	case graph.OpGetContext:
 		f.ctxMu.Lock()
 		u := f.nextCtx
+		if uint64(u) > graph.ContextBudget {
+			f.ctxMu.Unlock()
+			f.fail(fmt.Errorf("emulator: get-context at %s: context space exhausted (%d contexts, limit %d)", act, u, graph.ContextBudget))
+			return
+		}
 		f.nextCtx++
 		f.ctxs[u] = &ctxRecord{
 			block:       in.Target,

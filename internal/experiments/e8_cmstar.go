@@ -36,7 +36,7 @@ func E8Cmstar(opt Options) Result {
 		if err != nil {
 			return distRow{}, err
 		}
-		m := cmstar.New(cmstar.Config{Clusters: 4, CoresPerCluster: 1, ClusterWords: clusterWords, Shards: opt.Shards}, prog)
+		m := cmstar.New(cmstar.Config{Clusters: 4, CoresPerCluster: 1, ClusterWords: clusterWords}, prog)
 		for a := uint32(0); a < 4*clusterWords; a++ {
 			m.Poke(a, 1)
 		}
@@ -78,7 +78,7 @@ func E8Cmstar(opt Options) Result {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		m := cmstar.New(cmstar.Config{Clusters: clusters, CoresPerCluster: coresPer, ClusterWords: clusterWords, Shards: opt.Shards}, relax)
+		m := cmstar.New(cmstar.Config{Clusters: clusters, CoresPerCluster: coresPer, ClusterWords: clusterWords}, relax)
 		p := clusters * coresPer
 		chunk := totalCells / p
 		perCluster := chunk * coresPer

@@ -16,11 +16,6 @@ import (
 type Options struct {
 	// Quick shrinks sweeps for use in tests and benchmarks.
 	Quick bool
-	// Shards > 1 runs the shardable machines (TTDA, C.mmp, Cm*,
-	// Ultracomputer, HEP) on the conservative parallel kernel with that
-	// many shards. Results are bit-identical to sequential runs, so every
-	// experiment table and finding is unchanged; only wall time moves.
-	Shards int
 	// SweepWorkers bounds the parallel sweep runner's worker pool for
 	// each experiment's parameter sweep (internal/sweep); <= 0 means
 	// GOMAXPROCS. Results are deterministic at any setting.

@@ -19,6 +19,16 @@ import (
 // address within 32 bits.
 const CellBudget = 1 << 20
 
+// ContextBudget bounds the invocation contexts one run may create in total
+// on every backend that runs MiniID: the TTDA, this interpreter,
+// internal/direct and the emulator. A GET-CONTEXT past it faults with
+// "context space exhausted" before the context exists, so neither a
+// recursion that never returns nor a loop that calls on every iteration
+// can exhaust the host's memory. Like CellBudget it is a constant, not a
+// knob: it is about 12 times the most any committed workload creates in
+// one run (21,891 contexts, fib(20)).
+const ContextBudget = 1 << 18
+
 // Interp is the sequential reference interpreter for dataflow programs. It
 // executes graphs under idealized dataflow semantics: every enabled
 // instruction fires in the wave after its operands arrive, every firing
@@ -343,6 +353,9 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 		}
 	case KindGetContext:
 		u := it.nextCtx
+		if uint64(u) > ContextBudget {
+			return fmt.Errorf("get-context at %s: context space exhausted (%d contexts, limit %d)", act, u, ContextBudget)
+		}
 		it.nextCtx++
 		for uint64(len(it.ctxs)) <= uint64(u) {
 			it.ctxs = append(it.ctxs, ctxRecord{})

@@ -60,7 +60,9 @@ func TestAllocateSizeBounds(t *testing.T) {
 // outside [0, 2³²) is a bad size; a size inside it that the job's cells
 // cannot hold, at once or summed over a loop, exhausts the I-structure
 // space: the TTDA's ISCellsPerPE × PEs, or graph.CellBudget on the
-// host-side backends.
+// host-side backends. Contexts have one budget everywhere,
+// graph.ContextBudget per run: a recursion that never returns and a loop
+// that calls once per iteration both exhaust it.
 func TestAllocateDispositions(t *testing.T) {
 	const sized = "def main(n) = { a = array(n); len(a) };"
 	const loop = `
@@ -68,6 +70,15 @@ def main(n) =
   (initial s <- 0
    for i from 1 to n do
      new s <- s + len(array(65536))
+   return s);
+`
+	const recursion = "def f(x) = f(x + 1); def main(n) = f(n);"
+	const calls = `
+def g(x) = x + 1;
+def main(n) =
+  (initial s <- 0
+   for i from 1 to n do
+     new s <- g(s)
    return s);
 `
 	cases := []struct {
@@ -81,6 +92,8 @@ def main(n) =
 		{"size 2^32", sized, 1 << 32, "bad size"},
 		{"size -1", sized, -1, "bad size"},
 		{"allocating loop", loop, 100, "space exhausted"},
+		{"unbounded recursion", recursion, 0, "context space exhausted"},
+		{"budget + 1 calls", calls, graph.ContextBudget + 1, "context space exhausted"},
 	}
 	backends := []struct {
 		name string

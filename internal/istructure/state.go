@@ -181,81 +181,3 @@ func (m *Module) LoadFrom(d *sim.Dec, c Codec) error {
 	}
 	return d.Err()
 }
-
-// SaveTo appends the full/empty memory's dynamic state.
-func (m *HEPModule) SaveTo(e *sim.Enc, c Codec) {
-	e.Tag("hepmod", 1)
-	e.Cycle(m.busyUntil)
-	m.stats.Reads.Save(e)
-	m.stats.Writes.Save(e)
-	m.stats.Retries.Save(e)
-	m.stats.Busy.Save(e)
-	e.Len(len(m.queue))
-	for _, r := range m.queue {
-		saveRequest(e, c, r)
-	}
-	touched := 0
-	for i := uint32(0); i < m.size; i++ {
-		if m.full[i] || m.values[i] != nil {
-			touched++
-		}
-	}
-	e.Len(touched)
-	for i := uint32(0); i < m.size; i++ {
-		if !m.full[i] && m.values[i] == nil {
-			continue
-		}
-		e.U32(i)
-		e.Bool(m.full[i])
-		saveOpt(e, m.values[i], c.SaveValue)
-	}
-}
-
-// LoadFrom restores the full/empty memory.
-func (m *HEPModule) LoadFrom(d *sim.Dec, c Codec) error {
-	if err := d.Tag("hepmod", 1); err != nil {
-		return err
-	}
-	m.busyUntil = d.Cycle()
-	m.stats.Reads.Load(d)
-	m.stats.Writes.Load(d)
-	m.stats.Retries.Load(d)
-	m.stats.Busy.Load(d)
-	n := d.Len(d.Remaining())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	m.queue = m.queue[:0]
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.queue = append(m.queue, loadRequest(d, c, m.base, m.size))
-	}
-	for i := range m.full {
-		m.full[i] = false
-		m.values[i] = nil
-	}
-	n = d.Len(d.Remaining())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	prev := int64(-1)
-	for i := 0; i < n; i++ {
-		k := d.U32()
-		full := d.Bool()
-		val := loadOpt(d, c.LoadValue)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if int64(k) <= prev {
-			d.Failf("cell index %d out of order (previous %d)", k, prev)
-			return d.Err()
-		}
-		prev = int64(k)
-		if k >= m.size {
-			d.Failf("cell index %d outside module of %d cells", k, m.size)
-			return d.Err()
-		}
-		m.full[k] = full
-		m.values[k] = val
-	}
-	return d.Err()
-}

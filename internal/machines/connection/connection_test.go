@@ -20,36 +20,54 @@ func ringEdges(n int) [][]int {
 // the paper describes. mem[0] holds the label.
 func labelPropagation(t *testing.T, m *Machine, edges [][]int, maxRounds int) int {
 	t.Helper()
-	n := m.NumPEs()
-	for pe := 0; pe < n; pe++ {
-		m.Mem(pe)[0] = int64(pe) // initial label = own id
+	initLabels(m)
+	return propagateUntilStable(t, m, edges, maxRounds)
+}
+
+// initLabels gives every cell its own id as its label.
+func initLabels(m *Machine) {
+	for pe := 0; pe < m.NumPEs(); pe++ {
+		m.Mem(pe)[0] = int64(pe)
 	}
+}
+
+// propagateUntilStable runs propagation rounds from the labels the array
+// holds and returns how many rounds it took to change nothing.
+func propagateUntilStable(t *testing.T, m *Machine, edges [][]int, maxRounds int) int {
+	t.Helper()
 	for round := 0; round < maxRounds; round++ {
-		var msgs []Message
-		for pe := 0; pe < n; pe++ {
-			for _, to := range edges[pe] {
-				msgs = append(msgs, Message{From: pe, To: to, Value: m.Mem(pe)[0]})
-			}
-		}
-		changedAny := false
-		m.Route(msgs, func(to int, v int64) {
-			if v < m.Mem(to)[1] {
-				m.Mem(to)[1] = v // mem[1]: min incoming label this round
-			}
-		})
-		m.Compute(func(pe int, mem []int64) {
-			if mem[1] < mem[0] {
-				mem[0] = mem[1]
-				changedAny = true
-			}
-			mem[1] = int64(n) // reset for next round
-		})
-		if !changedAny {
+		if !propagationRound(m, edges) {
 			return round + 1
 		}
 	}
 	t.Fatal("label propagation did not converge")
 	return maxRounds
+}
+
+// propagationRound routes every label to its neighbours, keeps the
+// minimum, and reports whether any label changed.
+func propagationRound(m *Machine, edges [][]int) bool {
+	n := m.NumPEs()
+	var msgs []Message
+	for pe := 0; pe < n; pe++ {
+		for _, to := range edges[pe] {
+			msgs = append(msgs, Message{From: pe, To: to, Value: m.Mem(pe)[0]})
+		}
+	}
+	changedAny := false
+	m.Route(msgs, func(to int, v int64) {
+		if v < m.Mem(to)[1] {
+			m.Mem(to)[1] = v // mem[1]: min incoming label this round
+		}
+	})
+	m.Compute(func(pe int, mem []int64) {
+		if mem[1] < mem[0] {
+			mem[0] = mem[1]
+			changedAny = true
+		}
+		mem[1] = int64(n) // reset for next round
+	})
+	return changedAny
 }
 
 func newTestMachine(t *testing.T, cfg Config) *Machine {

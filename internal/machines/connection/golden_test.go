@@ -1,8 +1,10 @@
 package connection
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/simtest"
 )
 
@@ -47,4 +49,37 @@ func TestGoldenLabelPropagation(t *testing.T) {
 		rounds := labelPropagation(t, m, ringEdges(m.NumPEs()), 1000)
 		simtest.Check(t, "testdata/golden_grid.json", snapshotConn(m, rounds))
 	})
+}
+
+// TestCheckpointGridRouter splits the grid router's label propagation at a
+// round boundary, the machine's checkpoint point, and restores the bytes
+// into a fresh machine that finishes the run. The split run must match
+// the straight run's golden snapshot, and its end-of-run checkpoint — the
+// torus's round-robin pointers and traffic statistics included — must
+// equal the straight run's byte for byte.
+func TestCheckpointGridRouter(t *testing.T) {
+	cfg := Config{LogPEs: 6, Router: RouterGrid}
+	straight := newTestMachine(t, cfg)
+	edges := ringEdges(straight.NumPEs())
+	want := snapshotConn(straight, labelPropagation(t, straight, edges, 1000))
+
+	m := newTestMachine(t, cfg)
+	initLabels(m)
+	const split = 10
+	for r := 0; r < split; r++ {
+		if !propagationRound(m, edges) {
+			t.Fatalf("converged after %d rounds, before the split", r+1)
+		}
+	}
+	fresh := newTestMachine(t, cfg)
+	if err := sim.Restore(fresh, sim.Checkpoint(m)); err != nil {
+		t.Fatalf("restore after round %d: %v", split, err)
+	}
+	rest := propagateUntilStable(t, fresh, edges, 1000)
+	if got := snapshotConn(fresh, split+rest); got != want {
+		t.Errorf("run split after round %d diverged:\n  straight %+v\n  split    %+v", split, want, got)
+	}
+	if !bytes.Equal(sim.Checkpoint(fresh), sim.Checkpoint(straight)) {
+		t.Errorf("end-of-run checkpoint differs after a split at round %d", split)
+	}
 }

@@ -1,9 +1,8 @@
 // Package network provides cycle-stepped packet-switched interconnection
 // models: an ideal fixed-latency fabric, a crossbar (C.mmp), a 2-D mesh
-// (Illiac IV / Connection Machine grid), a hypercube with table-based
-// routing, link faults, and partitioning (the Section 3 emulation
-// facility), and an omega network with request combining (NYU
-// Ultracomputer).
+// (Illiac IV / Connection Machine grid), an e-cube routed hypercube
+// (Connection Machine router), and an omega network with request
+// combining (NYU Ultracomputer).
 //
 // All models share the same contract: Send enqueues a packet at its source
 // port (refusing when the injection queue is full — backpressure), Step

@@ -209,85 +209,6 @@ func TestHypercubeAllToAll(t *testing.T) {
 	}
 }
 
-func TestHypercubeTableRoutingMatchesECube(t *testing.T) {
-	h := NewHypercube(4, 8)
-	h.RecomputeTables()
-	var last *Packet
-	h.SetDelivery(func(p *Packet) { last = p })
-	h.Send(&Packet{Src: 5, Dst: 10})
-	drive(t, h, 100)
-	if last.Hops != HammingDistance(5, 10) {
-		t.Fatalf("table routing took %d hops, want %d", last.Hops, HammingDistance(5, 10))
-	}
-}
-
-func TestHypercubeFaultRerouting(t *testing.T) {
-	// Kill a link on the only minimal path and verify the packet arrives
-	// via the cube's redundancy with two extra hops.
-	h := NewHypercube(3, 8)
-	h.KillLink(0, 0) // 0 <-> 1 dead
-	h.RecomputeTables()
-	var last *Packet
-	h.SetDelivery(func(p *Packet) { last = p })
-	h.Send(&Packet{Src: 0, Dst: 1})
-	drive(t, h, 100)
-	if last == nil {
-		t.Fatal("packet lost after fault")
-	}
-	if last.Hops != 3 {
-		t.Fatalf("fault detour took %d hops, want 3", last.Hops)
-	}
-}
-
-func TestHypercubeManyFaultsStillConnected(t *testing.T) {
-	h := NewHypercube(4, 8)
-	// Kill several links; the 4-cube has 32 links and stays connected.
-	h.KillLink(0, 0)
-	h.KillLink(3, 1)
-	h.KillLink(7, 2)
-	h.KillLink(12, 3)
-	h.RecomputeTables()
-	count := 0
-	h.SetDelivery(func(p *Packet) { count++ })
-	sent := 0
-	for s := 0; s < 16; s++ {
-		d := 15 - s
-		if s != d && h.Send(&Packet{Src: s, Dst: d}) {
-			sent++
-		}
-	}
-	drive(t, h, 1000)
-	if count != sent {
-		t.Fatalf("delivered %d of %d after faults", count, sent)
-	}
-}
-
-func TestHypercubePartitioning(t *testing.T) {
-	h := NewHypercube(3, 8)
-	// Split on the high bit: two independent 4-node machines.
-	part := make([]int, 8)
-	for i := range part {
-		part[i] = i >> 2
-	}
-	h.Partition(part)
-	h.RecomputeTables()
-	if h.Send(&Packet{Src: 0, Dst: 5}) {
-		t.Fatal("cross-partition send must be refused")
-	}
-	ok := 0
-	h.SetDelivery(func(p *Packet) { ok++ })
-	if !h.Send(&Packet{Src: 0, Dst: 3}) || !h.Send(&Packet{Src: 4, Dst: 7}) {
-		t.Fatal("intra-partition sends must be accepted")
-	}
-	drive(t, h, 100)
-	if ok != 2 {
-		t.Fatalf("delivered %d of 2", ok)
-	}
-	if h.Stats().Refused.Value() != 1 {
-		t.Fatalf("refused = %d, want 1", h.Stats().Refused.Value())
-	}
-}
-
 func TestHammingDistanceProperty(t *testing.T) {
 	if err := quick.Check(func(a, b uint8) bool {
 		d := HammingDistance(int(a), int(b))

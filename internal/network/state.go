@@ -141,8 +141,8 @@ func loadQueue(d *sim.Dec, q *queue, pc PayloadCodec) int {
 	return n
 }
 
-// saveIntSlice appends a fixed-shape int slice (round-robin pointers,
-// partition assignments) whose length is configuration.
+// saveIntSlice appends a fixed-shape int slice (round-robin pointers)
+// whose length is configuration.
 func saveIntSlice(e *sim.Enc, v []int) {
 	for _, x := range v {
 		e.Int(x)
@@ -261,22 +261,14 @@ func (m *Mesh) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 	return d.Err()
 }
 
-// SaveTo appends the hypercube's dynamic state, including the runtime
-// topology mutations (link faults, partitions, table routing): the
-// emulation facility changes these between phases, so a checkpoint must
-// carry them.
+// SaveTo appends the hypercube's dynamic state. Version 2 dropped the
+// link-fault, partition and routing-table fields of version 1 when the
+// fabric became e-cube only.
 func (h *Hypercube) SaveTo(e *sim.Enc, pc PayloadCodec) {
-	e.Tag("net.cube", 1)
+	e.Tag("net.cube", 2)
 	e.Cycle(h.now)
 	e.Int(h.pending)
 	saveIntSlice(e, h.rr)
-	for _, row := range h.alive {
-		for _, a := range row {
-			e.Bool(a)
-		}
-	}
-	saveIntSlice(e, h.partition)
-	e.Bool(h.table != nil)
 	for _, qs := range h.in {
 		for _, q := range qs {
 			saveQueue(e, q, pc)
@@ -285,27 +277,14 @@ func (h *Hypercube) SaveTo(e *sim.Enc, pc PayloadCodec) {
 	h.stats.Save(e)
 }
 
-// LoadFrom restores the hypercube's dynamic state. Routing tables are a
-// deterministic function of the live links and partitions, so only their
-// presence is encoded; they are recomputed on load.
+// LoadFrom restores the hypercube's dynamic state.
 func (h *Hypercube) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
-	if err := d.Tag("net.cube", 1); err != nil {
+	if err := d.Tag("net.cube", 2); err != nil {
 		return err
 	}
 	h.now = d.Cycle()
 	h.pending = d.Int()
 	loadIntSlice(d, h.rr)
-	for _, row := range h.alive {
-		for k := range row {
-			row[k] = d.Bool()
-		}
-	}
-	loadIntSlice(d, h.partition)
-	if d.Bool() {
-		h.RecomputeTables()
-	} else {
-		h.table = nil
-	}
 	got := 0
 	for _, qs := range h.in {
 		for _, q := range qs {

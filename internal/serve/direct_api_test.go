@@ -124,12 +124,18 @@ func TestDirectRunFailures422(t *testing.T) {
 // on the backend as a bad size, and one inside it that the job's cells
 // cannot hold exhausts the I-structure space, so the service answers 422
 // instead of exhausting its memory (direct, interp) or caching an array
-// narrowed to 32 bits (ttda), and stays healthy afterwards.
+// narrowed to 32 bits (ttda). A recursion that never returns exhausts the
+// job's contexts (graph.ContextBudget) long before its cycle budget, even
+// at the 500M cap. Nothing is cached, and the service stays healthy.
 func TestOversizedAllocation422(t *testing.T) {
 	s := newTestServer(t, Options{})
+	const recursion = `"program":"def f(x) = f(x + 1); def main(n) = f(n);","args":[0]`
 	cases := []struct {
 		name, body, msg string
 	}{
+		{"direct recursion", `{"kind":"minid","machine":"direct",` + recursion + `}`, "context space exhausted"},
+		{"interp recursion, 500M cycles", `{"kind":"minid","machine":"interp",` + recursion + `,"config":{"max_cycles":500000000}}`, "context space exhausted"},
+		{"ttda recursion, 500M cycles", `{"kind":"minid","machine":"ttda",` + recursion + `,"config":{"max_cycles":500000000}}`, "context space exhausted"},
 		{"direct array(1e12)", `{"kind":"minid","machine":"direct","program":"def main(n) = { a = array(n); a[0] };","args":[1000000000000]}`, "bad size"},
 		{"ttda array(2^32+5)", `{"kind":"minid","machine":"ttda","program":"def main(n) = { a = array(n); len(a) };","args":[4294967301]}`, "bad size"},
 		{"direct array(2^32-1)", `{"kind":"minid","machine":"direct","program":"def main(n) = { a = array(n); a[0] };","args":[4294967295]}`, "space exhausted"},
@@ -143,5 +149,8 @@ func TestOversizedAllocation422(t *testing.T) {
 			}
 			assertHealthy(t, s)
 		})
+	}
+	if st := s.Stats(); st.Cache.Entries != 1 {
+		t.Errorf("%d cache entries; want only the ordinary request's", st.Cache.Entries)
 	}
 }
