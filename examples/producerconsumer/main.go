@@ -84,9 +84,9 @@ func main() {
 
 	// The controller-level contrast with busy-waiting (paper footnote 2).
 	fmt.Println("\nstorage-controller view (producer writes one element every 8 cycles):")
-	im := istructure.New(istructure.Config{Size: n, Respond: func(istructure.Response) {}})
+	im := istructure.New(n, func(istructure.Response) {})
 	var hm *istructure.HEPModule
-	hm = istructure.NewHEP(0, n, 1, func(r istructure.HEPResponse) {
+	hm = istructure.NewHEP(n, func(r istructure.HEPResponse) {
 		if !r.OK {
 			hm.Enqueue(istructure.Request{Op: istructure.OpRead, Addr: r.Addr, ReplyTo: r.ReplyTo})
 		}

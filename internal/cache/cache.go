@@ -32,38 +32,50 @@ type line struct {
 	lru   uint64
 }
 
-// Config parameterizes the cache system.
-type Config struct {
-	// Sets and Ways shape each private cache; BlockWords is the line size
-	// in words (addresses are word-granular).
-	Sets, Ways, BlockWords int
-	// BusTime is the bus occupancy of one transaction; MemTime is the
-	// extra occupancy when data comes from memory rather than a cache.
-	BusTime, MemTime sim.Cycle
-	// HitTime is the cache access time on a hit.
-	HitTime sim.Cycle
+// Cache geometry and timing, the same for both coherence schemes. Each
+// private cache has sets × ways lines of blockWords words (addresses are
+// word-granular). A bus transaction occupies the bus for busTime cycles,
+// plus memTime when the data comes from memory rather than a cache; the
+// directory charges memTime the same way. A hit takes hitTime.
+const (
+	sets       = 64
+	ways       = 2
+	blockWords = 4
+
+	busTime sim.Cycle = 4
+	memTime sim.Cycle = 10
+	hitTime sim.Cycle = 1
+)
+
+// blockOf maps a word address to its block.
+func blockOf(addr uint32) uint32 { return addr / blockWords }
+
+// findLine returns the line of private cache c holding block, or nil.
+func findLine(c []line, block uint32) *line {
+	set := int(block%sets) * ways
+	for w := set; w < set+ways; w++ {
+		if l := &c[w]; l.state != invalid && l.tag == block {
+			return l
+		}
+	}
+	return nil
 }
 
-func (c Config) withDefaults() Config {
-	if c.Sets == 0 {
-		c.Sets = 64
+// victim picks the line of private cache c to fill with block: an invalid
+// way of its set, else the least recently used.
+func victim(c []line, block uint32) *line {
+	set := int(block%sets) * ways
+	var v *line
+	for w := set; w < set+ways; w++ {
+		l := &c[w]
+		if l.state == invalid {
+			return l
+		}
+		if v == nil || l.lru < v.lru {
+			v = l
+		}
 	}
-	if c.Ways == 0 {
-		c.Ways = 2
-	}
-	if c.BlockWords == 0 {
-		c.BlockWords = 4
-	}
-	if c.BusTime == 0 {
-		c.BusTime = 4
-	}
-	if c.MemTime == 0 {
-		c.MemTime = 10
-	}
-	if c.HitTime == 0 {
-		c.HitTime = 1
-	}
-	return c
+	return v
 }
 
 // Access is one outstanding processor request.
@@ -95,7 +107,6 @@ func (s *CacheStats) MissRate() float64 {
 // coherent by a snoopy bus. Each processor has one outstanding access; the
 // bus serializes all misses and upgrades.
 type System struct {
-	cfg    Config
 	caches [][]line // [cpu][set*ways+way]
 	stats  []CacheStats
 
@@ -129,10 +140,8 @@ type System struct {
 func (s *System) Attach(w sim.Waker) { s.waker = w }
 
 // NewSystem returns a coherent cache system for n processors.
-func NewSystem(cfg Config, n int) *System {
-	cfg = cfg.withDefaults()
+func NewSystem(n int) *System {
 	s := &System{
-		cfg:      cfg,
 		caches:   make([][]line, n),
 		stats:    make([]CacheStats, n),
 		memory:   map[uint32]int64{},
@@ -141,7 +150,7 @@ func NewSystem(cfg Config, n int) *System {
 		busOwner: -1,
 	}
 	for i := range s.caches {
-		s.caches[i] = make([]line, cfg.Sets*cfg.Ways)
+		s.caches[i] = make([]line, sets*ways)
 	}
 	return s
 }
@@ -182,38 +191,6 @@ func (s *System) Poke(addr uint32, v int64) { s.memory[addr] = v }
 // quiescent after FlushAll or for unshared data).
 func (s *System) Peek(addr uint32) int64 { return s.memory[addr] }
 
-func (s *System) blockOf(addr uint32) uint32 { return addr / uint32(s.cfg.BlockWords) }
-
-func (s *System) setOf(block uint32) int { return int(block) % s.cfg.Sets }
-
-// findLine returns cpu's line holding block, or nil.
-func (s *System) findLine(cpu int, block uint32) *line {
-	set := s.setOf(block)
-	for w := 0; w < s.cfg.Ways; w++ {
-		l := &s.caches[cpu][set*s.cfg.Ways+w]
-		if l.state != invalid && l.tag == block {
-			return l
-		}
-	}
-	return nil
-}
-
-// victim picks the LRU way in the block's set.
-func (s *System) victim(cpu int, block uint32) *line {
-	set := s.setOf(block)
-	var v *line
-	for w := 0; w < s.cfg.Ways; w++ {
-		l := &s.caches[cpu][set*s.cfg.Ways+w]
-		if l.state == invalid {
-			return l
-		}
-		if v == nil || l.lru < v.lru {
-			v = l
-		}
-	}
-	return v
-}
-
 // Step advances one cycle.
 func (s *System) Step(now sim.Cycle) {
 	s.settleThrough(now)
@@ -234,14 +211,14 @@ func (s *System) Step(now sim.Cycle) {
 			continue // hit in progress
 		}
 		a := s.reqs[cpu][0]
-		block := s.blockOf(a.Addr)
-		l := s.findLine(cpu, block)
+		block := blockOf(a.Addr)
+		l := findLine(s.caches[cpu], block)
 		if l != nil && (!a.Write && l.state != invalid || a.Write && l.state == modified) {
-			// pure cache hit: complete after HitTime without the bus
+			// pure cache hit: complete after hitTime without the bus
 			s.stats[cpu].Hits.Inc()
 			s.lruTick++
 			l.lru = s.lruTick
-			s.hitDone[cpu] = now + s.cfg.HitTime
+			s.hitDone[cpu] = now + hitTime
 			s.finish(cpu, a)
 			continue
 		}
@@ -256,16 +233,16 @@ func (s *System) Step(now sim.Cycle) {
 				continue
 			}
 			a := s.reqs[cpu][0]
-			block := s.blockOf(a.Addr)
-			l := s.findLine(cpu, block)
+			block := blockOf(a.Addr)
+			l := findLine(s.caches[cpu], block)
 			if l != nil && (!a.Write || l.state == modified) {
 				continue // a hit, handled above next cycle
 			}
 			// start transaction
-			dur := s.cfg.BusTime
+			dur := busTime
 			if l == nil || l.state == invalid {
 				if !s.suppliedByPeer(cpu, block) {
-					dur += s.cfg.MemTime
+					dur += memTime
 				}
 			}
 			s.busOwner = cpu
@@ -295,7 +272,7 @@ func (s *System) NextEvent(now sim.Cycle) sim.Cycle {
 			t = s.hitDone[cpu]
 		} else {
 			a := s.reqs[cpu][0]
-			l := s.findLine(cpu, s.blockOf(a.Addr))
+			l := findLine(s.caches[cpu], blockOf(a.Addr))
 			if l != nil && (!a.Write && l.state != invalid || a.Write && l.state == modified) {
 				return now // hit ready to service
 			}
@@ -347,7 +324,7 @@ func (s *System) suppliedByPeer(cpu int, block uint32) bool {
 		if other == cpu {
 			continue
 		}
-		if s.findLine(other, block) != nil {
+		if findLine(s.caches[other], block) != nil {
 			return true
 		}
 	}
@@ -361,13 +338,13 @@ func (s *System) completeMiss(cpu int, now sim.Cycle) {
 		return
 	}
 	a := s.reqs[cpu][0]
-	block := s.blockOf(a.Addr)
+	block := blockOf(a.Addr)
 	// snoop: writes invalidate every other copy; reads downgrade M to S
 	for other := range s.caches {
 		if other == cpu {
 			continue
 		}
-		if ol := s.findLine(other, block); ol != nil {
+		if ol := findLine(s.caches[other], block); ol != nil {
 			if a.Write {
 				if ol.state == modified {
 					s.stats[other].Writebacks.Inc()
@@ -380,9 +357,9 @@ func (s *System) completeMiss(cpu int, now sim.Cycle) {
 			}
 		}
 	}
-	l := s.findLine(cpu, block)
+	l := findLine(s.caches[cpu], block)
 	if l == nil {
-		l = s.victim(cpu, block)
+		l = victim(s.caches[cpu], block)
 		if l.state == modified {
 			s.stats[cpu].Writebacks.Inc()
 		}

@@ -20,7 +20,7 @@ func settle(t *testing.T, s *System, limit int) int {
 }
 
 func TestReadMissThenHit(t *testing.T) {
-	s := NewSystem(Config{}, 1)
+	s := NewSystem(1)
 	s.Poke(100, 7)
 	var got int64
 	s.Request(0, Access{Addr: 100, Done: func(v int64) { got = v }})
@@ -39,7 +39,7 @@ func TestReadMissThenHit(t *testing.T) {
 }
 
 func TestSpatialLocalityWithinBlock(t *testing.T) {
-	s := NewSystem(Config{BlockWords: 4}, 1)
+	s := NewSystem(1)
 	for a := uint32(0); a < 4; a++ {
 		s.Request(0, Access{Addr: a, Done: func(int64) {}})
 	}
@@ -53,7 +53,7 @@ func TestSpatialLocalityWithinBlock(t *testing.T) {
 func TestWriteInvalidatesOtherCopies(t *testing.T) {
 	// The Censier-Feautrier requirement: a write to x must invalidate all
 	// other cached copies of x.
-	s := NewSystem(Config{}, 3)
+	s := NewSystem(3)
 	for cpu := 0; cpu < 3; cpu++ {
 		s.Request(cpu, Access{Addr: 50, Done: func(int64) {}})
 	}
@@ -79,7 +79,7 @@ func TestWriteInvalidatesOtherCopies(t *testing.T) {
 }
 
 func TestUpgradeCountsSeparately(t *testing.T) {
-	s := NewSystem(Config{}, 2)
+	s := NewSystem(2)
 	s.Request(0, Access{Addr: 10, Done: func(int64) {}})
 	s.Request(1, Access{Addr: 10, Done: func(int64) {}})
 	settle(t, s, 1000)
@@ -94,13 +94,17 @@ func TestUpgradeCountsSeparately(t *testing.T) {
 }
 
 func TestEvictionWritesBack(t *testing.T) {
-	// 1 set, 1 way: the second block evicts the first; a dirty line must
-	// write back.
-	s := NewSystem(Config{Sets: 1, Ways: 1, BlockWords: 1}, 1)
+	// Blocks sets×blockWords words apart share a set. With two ways the
+	// third block evicts the least recently used one, the dirty first
+	// block, which must write back.
+	const stride = sets * blockWords
+	s := NewSystem(1)
 	s.Request(0, Access{Addr: 0, Write: true, Value: 5, Done: func(int64) {}})
 	settle(t, s, 1000)
-	s.Request(0, Access{Addr: 1, Done: func(int64) {}})
-	settle(t, s, 1000)
+	for _, a := range []uint32{stride, 2 * stride} {
+		s.Request(0, Access{Addr: a, Done: func(int64) {}})
+		settle(t, s, 1000)
+	}
 	if s.Stats(0).Writebacks.Value() != 1 {
 		t.Fatalf("writebacks = %d, want 1", s.Stats(0).Writebacks.Value())
 	}
@@ -115,13 +119,13 @@ func TestEvictionWritesBack(t *testing.T) {
 func TestPingPongSharingCostsBusTransactions(t *testing.T) {
 	// Two processors alternately writing one cell ping-pong the line: every
 	// write needs the bus, unlike private data which hits after the first.
-	shared := NewSystem(Config{}, 2)
+	shared := NewSystem(2)
 	for i := 0; i < 20; i++ {
 		cpu := i % 2
 		shared.Request(cpu, Access{Addr: 7, Write: true, Value: int64(i), Done: func(int64) {}})
 		settle(t, shared, 10000)
 	}
-	private := NewSystem(Config{}, 2)
+	private := NewSystem(2)
 	for i := 0; i < 20; i++ {
 		cpu := i % 2
 		private.Request(cpu, Access{Addr: uint32(7 + cpu*1000), Write: true, Value: int64(i), Done: func(int64) {}})
@@ -140,7 +144,7 @@ func TestCoherenceSerializesSharedWrites(t *testing.T) {
 	// More sharers make the same per-processor write workload slower: the
 	// serialization cost the paper predicts.
 	cyclesFor := func(p int) int {
-		s := NewSystem(Config{}, p)
+		s := NewSystem(p)
 		// every processor writes the same cell 10 times
 		for round := 0; round < 10; round++ {
 			for cpu := 0; cpu < p; cpu++ {
@@ -158,7 +162,7 @@ func TestCoherenceSerializesSharedWrites(t *testing.T) {
 func TestLastWriteWins(t *testing.T) {
 	// Sequential writes from different processors: a final read sees the
 	// last committed value.
-	s := NewSystem(Config{}, 4)
+	s := NewSystem(4)
 	for i := 0; i < 4; i++ {
 		s.Request(i, Access{Addr: 11, Write: true, Value: int64(100 + i), Done: func(int64) {}})
 		settle(t, s, 10000)
@@ -174,7 +178,7 @@ func TestLastWriteWins(t *testing.T) {
 func TestInvariantHoldsUnderRandomTraffic(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		s := NewSystem(Config{Sets: 4, Ways: 2, BlockWords: 2}, 4)
+		s := NewSystem(4)
 		issued := 0
 		var invErr error
 		eng := sim.NewEngine()
@@ -185,7 +189,7 @@ func TestInvariantHoldsUnderRandomTraffic(t *testing.T) {
 			if issued < 200 && rng.Bool(0.3) {
 				cpu := rng.Intn(4)
 				s.Request(cpu, Access{
-					Addr:  uint32(rng.Intn(32)),
+					Addr:  crowdedAddr(rng, 2, 4),
 					Write: rng.Bool(0.5),
 					Value: int64(rng.Intn(1000)),
 				})
@@ -199,14 +203,14 @@ func TestInvariantHoldsUnderRandomTraffic(t *testing.T) {
 			}
 		}))
 		eng.Run(func() bool { return invErr != nil }, 3000)
-		return invErr == nil
+		return invErr == nil && statsOutcome(0, true, 4, s.Stats, 0).wbacks > 0
 	}, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestMissRateStat(t *testing.T) {
-	s := NewSystem(Config{}, 1)
+	s := NewSystem(1)
 	s.Request(0, Access{Addr: 0, Done: func(int64) {}})
 	settle(t, s, 100)
 	s.Request(0, Access{Addr: 0, Done: func(int64) {}})

@@ -18,7 +18,6 @@ import (
 // "all such schemes inevitably introduce overhead and/or decrease
 // parallelism".
 type DirectorySystem struct {
-	cfg Config
 	// netLatency is the one-way point-to-point message latency.
 	netLatency sim.Cycle
 
@@ -118,13 +117,11 @@ func (s *DirectorySystem) eventsNext() sim.Cycle {
 
 // NewDirectorySystem returns a directory-coherent system for n processors
 // with the given point-to-point latency.
-func NewDirectorySystem(cfg Config, n int, netLatency sim.Cycle) *DirectorySystem {
-	cfg = cfg.withDefaults()
+func NewDirectorySystem(n int, netLatency sim.Cycle) *DirectorySystem {
 	if netLatency < 1 {
 		netLatency = 1
 	}
 	s := &DirectorySystem{
-		cfg:        cfg,
 		netLatency: netLatency,
 		caches:     make([][]line, n),
 		stats:      make([]CacheStats, n),
@@ -135,7 +132,7 @@ func NewDirectorySystem(cfg Config, n int, netLatency sim.Cycle) *DirectorySyste
 		hitDone:    make([]sim.Cycle, n),
 	}
 	for i := range s.caches {
-		s.caches[i] = make([]line, cfg.Sets*cfg.Ways)
+		s.caches[i] = make([]line, sets*ways)
 	}
 	return s
 }
@@ -166,35 +163,6 @@ func (s *DirectorySystem) Poke(addr uint32, v int64) { s.memory[addr] = v }
 // Peek reads memory directly (quiescent state only).
 func (s *DirectorySystem) Peek(addr uint32) int64 { return s.memory[addr] }
 
-func (s *DirectorySystem) blockOf(addr uint32) uint32 { return addr / uint32(s.cfg.BlockWords) }
-func (s *DirectorySystem) setOf(block uint32) int     { return int(block) % s.cfg.Sets }
-
-func (s *DirectorySystem) findLine(cpu int, block uint32) *line {
-	set := s.setOf(block)
-	for w := 0; w < s.cfg.Ways; w++ {
-		l := &s.caches[cpu][set*s.cfg.Ways+w]
-		if l.state != invalid && l.tag == block {
-			return l
-		}
-	}
-	return nil
-}
-
-func (s *DirectorySystem) victim(cpu int, block uint32) *line {
-	set := s.setOf(block)
-	var v *line
-	for w := 0; w < s.cfg.Ways; w++ {
-		l := &s.caches[cpu][set*s.cfg.Ways+w]
-		if l.state == invalid {
-			return l
-		}
-		if v == nil || l.lru < v.lru {
-			v = l
-		}
-	}
-	return v
-}
-
 func (s *DirectorySystem) entry(block uint32) *dirEntry {
 	e := s.dir[block]
 	if e == nil {
@@ -218,13 +186,13 @@ func (s *DirectorySystem) Step(now sim.Cycle) {
 			continue
 		}
 		a := s.reqs[cpu][0]
-		block := s.blockOf(a.Addr)
-		l := s.findLine(cpu, block)
+		block := blockOf(a.Addr)
+		l := findLine(s.caches[cpu], block)
 		if l != nil && (!a.Write && l.state != invalid || a.Write && l.state == modified) {
 			s.stats[cpu].Hits.Inc()
 			s.lruTick++
 			l.lru = s.lruTick
-			s.hitDone[cpu] = now + s.cfg.HitTime
+			s.hitDone[cpu] = now + hitTime
 			s.finish(cpu, a)
 			continue
 		}
@@ -296,7 +264,7 @@ func (s *DirectorySystem) Settle(through sim.Cycle) { s.settleThrough(through) }
 
 // serve processes one directory request and schedules the reply.
 func (s *DirectorySystem) serve(now sim.Cycle, m dirMsg) {
-	block := s.blockOf(m.a.Addr)
+	block := blockOf(m.a.Addr)
 	e := s.entry(block)
 	extra := sim.Cycle(0)
 
@@ -305,7 +273,7 @@ func (s *DirectorySystem) serve(now sim.Cycle, m dirMsg) {
 		// a round trip for its acknowledgement
 		nInv := 0
 		if e.owner >= 0 && e.owner != m.cpu {
-			if ol := s.findLine(e.owner, block); ol != nil {
+			if ol := findLine(s.caches[e.owner], block); ol != nil {
 				ol.state = invalid
 				s.stats[e.owner].Invalidations.Inc()
 				s.stats[e.owner].Writebacks.Inc()
@@ -317,7 +285,7 @@ func (s *DirectorySystem) serve(now sim.Cycle, m dirMsg) {
 			if sh == m.cpu {
 				continue
 			}
-			if ol := s.findLine(sh, block); ol != nil {
+			if ol := findLine(s.caches[sh], block); ol != nil {
 				ol.state = invalid
 				s.stats[sh].Invalidations.Inc()
 			}
@@ -330,14 +298,14 @@ func (s *DirectorySystem) serve(now sim.Cycle, m dirMsg) {
 		}
 		hadCopy := e.sharers[m.cpu] || e.owner == m.cpu
 		if !hadCopy {
-			extra += s.cfg.MemTime
+			extra += memTime
 		}
 		e.sharers = map[int]bool{}
 		e.owner = m.cpu
 	} else {
 		if e.owner >= 0 && e.owner != m.cpu {
 			// fetch from the owner: forward + reply, plus downgrade
-			if ol := s.findLine(e.owner, block); ol != nil {
+			if ol := findLine(s.caches[e.owner], block); ol != nil {
 				ol.state = shared
 				s.stats[e.owner].Writebacks.Inc()
 			}
@@ -345,7 +313,7 @@ func (s *DirectorySystem) serve(now sim.Cycle, m dirMsg) {
 			e.owner = -1
 			extra = 2 * s.netLatency
 		} else if e.owner != m.cpu {
-			extra = s.cfg.MemTime
+			extra = memTime
 		}
 		e.sharers[m.cpu] = true
 	}
@@ -358,10 +326,10 @@ func (s *DirectorySystem) serve(now sim.Cycle, m dirMsg) {
 
 // install places the block in the requester's cache and completes.
 func (s *DirectorySystem) install(cpu int, a Access) {
-	block := s.blockOf(a.Addr)
-	l := s.findLine(cpu, block)
+	block := blockOf(a.Addr)
+	l := findLine(s.caches[cpu], block)
 	if l == nil {
-		l = s.victim(cpu, block)
+		l = victim(s.caches[cpu], block)
 		if l.state == modified {
 			s.stats[cpu].Writebacks.Inc()
 			// eviction: remove ourselves from the directory for the old block

@@ -23,7 +23,7 @@ func settleDir(t *testing.T, s *DirectorySystem, limit int) int {
 }
 
 func TestDirectoryReadMissThenHit(t *testing.T) {
-	s := NewDirectorySystem(Config{}, 2, 4)
+	s := NewDirectorySystem(2, 4)
 	s.Poke(10, 77)
 	var got int64
 	s.Request(0, Access{Addr: 10, Done: func(v int64) { got = v }})
@@ -42,7 +42,7 @@ func TestDirectoryReadMissThenHit(t *testing.T) {
 }
 
 func TestDirectoryWriteInvalidatesSharers(t *testing.T) {
-	s := NewDirectorySystem(Config{}, 4, 4)
+	s := NewDirectorySystem(4, 4)
 	for cpu := 0; cpu < 4; cpu++ {
 		s.Request(cpu, Access{Addr: 5, Done: func(int64) {}})
 	}
@@ -64,7 +64,7 @@ func TestDirectoryWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestDirectoryOwnerForwarding(t *testing.T) {
-	s := NewDirectorySystem(Config{}, 2, 4)
+	s := NewDirectorySystem(2, 4)
 	s.Request(0, Access{Addr: 7, Write: true, Value: 9, Done: func(int64) {}})
 	settleDir(t, s, 2000)
 	var got int64
@@ -85,7 +85,7 @@ func TestDirectoryInvalidationCostGrowsWithSharers(t *testing.T) {
 	// The write latency to a block shared by k caches grows with k: the
 	// point-to-point serialization the paper's scaling argument predicts.
 	costFor := func(k int) int {
-		s := NewDirectorySystem(Config{}, k+1, 4)
+		s := NewDirectorySystem(k+1, 4)
 		for cpu := 1; cpu <= k; cpu++ {
 			s.Request(cpu, Access{Addr: 9, Done: func(int64) {}})
 		}
@@ -110,7 +110,7 @@ func TestDirectoryPrivateDataScales(t *testing.T) {
 	// Unshared traffic does not contend: per-access cost stays flat as
 	// processors are added... up to the serialized directory itself.
 	costFor := func(p int) float64 {
-		s := NewDirectorySystem(Config{}, p, 2)
+		s := NewDirectorySystem(p, 2)
 		const each = 40
 		for i := 0; i < each; i++ {
 			for cpu := 0; cpu < p; cpu++ {
@@ -129,7 +129,7 @@ func TestDirectoryPrivateDataScales(t *testing.T) {
 func TestDirectoryInvariantUnderRandomTraffic(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		s := NewDirectorySystem(Config{Sets: 4, Ways: 2, BlockWords: 2}, 4, 3)
+		s := NewDirectorySystem(4, 3)
 		issued := 0
 		var invErr error
 		eng := sim.NewEngine()
@@ -138,7 +138,7 @@ func TestDirectoryInvariantUnderRandomTraffic(t *testing.T) {
 		eng.Register(sim.ComponentFunc(func(now sim.Cycle) {
 			if issued < 150 && rng.Bool(0.2) {
 				s.Request(rng.Intn(4), Access{
-					Addr:  uint32(rng.Intn(24)),
+					Addr:  crowdedAddr(rng, 2, 3),
 					Write: rng.Bool(0.4),
 					Value: int64(rng.Intn(100)),
 				})
@@ -152,14 +152,14 @@ func TestDirectoryInvariantUnderRandomTraffic(t *testing.T) {
 			}
 		}))
 		eng.Run(func() bool { return invErr != nil }, 5000)
-		return invErr == nil && !s.Pending()
+		return invErr == nil && !s.Pending() && statsOutcome(0, true, 4, s.Stats, 0).wbacks > 0
 	}, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDirectoryLastWriteWins(t *testing.T) {
-	s := NewDirectorySystem(Config{}, 4, 3)
+	s := NewDirectorySystem(4, 3)
 	for i := 0; i < 4; i++ {
 		s.Request(i, Access{Addr: 11, Write: true, Value: int64(100 + i)})
 		settleDir(t, s, 100000)

@@ -39,7 +39,7 @@ func goldenWorkload(request func(cpu int, a Access)) {
 // TestGoldenSnoopy pins the snoopy-bus system's cycle count and coherence
 // traffic on the shared-hot-words workload.
 func TestGoldenSnoopy(t *testing.T) {
-	s := NewSystem(Config{}, 4)
+	s := NewSystem(4)
 	goldenWorkload(s.Request)
 	eng := sim.NewEngine()
 	eng.Register(s)
@@ -72,7 +72,7 @@ func TestGoldenSnoopy(t *testing.T) {
 
 // TestGoldenDirectory pins the directory system on the same workload.
 func TestGoldenDirectory(t *testing.T) {
-	s := NewDirectorySystem(Config{}, 4, 3)
+	s := NewDirectorySystem(4, 3)
 	goldenWorkload(s.Request)
 	eng := sim.NewEngine()
 	eng.Register(s)

@@ -13,6 +13,14 @@ import (
 // event-driven engine (sim.Engine.Run). The workload is queued up front so
 // both runs see exactly the same request stream.
 
+// crowdedAddr draws a word address from the first nsets sets, ntags blocks
+// to a set. Blocks sets×blockWords words apart share a set, so traffic over
+// more tags than ways evicts at the fixed geometry.
+func crowdedAddr(rng *sim.RNG, nsets, ntags int) uint32 {
+	tag, set, word := rng.Intn(ntags), rng.Intn(nsets), rng.Intn(blockWords)
+	return uint32((tag*sets+set)*blockWords + word)
+}
+
 type cacheOutcome struct {
 	elapsed  sim.Cycle
 	ok       bool
@@ -34,7 +42,7 @@ func randomStream(rng *sim.RNG, cpus, n int) accessStream {
 	for i := 0; i < n; i++ {
 		st.cpu = append(st.cpu, rng.Intn(cpus))
 		st.acc = append(st.acc, Access{
-			Addr:  uint32(rng.Intn(40)),
+			Addr:  crowdedAddr(rng, 2, 5),
 			Write: rng.Bool(0.4),
 			Value: int64(rng.Intn(1000)),
 		})
@@ -56,7 +64,7 @@ func statsOutcome(elapsed sim.Cycle, ok bool, cpus int, stats func(int) *CacheSt
 }
 
 func runSnoopyOnce(st accessStream, cpus int, evented bool) (cacheOutcome, uint64, float64) {
-	s := NewSystem(Config{Sets: 4, Ways: 2, BlockWords: 2}, cpus)
+	s := NewSystem(cpus)
 	var sum int64
 	for i := range st.acc {
 		a := st.acc[i]
@@ -80,7 +88,7 @@ func runSnoopyOnce(st accessStream, cpus int, evented bool) (cacheOutcome, uint6
 }
 
 func runDirectoryOnce(st accessStream, cpus int, netLat sim.Cycle, evented bool) (cacheOutcome, uint64, int64, float64) {
-	s := NewDirectorySystem(Config{Sets: 4, Ways: 2, BlockWords: 2}, cpus, netLat)
+	s := NewDirectorySystem(cpus, netLat)
 	var sum int64
 	for i := range st.acc {
 		a := st.acc[i]
@@ -107,7 +115,7 @@ func runDirectoryOnce(st accessStream, cpus int, netLat sim.Cycle, evented bool)
 // system wrapped in simtest.IdleSkipper: Steps its own NextEvent declares
 // idle are suppressed, which must not change any observable.
 func runSnoopySkipping(st accessStream, cpus int) (cacheOutcome, uint64, float64, uint64) {
-	s := NewSystem(Config{Sets: 4, Ways: 2, BlockWords: 2}, cpus)
+	s := NewSystem(cpus)
 	var sum int64
 	for i := range st.acc {
 		a := st.acc[i]
@@ -125,7 +133,7 @@ func runSnoopySkipping(st accessStream, cpus int) (cacheOutcome, uint64, float64
 
 // runDirectorySkipping is the directory-protocol variant.
 func runDirectorySkipping(st accessStream, cpus int, netLat sim.Cycle) (cacheOutcome, uint64, int64, float64, uint64) {
-	s := NewDirectorySystem(Config{Sets: 4, Ways: 2, BlockWords: 2}, cpus, netLat)
+	s := NewDirectorySystem(cpus, netLat)
 	var sum int64
 	for i := range st.acc {
 		a := st.acc[i]
@@ -154,6 +162,9 @@ func TestSnoopyIdleStepIsANoOp(t *testing.T) {
 		if !exOut.ok {
 			t.Fatalf("seed %d: exhaustive run hit the cycle limit", seed)
 		}
+		if exOut.wbacks == 0 {
+			t.Fatalf("seed %d: no writeback, so no dirty line was ever evicted or downgraded", seed)
+		}
 		if exOut != skOut || exBus != skBus || exFrac != skFrac {
 			t.Errorf("seed %d (cpus=%d): an idle snoopy Step was not a no-op\nexhaustive: %+v bus=%d frac=%v\nskipping:   %+v bus=%d frac=%v",
 				seed, cpus, exOut, exBus, exFrac, skOut, skBus, skFrac)
@@ -179,6 +190,9 @@ func TestDirectoryIdleStepIsANoOp(t *testing.T) {
 		if !exOut.ok {
 			t.Fatalf("seed %d: exhaustive run hit the cycle limit", seed)
 		}
+		if exOut.wbacks == 0 {
+			t.Fatalf("seed %d: no writeback, so no dirty line was ever evicted or downgraded", seed)
+		}
 		if exOut != skOut || exOps != skOps || exMax != skMax || exMean != skMean {
 			t.Errorf("seed %d (cpus=%d netLat=%d): an idle directory Step was not a no-op\nexhaustive: %+v ops=%d qmax=%d qmean=%v\nskipping:   %+v ops=%d qmax=%d qmean=%v",
 				seed, cpus, netLat, exOut, exOps, exMax, exMean, skOut, skOps, skMax, skMean)
@@ -200,6 +214,9 @@ func TestSnoopyEngineMatchesExhaustive(t *testing.T) {
 		if !exOut.ok {
 			t.Fatalf("seed %d: exhaustive run hit the cycle limit", seed)
 		}
+		if exOut.wbacks == 0 {
+			t.Fatalf("seed %d: no writeback, so no dirty line was ever evicted or downgraded", seed)
+		}
 		if exOut != evOut || exBus != evBus || exFrac != evFrac {
 			t.Errorf("seed %d (cpus=%d): evented snoopy run diverged\nexhaustive: %+v bus=%d frac=%v\nevented:    %+v bus=%d frac=%v",
 				seed, cpus, exOut, exBus, exFrac, evOut, evBus, evFrac)
@@ -217,6 +234,9 @@ func TestDirectoryEngineMatchesExhaustive(t *testing.T) {
 		evOut, evOps, evMax, evMean := runDirectoryOnce(st, cpus, netLat, true)
 		if !exOut.ok {
 			t.Fatalf("seed %d: exhaustive run hit the cycle limit", seed)
+		}
+		if exOut.wbacks == 0 {
+			t.Fatalf("seed %d: no writeback, so no dirty line was ever evicted or downgraded", seed)
 		}
 		if exOut != evOut || exOps != evOps || exMax != evMax || exMean != evMean {
 			t.Errorf("seed %d (cpus=%d netLat=%d): evented directory run diverged\nexhaustive: %+v ops=%d qmax=%d qmean=%v\nevented:    %+v ops=%d qmax=%d qmean=%v",

@@ -156,7 +156,7 @@ func checkResults(ct *counter, c *compiled) {
 	ts, err := runTTDA(c, 2, 4, false, 0, 0, false)
 	expect("ttda", ts.Result, err)
 
-	ev, err := runEmulator(c, 4)
+	ev, err := runEmulator(c)
 	expect("emulator", ev, err)
 
 	for _, k := range []int{1, 2} {

@@ -24,6 +24,15 @@ import (
 	"repro/internal/sim"
 )
 
+// ISCellsPerPE sizes each PE's I-structure module. Global addresses
+// interleave across PEs: address a lives on module a mod PEs, so a machine
+// holds ISCellsPerPE × PEs cells.
+const ISCellsPerPE = 1 << 16
+
+// controllerTime is the PE-controller service time for d=2 requests
+// (context and structure allocation).
+const controllerTime sim.Cycle = 2
+
 // Config parameterizes a Machine.
 type Config struct {
 	// PEs is the number of processing elements (minimum 1).
@@ -82,18 +91,6 @@ type Config struct {
 	// memory pressure the paper worries about.
 	MatchCapacity int
 
-	// ControllerTime is the PE-controller service time for d=2 requests
-	// (context and structure allocation); default 2 cycles.
-	ControllerTime sim.Cycle
-
-	// ISCellsPerPE sizes each PE's I-structure module (default 1<<16).
-	// Global addresses interleave across PEs: address a lives on module
-	// a mod PEs.
-	ISCellsPerPE uint32
-	// ISReadTime and ISWriteTime are controller occupancies; defaults 1
-	// and 2 (the paper's ratio).
-	ISReadTime, ISWriteTime sim.Cycle
-
 	// Trace, when non-nil, records machine events (instruction firings,
 	// I-structure traffic, manager operations) into a bounded ring.
 	Trace *Tracer
@@ -112,18 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OutputBandwidth < 1 {
 		c.OutputBandwidth = 2
-	}
-	if c.ControllerTime < 1 {
-		c.ControllerTime = 2
-	}
-	if c.ISCellsPerPE == 0 {
-		c.ISCellsPerPE = 1 << 16
-	}
-	if c.ISReadTime == 0 {
-		c.ISReadTime = 1
-	}
-	if c.ISWriteTime == 0 {
-		c.ISWriteTime = 2
 	}
 	if c.OpTime == nil {
 		c.OpTime = func(graph.Opcode) sim.Cycle { return 1 }

@@ -152,7 +152,7 @@ func newMachine(cfg Config, prog *graph.Program) *Machine {
 		prog:     prog,
 		nextCtx:  1,
 		ctxs:     make([]*ctxRecord, 1, 64),
-		isLimit:  cfg.ISCellsPerPE * uint32(cfg.PEs),
+		isLimit:  ISCellsPerPE * uint32(cfg.PEs),
 		peActive: make([]bool, cfg.PEs),
 		isActive: make([]bool, cfg.PEs),
 	}
@@ -172,13 +172,7 @@ func newMachine(cfg Config, prog *graph.Program) *Machine {
 	for i := 0; i < cfg.PEs; i++ {
 		m.pes[i] = newPE(m, i)
 		i := i
-		m.is[i] = istructure.New(istructure.Config{
-			Base:      0,
-			Size:      cfg.ISCellsPerPE,
-			ReadTime:  cfg.ISReadTime,
-			WriteTime: cfg.ISWriteTime,
-			Respond:   func(r istructure.Response) { m.isRespond(i, r) },
-		})
+		m.is[i] = istructure.New(ISCellsPerPE, func(r istructure.Response) { m.isRespond(i, r) })
 	}
 	shards := cfg.Shards
 	if cfg.Trace != nil {
@@ -455,6 +449,21 @@ func (m *Machine) fail(err error) {
 	}
 }
 
+// failIS records module id's single-assignment fault under the program's
+// global address. Modules sweep before PEs in every tick, so a sharded run
+// holds the fault beside its shard's log and commit applies it ahead of
+// every log: the first fault in sequential order wins in both modes.
+func (m *Machine) failIS(id int, local uint32) {
+	err := fmt.Errorf("core: store: address %d already written (single-assignment violation)", local*uint32(m.cfg.PEs)+uint32(id))
+	if m.shards == nil {
+		m.fail(err)
+		return
+	}
+	if sh := m.shards[m.shardOf[id]]; sh.isFault == nil {
+		sh.isFault, sh.isFaultTick = err, sh.now
+	}
+}
+
 // quiescent reports whether no work remains anywhere in the machine. With
 // active lists and the busy horizon this is O(1) instead of a scan over
 // every PE and module (O(shards) in sharded mode).
@@ -493,6 +502,9 @@ func (m *Machine) sweepISQ(now sim.Cycle, q *idQueue) sim.Cycle {
 			continue
 		}
 		mod.Step(now)
+		if a, bad := mod.Fault(); bad {
+			m.failIS(id, a)
+		}
 		if mod.Idle() {
 			m.isActive[id] = false
 			continue

@@ -70,6 +70,10 @@ type coreShard struct {
 	// folded into MachineStats at commit (the global order of a counter
 	// increment is immaterial).
 	isResponses uint64
+	// isFault is the first single-assignment fault this shard's modules
+	// met, at tick isFaultTick (see Machine.failIS).
+	isFault     error
+	isFaultTick sim.Cycle
 }
 
 type opKind uint8
@@ -140,7 +144,7 @@ func (sh *coreShard) StepWindow(from, until sim.Cycle, stepped []bool, base sim.
 		steps++
 		last = t
 		sh.Step(t)
-		if len(sh.ops) > 0 {
+		if len(sh.ops) > 0 || sh.isFault != nil {
 			return last, sim.Never, true, steps
 		}
 		nx := sh.isNext
@@ -257,6 +261,12 @@ func (m *Machine) setupShards(shards int) {
 // engine replays one production tick per call (clock rewound to it), and
 // the dirty-stop protocol guarantees a shard's log never mixes ticks.
 func (m *Machine) commitOps(now sim.Cycle) {
+	for _, sh := range m.shards {
+		if sh.isFault != nil && sh.isFaultTick <= now {
+			m.fail(sh.isFault)
+			sh.isFault = nil
+		}
+	}
 	for _, sh := range m.shards {
 		if sh.isResponses != 0 {
 			m.stats.ISResponses += sh.isResponses

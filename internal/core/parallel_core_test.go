@@ -3,8 +3,10 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/id"
 	"repro/internal/sim"
 	"repro/internal/token"
@@ -140,17 +142,57 @@ func TestShardedEngineCountersPinned(t *testing.T) {
 	}
 }
 
-// TestShardedErrorsMatchSequential runs the failure paths (deadlock,
-// stranded token) sharded: faults are deferred ops, so the parallel
-// machine must report the same class of error the sequential one does.
+// TestShardedErrorsMatchSequential runs failure paths sharded: faults are
+// deferred to commit (a module's single-assignment fault beside its
+// shard's log, ahead of it), so every shard count must report exactly
+// what the sequential machine reports and stop at the same cycle with the
+// same firings. Epoch windows must report the same error; they may stop
+// later, because the other shards step ahead inside the window before
+// the fault commits. The double write names the cell's global address:
+// on four PEs cell 5 lives on PE 1.
 func TestShardedErrorsMatchSequential(t *testing.T) {
-	prog, err := id.Compile(`def main(n) = (initial s <- 0 for i from 1 to n do new s <- s + i return s);`)
-	if err != nil {
-		t.Fatal(err)
+	type stop struct {
+		err   string
+		now   sim.Cycle
+		fired uint64
 	}
-	m := NewMachine(Config{PEs: 4, Shards: 2}, prog)
-	if _, err := m.Run(5, token.Int(1000)); err == nil {
-		t.Fatal("sharded run must still hit the cycle limit")
+	run := func(cfg Config, prog *graph.Program, limit sim.Cycle, arg int64) stop {
+		m := NewMachine(cfg, prog)
+		_, err := m.Run(limit, token.Int(arg))
+		s := stop{now: m.Now(), fired: m.Summarize().Fired}
+		if err != nil {
+			s.err = err.Error()
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name, src string
+		limit     sim.Cycle
+		arg       int64
+		want      string
+	}{
+		{"cycle limit", `def main(n) = (initial s <- 0 for i from 1 to n do new s <- s + i return s);`, 5, 1000, "did not finish within 5 cycles"},
+		{"double write", `def main(n) = { a = array(8); a[5] <- n; a[5] <- n + 1; a[5] };`, 100_000, 5,
+			"core: store: address 5 already written (single-assignment violation)"},
+	} {
+		prog, err := id.Compile(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := run(Config{PEs: 4}, prog, tc.limit, tc.arg)
+		if !strings.Contains(seq.err, tc.want) {
+			t.Fatalf("%s: sequential run gave %q, want %q", tc.name, seq.err, tc.want)
+		}
+		for _, shards := range []int{2, 4} {
+			if got := run(Config{PEs: 4, Shards: shards}, prog, tc.limit, tc.arg); got != seq {
+				t.Errorf("%s, %d shards: got %+v, want the sequential %+v", tc.name, shards, got, seq)
+			}
+		}
+		for _, window := range []int{-1, 4} {
+			if got := run(Config{PEs: 4, Shards: 2, EpochWindow: window}, prog, tc.limit, tc.arg); got.err != seq.err {
+				t.Errorf("%s, window %d: got %q, want the sequential %q", tc.name, window, got.err, seq.err)
+			}
+		}
 	}
 }
 

@@ -351,7 +351,7 @@ func (pe *PE) stepController(now sim.Cycle) {
 		return
 	}
 	r := pe.ctrlQ.Pop()
-	pe.ctrlBusyUntil = now + pe.m.cfg.ControllerTime
+	pe.ctrlBusyUntil = now + controllerTime
 	pe.noteBusy(pe.ctrlBusyUntil)
 	if pe.sh != nil {
 		pe.sh.push(shardOp{kind: opCtrl, pe: pe, in: r.in, act: r.act, vals: [2]token.Value{r.value}})

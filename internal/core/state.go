@@ -38,8 +38,16 @@ func saveReplyTag(e *sim.Enc, rt replyTag) {
 	e.U8(rt.nt)
 }
 
-func loadReplyTag(d *sim.Dec) replyTag {
-	return replyTag{activity: token.LoadActivity(d), port: d.U8(), nt: d.U8()}
+// loadReplyTag reads a FETCH continuation, failing the decoder unless it
+// names a statement of the program and an operand port.
+func (c isCodec) loadReplyTag(d *sim.Dec) replyTag {
+	rt := replyTag{activity: token.LoadActivity(d), port: d.U8(), nt: d.U8()}
+	if d.Err() == nil && rt.port > token.PortRight {
+		d.Failf("reply to operand port %d", rt.port)
+	} else if d.Err() == nil {
+		c.m.checkActivity(d, rt.activity)
+	}
+	return rt
 }
 
 // Save implements network.PayloadCodec for isRequest payloads.
@@ -62,7 +70,7 @@ func (c isCodec) Load(d *sim.Dec) interface{} {
 	}
 	switch r.op {
 	case istructure.OpRead:
-		r.replyTo = loadReplyTag(d)
+		r.replyTo = c.loadReplyTag(d)
 	case istructure.OpWrite:
 		r.value = token.LoadValue(d)
 	default:
@@ -83,7 +91,7 @@ func (c isCodec) LoadValue(d *sim.Dec) interface{} { return token.LoadValue(d) }
 func (c isCodec) SaveReply(e *sim.Enc, r interface{}) { saveReplyTag(e, r.(replyTag)) }
 
 // LoadReply implements istructure.Codec.
-func (c isCodec) LoadReply(d *sim.Dec) interface{} { return loadReplyTag(d) }
+func (c isCodec) LoadReply(d *sim.Dec) interface{} { return c.loadReplyTag(d) }
 
 // activityLess orders activity names for canonical hash-table dumps.
 func activityLess(a, b token.ActivityName) bool {
@@ -112,6 +120,28 @@ func (m *Machine) checkActivity(d *sim.Dec, a token.ActivityName) bool {
 		return false
 	}
 	return true
+}
+
+// checkToken fails the decoder unless a token, queued or in a packet, is
+// bound for one of the machine's PEs and names a statement of the program.
+func (m *Machine) checkToken(d *sim.Dec, t token.Token) {
+	if t.PE < 0 || t.PE >= m.cfg.PEs {
+		d.Failf("token for PE %d on a %d-PE machine", t.PE, m.cfg.PEs)
+		return
+	}
+	m.checkActivity(d, t.Tag.Activity)
+}
+
+// CheckToken implements network.TokenChecker.
+func (c isCodec) CheckToken(d *sim.Dec, t token.Token) { c.m.checkToken(d, t) }
+
+// loadToken reads a queued token (see checkToken).
+func (m *Machine) loadToken(d *sim.Dec) token.Token {
+	t := token.LoadToken(d)
+	if d.Err() == nil {
+		m.checkToken(d, t)
+	}
+	return t
 }
 
 // saveIDQueue writes one active list verbatim: stale entries (a PE kept by
@@ -235,7 +265,7 @@ func (pe *PE) savePE(e *sim.Enc, pc isCodec) {
 // loadPE restores one PE.
 func (pe *PE) loadPE(d *sim.Dec, pc isCodec) error {
 	m := pe.m
-	if err := sim.LoadFIFO(d, &pe.input, d.Remaining(), token.LoadToken); err != nil {
+	if err := sim.LoadFIFO(d, &pe.input, d.Remaining(), m.loadToken); err != nil {
 		return err
 	}
 
@@ -287,11 +317,11 @@ func (pe *PE) loadPE(d *sim.Dec, pc isCodec) error {
 	pe.ctrlBusyUntil = d.Cycle()
 	pe.matchBusyUntil = d.Cycle()
 	pe.lastStep = d.Cycle()
-	if err := sim.LoadFIFO(d, &pe.outQ, d.Remaining(), token.LoadToken); err != nil {
+	if err := sim.LoadFIFO(d, &pe.outQ, d.Remaining(), m.loadToken); err != nil {
 		return err
 	}
 	if err := sim.LoadFIFO(d, &pe.netRetry, d.Remaining(), func(d *sim.Dec) *network.Packet {
-		return network.LoadPacket(d, pc)
+		return network.LoadPacket(d, pc, m.cfg.PEs)
 	}); err != nil {
 		return err
 	}

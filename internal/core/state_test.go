@@ -233,3 +233,32 @@ func TestCheckpointRejectsOldFormat(t *testing.T) {
 		t.Fatalf("version 1 stream: got %v, want a section version error", err)
 	}
 }
+
+// TestReplyTagLoadChecksPortAndActivity: a FETCH continuation names the
+// statement and operand port its answer goes to. One outside the machine
+// must fail the decoder; restored, it panics when the module answers.
+func TestReplyTagLoadChecksPortAndActivity(t *testing.T) {
+	prog, err := id.Compile(workload.MatMulID)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	c := isCodec{NewMachine(Config{PEs: 4}, prog)}
+	blocks := uint16(len(prog.Blocks))
+	for _, tc := range []struct {
+		name string
+		rt   replyTag
+		ok   bool
+	}{
+		{"right port", replyTag{port: token.PortRight, nt: 2}, true},
+		{"port 2", replyTag{port: 2, nt: 2}, false},
+		{"block past the program", replyTag{activity: token.ActivityName{CodeBlock: blocks}, nt: 1}, false},
+	} {
+		var e sim.Enc
+		saveReplyTag(&e, tc.rt)
+		d := sim.NewDec(e.Bytes())
+		c.loadReplyTag(d)
+		if (d.Err() == nil) != tc.ok {
+			t.Errorf("%s: decoder error %v, want accepted=%v", tc.name, d.Err(), tc.ok)
+		}
+	}
+}

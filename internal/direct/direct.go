@@ -181,7 +181,7 @@ func (x *Exec) Fired() uint64 { return x.fired }
 // the values delivered by OpReturn in context 0, in delivery order.
 func (x *Exec) Run(args ...token.Value) ([]token.Value, error) {
 	if x.compileErr != nil {
-		return nil, x.compileErr
+		return nil, fmt.Errorf("direct: %w", x.compileErr)
 	}
 	if x.cg == nil {
 		return nil, fmt.Errorf("direct: nil plan")

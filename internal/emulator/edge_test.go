@@ -43,7 +43,7 @@ func TestOneNodeCube(t *testing.T) {
 			if err != nil {
 				t.Fatalf("interp: %v", err)
 			}
-			f, err := Build(Config{Nodes: 1}, prog)
+			f, err := Build(Config{}, prog)
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
@@ -64,29 +64,22 @@ func TestOneNodeCube(t *testing.T) {
 	}
 }
 
-// TestInvalidSizesErrorCleanly pins the error path: a hypercube has 2^k
-// corners, so non-power-of-two node counts and negative sizes must be
-// rejected with an error, not a panic or a silently defaulted machine.
+// TestInvalidSizesErrorCleanly pins the error path: a dimension outside
+// [0, maxDim] must be rejected with an error, not a panic or a silently
+// defaulted machine.
 func TestInvalidSizesErrorCleanly(t *testing.T) {
 	prog, _ := buildFor(t, workload.FibID, token.Int(1))
-	for _, nodes := range []int{3, 5, 6, 12, 100, -1} {
-		if _, err := Build(Config{Nodes: nodes}, prog); err == nil {
-			t.Errorf("Build accepted %d nodes", nodes)
+	for _, dim := range []int{-1, -2, maxDim + 1} {
+		if _, err := Build(Config{Dim: dim}, prog); err == nil {
+			t.Errorf("Build accepted dimension %d", dim)
 		}
 	}
-	if _, err := Build(Config{Dim: -2}, prog); err == nil {
-		t.Error("Build accepted a negative dimension")
-	}
-	if _, err := Build(Config{Dim: maxDim + 1}, prog); err == nil {
-		t.Error("Build accepted an absurd dimension")
-	}
-	// Valid sizes still build, and Nodes overrides Dim.
-	f, err := Build(Config{Nodes: 8, Dim: 2}, prog)
+	f, err := Build(Config{Dim: 3}, prog)
 	if err != nil {
-		t.Fatalf("Build(Nodes:8): %v", err)
+		t.Fatalf("Build(Dim: 3): %v", err)
 	}
 	if f.NumNodes() != 8 {
-		t.Fatalf("Nodes=8 built %d nodes", f.NumNodes())
+		t.Fatalf("Dim 3 built %d nodes", f.NumNodes())
 	}
 }
 
@@ -105,7 +98,7 @@ type twoNodeGolden struct {
 // TestTwoNodeGolden pins a 2-node run bit-for-bit.
 func TestTwoNodeGolden(t *testing.T) {
 	prog, args := buildFor(t, workload.SumLoopID, token.Int(12))
-	f, err := Build(Config{Nodes: 2}, prog)
+	f, err := Build(Config{Dim: 1}, prog)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

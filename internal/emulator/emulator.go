@@ -22,7 +22,6 @@ package emulator
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -34,46 +33,17 @@ import (
 // Config parameterizes the facility.
 type Config struct {
 	// Dim is the hypercube dimension: 2^Dim PE+switch modules. The
-	// paper's facility was 32 to 128 processors (dim 5 to 7).
+	// paper's facility was 32 to 128 processors (dim 5 to 7); dimension
+	// zero is a single module running the whole program.
 	Dim int
-	// Nodes, when non-zero, sets the module count directly and overrides
-	// Dim. It must be a power of two (a hypercube has 2^k corners); a
-	// single-node "cube" (Nodes=1, dimension zero) is valid and runs the
-	// whole program on one PE+switch module.
-	Nodes int
-	// MaxMessages bounds total message traffic as a runaway guard.
-	MaxMessages uint64
 }
 
 // maxDim bounds the cube: beyond 2^20 nodes the goroutine-per-node model
 // is certainly a configuration mistake.
 const maxDim = 20
 
-// resolve validates the size parameters and returns the effective
-// dimension.
-func (c Config) resolve() (Config, error) {
-	switch {
-	case c.Nodes < 0:
-		return c, fmt.Errorf("emulator: negative node count %d", c.Nodes)
-	case c.Nodes > 0:
-		if c.Nodes&(c.Nodes-1) != 0 {
-			return c, fmt.Errorf("emulator: node count %d is not a power of two (a %d-dim hypercube has 2^%d corners)",
-				c.Nodes, bits.Len(uint(c.Nodes)), bits.Len(uint(c.Nodes)))
-		}
-		c.Dim = bits.TrailingZeros(uint(c.Nodes))
-	case c.Dim < 0:
-		return c, fmt.Errorf("emulator: negative dimension %d", c.Dim)
-	case c.Dim == 0:
-		c.Dim = 5 // historical default: the paper's 32-processor facility
-	}
-	if c.Dim > maxDim {
-		return c, fmt.Errorf("emulator: dimension %d exceeds the %d-dim limit", c.Dim, maxDim)
-	}
-	if c.MaxMessages == 0 {
-		c.MaxMessages = 500_000_000
-	}
-	return c, nil
-}
+// maxMessages bounds total message traffic as a runaway guard.
+const maxMessages = 500_000_000
 
 // message is one packet between switch modules.
 type message struct {
@@ -100,7 +70,7 @@ type replyTag struct {
 
 // Facility is the assembled emulation machine.
 type Facility struct {
-	cfg   Config
+	dim   int
 	n     int
 	prog  *graph.Program
 	nodes []*node
@@ -200,17 +170,15 @@ func New(cfg Config, prog *graph.Program) *Facility {
 	return f
 }
 
-// Build validates cfg and assembles a facility for the program. Invalid
-// sizes — a non-power-of-two node count, a negative dimension — are
-// reported as errors.
+// Build validates cfg and assembles a facility for the program. A
+// dimension outside [0, maxDim] is reported as an error.
 func Build(cfg Config, prog *graph.Program) (*Facility, error) {
-	cfg, err := cfg.resolve()
-	if err != nil {
-		return nil, err
+	if cfg.Dim < 0 || cfg.Dim > maxDim {
+		return nil, fmt.Errorf("emulator: dimension %d outside [0, %d]", cfg.Dim, maxDim)
 	}
 	n := 1 << cfg.Dim
 	f := &Facility{
-		cfg:     cfg,
+		dim:     cfg.Dim,
 		n:       n,
 		prog:    prog,
 		nextCtx: 1,
@@ -280,7 +248,7 @@ func (f *Facility) recomputeTablesLocked() {
 		for len(q) > 0 {
 			cur := q[0]
 			q = q[1:]
-			for k := 0; k < f.cfg.Dim; k++ {
+			for k := 0; k < f.dim; k++ {
 				if !f.alive[cur][k] {
 					continue
 				}
@@ -321,7 +289,7 @@ func (f *Facility) finish() {
 
 // post enqueues a message at a node's switch, accounting a unit of work.
 func (f *Facility) post(at int, m message) {
-	if f.Messages.Add(1) > f.cfg.MaxMessages {
+	if f.Messages.Add(1) > maxMessages {
 		f.fail(fmt.Errorf("emulator: message budget exhausted"))
 		return
 	}

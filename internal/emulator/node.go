@@ -65,7 +65,7 @@ func (nd *node) handleIS(r *isRequest) {
 	}
 	if r.write {
 		if c.present {
-			nd.f.fail(fmt.Errorf("emulator: double write to address %d", r.addr))
+			nd.f.fail(fmt.Errorf("emulator: store: address %d already written (single-assignment violation)", r.addr))
 			return
 		}
 		c.present = true

@@ -28,7 +28,7 @@ func E3CacheCoherence(opt Options) Result {
 	invPerWrite.Name = "invalidations/write"
 
 	run := func(p int, sharedData bool) (cyclesPerAccess float64, invalidationsPerWrite float64, err error) {
-		s := cache.NewSystem(cache.Config{}, p)
+		s := cache.NewSystem(p)
 		rng := sim.NewRNG(42)
 		const accessesPerCPU = 120
 		writes := 0
@@ -92,7 +92,7 @@ func E3CacheCoherence(opt Options) Result {
 	dirPrivate.Name = "dir cycles/access private"
 	dirInv.Name = "dir invalidations/write"
 	runDir := func(p int, sharedData bool) (float64, float64, error) {
-		s := cache.NewDirectorySystem(cache.Config{}, p, 3)
+		s := cache.NewDirectorySystem(p, 3)
 		rng := sim.NewRNG(42)
 		const accessesPerCPU = 120
 		writes := 0

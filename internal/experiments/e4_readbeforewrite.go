@@ -236,7 +236,7 @@ func E4ReadBeforeWrite(opt Options) Result {
 // operations each performed.
 func deferVsPoll(n, gap int) (isOps, hepOps uint64) {
 	// I-structure: n reads arrive first and defer; writes trickle in.
-	im := istructure.New(istructure.Config{Size: uint32(n), Respond: func(istructure.Response) {}})
+	im := istructure.New(uint32(n), func(istructure.Response) {})
 	for i := 0; i < n; i++ {
 		im.Enqueue(istructure.Request{Op: istructure.OpRead, Addr: uint32(i), ReplyTo: i})
 	}
@@ -260,7 +260,7 @@ func deferVsPoll(n, gap int) (isOps, hepOps uint64) {
 
 	// HEP: each NACKed read is reissued immediately — busy waiting.
 	var hm *istructure.HEPModule
-	hm = istructure.NewHEP(0, uint32(n), 1, func(resp istructure.HEPResponse) {
+	hm = istructure.NewHEP(uint32(n), func(resp istructure.HEPResponse) {
 		if !resp.OK {
 			hm.Enqueue(istructure.Request{Op: istructure.OpRead, Addr: resp.Addr, ReplyTo: resp.ReplyTo})
 		}

@@ -62,7 +62,9 @@ func TestAllocateSizeBounds(t *testing.T) {
 // space: the TTDA's ISCellsPerPE × PEs, or graph.CellBudget on the
 // host-side backends. Contexts have one budget everywhere,
 // graph.ContextBudget per run: a recursion that never returns and a loop
-// that calls once per iteration both exhaust it.
+// that calls once per iteration both exhaust it. A second write to an
+// I-structure cell is the single-assignment fault everywhere, named by
+// the cell's global address (on four PEs, cell 5 lives on PE 1).
 func TestAllocateDispositions(t *testing.T) {
 	const sized = "def main(n) = { a = array(n); len(a) };"
 	const loop = `
@@ -94,6 +96,8 @@ def main(n) =
 		{"allocating loop", loop, 100, "space exhausted"},
 		{"unbounded recursion", recursion, 0, "context space exhausted"},
 		{"budget + 1 calls", calls, graph.ContextBudget + 1, "context space exhausted"},
+		{"double write", "def main(n) = { a = array(8); a[5] <- n; a[5] <- n + 1; a[5] };", 5,
+			"address 5 already written (single-assignment violation)"},
 	}
 	backends := []struct {
 		name string

@@ -13,15 +13,14 @@ import (
 // must retry — busy-waiting that consumes both controller and network
 // bandwidth. E4 measures that waste against I-structure deferral.
 type HEPModule struct {
-	base, size uint32
-	full       []bool
-	values     []interface{}
-	respond    func(HEPResponse)
+	size    uint32
+	full    []bool
+	values  []interface{}
+	respond func(HEPResponse)
 
-	serviceTime sim.Cycle
-	queue       []Request
-	busyUntil   sim.Cycle
-	stats       HEPStats
+	queue     []Request
+	busyUntil sim.Cycle
+	stats     HEPStats
 }
 
 // HEPResponse reports a read or write outcome; OK=false means the read
@@ -42,17 +41,13 @@ type HEPStats struct {
 	Busy    metrics.Counter
 }
 
-// NewHEP returns a full/empty memory serving [base, base+size).
-func NewHEP(base, size uint32, serviceTime sim.Cycle, respond func(HEPResponse)) *HEPModule {
-	if serviceTime == 0 {
-		serviceTime = 1
-	}
+// NewHEP returns a full/empty memory serving [0, size).
+func NewHEP(size uint32, respond func(HEPResponse)) *HEPModule {
 	return &HEPModule{
-		base: base, size: size,
-		full:        make([]bool, size),
-		values:      make([]interface{}, size),
-		respond:     respond,
-		serviceTime: serviceTime,
+		size:    size,
+		full:    make([]bool, size),
+		values:  make([]interface{}, size),
+		respond: respond,
 	}
 }
 
@@ -61,8 +56,8 @@ func (m *HEPModule) Stats() *HEPStats { return &m.stats }
 
 // Enqueue hands a request to the controller.
 func (m *HEPModule) Enqueue(r Request) error {
-	if r.Addr < m.base || r.Addr >= m.base+m.size {
-		return fmt.Errorf("istructure: address %d outside HEP module [%d,%d)", r.Addr, m.base, m.base+m.size)
+	if r.Addr >= m.size {
+		return fmt.Errorf("istructure: address %d outside HEP module [0,%d)", r.Addr, m.size)
 	}
 	m.queue = append(m.queue, r)
 	return nil
@@ -84,8 +79,8 @@ func (m *HEPModule) Step(now sim.Cycle) {
 	copy(m.queue, m.queue[1:])
 	m.queue = m.queue[:len(m.queue)-1]
 	m.stats.Busy.Inc()
-	m.busyUntil = now + m.serviceTime
-	i := r.Addr - m.base
+	m.busyUntil = now + readTime
+	i := r.Addr
 	switch r.Op {
 	case OpRead:
 		m.stats.Reads.Inc()
@@ -99,8 +94,5 @@ func (m *HEPModule) Step(now sim.Cycle) {
 		m.stats.Writes.Inc()
 		m.full[i] = true
 		m.values[i] = r.Value
-	case OpClear:
-		m.full[i] = false
-		m.values[i] = nil
 	}
 }

@@ -46,7 +46,14 @@ type Op uint8
 const (
 	OpRead Op = iota
 	OpWrite
-	OpClear // reset a cell to empty (structure reuse; errors if readers wait)
+)
+
+// Controller occupancy per operation: a read costs a conventional memory
+// access, and "write operations take twice as long ... due to the
+// prefetching of presence bits". A HEP full/empty access costs a read.
+const (
+	readTime  sim.Cycle = 1
+	writeTime sim.Cycle = 2
 )
 
 // Request is one packet-carried operation on I-structure storage. ReplyTo
@@ -98,8 +105,8 @@ type Stats struct {
 // handful; hashing makes construction allocation-free and run cost
 // proportional to the cells actually used, where the earlier page array
 // paid a headers slice sized for the whole address space per module.
-// Cells are never deleted (OpClear resets a cell in place), so the table
-// needs no tombstones or backward-shift machinery.
+// Cells are never deleted, so the table needs no tombstones or
+// backward-shift machinery.
 type cellTable struct {
 	keys []uint32
 	// idx[b] is the slab index of the entry in bucket b, or cellEmpty.
@@ -202,21 +209,21 @@ func (t *cellTable) grow() {
 }
 
 // Module is a cycle-stepped I-structure storage controller serving the
-// address range [Base, Base+Size). Requests queue at the controller; a
-// read occupies it for ReadTime cycles and a write for WriteTime cycles
-// ("write operations take twice as long ... due to the prefetching of
-// presence bits").
+// address range [0, size). Requests queue at the controller; a read
+// occupies it for readTime cycles and a write for writeTime cycles.
 type Module struct {
-	base, size uint32
-	cells      cellTable // touched cells only
-	respond    func(Response)
+	size    uint32
+	cells   cellTable // touched cells only
+	respond func(Response)
 
-	readTime, writeTime sim.Cycle
-	queue               sim.FIFO[Request]
-	busyUntil           sim.Cycle
-	lastStep            sim.Cycle // last cycle Step ran, for busy settlement
-	stats               Stats
-	strict              bool
+	queue     sim.FIFO[Request]
+	busyUntil sim.Cycle
+	lastStep  sim.Cycle // last cycle Step ran, for busy settlement
+	stats     Stats
+	// faulted marks the first write that found its cell already written,
+	// and fault names that cell (see Fault).
+	faulted bool
+	fault   uint32
 }
 
 // cellAt returns the cell for module-relative index i, materializing it
@@ -227,46 +234,13 @@ func (m *Module) cellAt(i uint32) *cell { return m.cells.get(i) }
 // it was never touched (state Empty, value nil).
 func (m *Module) peekCell(i uint32) *cell { return m.cells.lookup(i) }
 
-// Config parameterizes a module.
-type Config struct {
-	Base uint32
-	Size uint32
-	// ReadTime and WriteTime are the controller occupancy per operation;
-	// zero values default to 1 and 2 (the paper's ratio).
-	ReadTime  sim.Cycle
-	WriteTime sim.Cycle
-	// Respond receives fetched values (immediate or previously deferred).
-	Respond func(Response)
-	// Strict makes double writes an error (single-assignment discipline);
-	// when false, rewrites are counted but overwrite silently.
-	Strict bool
-}
-
-// New returns an I-structure module.
-func New(cfg Config) *Module {
-	if cfg.ReadTime == 0 {
-		cfg.ReadTime = 1
-	}
-	if cfg.WriteTime == 0 {
-		cfg.WriteTime = 2
-	}
-	m := &Module{
-		base:      cfg.Base,
-		size:      cfg.Size,
-		respond:   cfg.Respond,
-		readTime:  cfg.ReadTime,
-		writeTime: cfg.WriteTime,
-		strict:    cfg.Strict,
-	}
+// New returns an I-structure module of size cells; respond receives
+// fetched values (immediate or previously deferred).
+func New(size uint32, respond func(Response)) *Module {
+	m := &Module{size: size, respond: respond}
 	m.stats.DeferListLen = metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128)
 	return m
 }
-
-// Base returns the first address served.
-func (m *Module) Base() uint32 { return m.base }
-
-// Size returns the number of cells.
-func (m *Module) Size() uint32 { return m.size }
 
 // Stats returns the controller's measurements.
 func (m *Module) Stats() *Stats { return &m.stats }
@@ -277,11 +251,17 @@ func (m *Module) QueueLen() int { return m.queue.Len() }
 // OutstandingDeferred returns the number of reads currently deferred.
 func (m *Module) OutstandingDeferred() int { return int(m.stats.Outstanding.Level()) }
 
+// Fault reports the first single-assignment violation the controller met:
+// a write to a cell whose presence bits already say written. That write is
+// counted in Stats.Errors and dropped. ok is false while every write has
+// found its cell unwritten.
+func (m *Module) Fault() (addr uint32, ok bool) { return m.fault, m.faulted }
+
 // Enqueue hands a request to the controller. The caller is responsible for
 // routing: Addr must be in range.
 func (m *Module) Enqueue(r Request) error {
-	if r.Addr < m.base || r.Addr >= m.base+m.size {
-		return fmt.Errorf("istructure: address %d outside module [%d,%d)", r.Addr, m.base, m.base+m.size)
+	if r.Addr >= m.size {
+		return fmt.Errorf("istructure: address %d outside module [0,%d)", r.Addr, m.size)
 	}
 	m.queue.Push(r)
 	return nil
@@ -342,21 +322,18 @@ func (m *Module) Step(now sim.Cycle) {
 	m.stats.Busy.Inc()
 	switch r.Op {
 	case OpRead:
-		m.busyUntil = now + m.readTime
+		m.busyUntil = now + readTime
 		m.read(r)
 	case OpWrite:
-		m.busyUntil = now + m.writeTime
+		m.busyUntil = now + writeTime
 		m.write(r)
-	case OpClear:
-		m.busyUntil = now + m.writeTime
-		m.clear(r)
 	}
 }
 
 // read services a read request per Figure 2-1: present cells respond
 // immediately; empty cells defer the request on the cell's deferred list.
 func (m *Module) read(r Request) {
-	c := m.cellAt(r.Addr - m.base)
+	c := m.cellAt(r.Addr)
 	m.stats.Reads.Inc()
 	switch c.state {
 	case Present:
@@ -371,15 +348,17 @@ func (m *Module) read(r Request) {
 }
 
 // write services a write: store the datum, set the presence bits, and
-// satisfy every deferred reader.
+// satisfy every deferred reader. A write to a written cell is the
+// single-assignment fault: it is recorded (see Fault) and dropped.
 func (m *Module) write(r Request) {
-	c := m.cellAt(r.Addr - m.base)
+	c := m.cellAt(r.Addr)
 	m.stats.Writes.Inc()
 	if c.state == Present {
 		m.stats.Errors.Inc()
-		if m.strict {
-			panic(fmt.Sprintf("istructure: double write to address %d (single-assignment violation)", r.Addr))
+		if !m.faulted {
+			m.faulted, m.fault = true, r.Addr
 		}
+		return
 	}
 	if len(c.waiters) > 0 {
 		m.stats.DeferListLen.Observe(uint64(len(c.waiters)))
@@ -393,23 +372,9 @@ func (m *Module) write(r Request) {
 	c.value = r.Value
 }
 
-// clear resets a cell for structure reuse.
-func (m *Module) clear(r Request) {
-	c := m.cellAt(r.Addr - m.base)
-	if len(c.waiters) > 0 {
-		m.stats.Errors.Inc()
-		if m.strict {
-			panic(fmt.Sprintf("istructure: clear of address %d with %d deferred readers", r.Addr, len(c.waiters)))
-		}
-	}
-	c.state = Empty
-	c.value = nil
-	c.waiters = nil
-}
-
 // State reports a cell's presence state (for tests and dumps).
 func (m *Module) State(addr uint32) CellState {
-	if c := m.peekCell(addr - m.base); c != nil {
+	if c := m.peekCell(addr); c != nil {
 		return c.state
 	}
 	return Empty
@@ -417,7 +382,7 @@ func (m *Module) State(addr uint32) CellState {
 
 // Value reports a written cell's value, or nil.
 func (m *Module) Value(addr uint32) interface{} {
-	if c := m.peekCell(addr - m.base); c != nil {
+	if c := m.peekCell(addr); c != nil {
 		return c.value
 	}
 	return nil

@@ -20,7 +20,7 @@ func run(t *testing.T, m *Module, limit int) {
 
 func TestWriteThenRead(t *testing.T) {
 	var got []Response
-	m := New(Config{Size: 8, Respond: func(r Response) { got = append(got, r) }, Strict: true})
+	m := New(8, func(r Response) { got = append(got, r) })
 	m.Enqueue(Request{Op: OpWrite, Addr: 3, Value: 42})
 	m.Enqueue(Request{Op: OpRead, Addr: 3, ReplyTo: "reader"})
 	run(t, m, 20)
@@ -37,7 +37,7 @@ func TestWriteThenRead(t *testing.T) {
 
 func TestReadBeforeWriteIsDeferred(t *testing.T) {
 	var got []Response
-	m := New(Config{Size: 8, Respond: func(r Response) { got = append(got, r) }, Strict: true})
+	m := New(8, func(r Response) { got = append(got, r) })
 	m.Enqueue(Request{Op: OpRead, Addr: 5, ReplyTo: "early"})
 	run(t, m, 10)
 	if len(got) != 0 {
@@ -61,7 +61,7 @@ func TestMultipleDeferredReaders(t *testing.T) {
 	// as there may be more than one read of a particular address before
 	// the corresponding write."
 	var got []Response
-	m := New(Config{Size: 4, Respond: func(r Response) { got = append(got, r) }, Strict: true})
+	m := New(4, func(r Response) { got = append(got, r) })
 	for i := 0; i < 5; i++ {
 		m.Enqueue(Request{Op: OpRead, Addr: 1, ReplyTo: i})
 	}
@@ -89,47 +89,58 @@ func TestMultipleDeferredReaders(t *testing.T) {
 	}
 }
 
-func TestDoubleWritePanicsInStrictMode(t *testing.T) {
-	m := New(Config{Size: 2, Respond: func(Response) {}, Strict: true})
-	m.Enqueue(Request{Op: OpWrite, Addr: 0, Value: 1})
-	m.Enqueue(Request{Op: OpWrite, Addr: 0, Value: 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double write must panic in strict mode")
-		}
-	}()
-	run(t, m, 20)
-}
-
-func TestDoubleWriteCountedWhenNotStrict(t *testing.T) {
-	m := New(Config{Size: 2, Respond: func(Response) {}})
-	m.Enqueue(Request{Op: OpWrite, Addr: 0, Value: 1})
-	m.Enqueue(Request{Op: OpWrite, Addr: 0, Value: 2})
-	run(t, m, 20)
-	if m.Stats().Errors.Value() != 1 {
-		t.Fatalf("errors = %d, want 1", m.Stats().Errors.Value())
-	}
-	if m.Value(0) != 2 {
-		t.Fatalf("value = %v", m.Value(0))
-	}
-}
-
-func TestClearResetsCell(t *testing.T) {
+// TestDoubleWriteFaults: a second write to a cell is the single-assignment
+// fault of Figure 2-1. A standalone module reports the first one through
+// Fault without panicking, keeps the first value, and keeps serving
+// requests.
+func TestDoubleWriteFaults(t *testing.T) {
 	var got []Response
-	m := New(Config{Size: 2, Respond: func(r Response) { got = append(got, r) }, Strict: true})
-	m.Enqueue(Request{Op: OpWrite, Addr: 0, Value: 1})
-	m.Enqueue(Request{Op: OpClear, Addr: 0})
-	m.Enqueue(Request{Op: OpRead, Addr: 0, ReplyTo: "r"})
+	m := New(8, func(r Response) { got = append(got, r) })
+	m.Enqueue(Request{Op: OpWrite, Addr: 5, Value: 1})
+	m.Enqueue(Request{Op: OpWrite, Addr: 5, Value: 2})
+	m.Enqueue(Request{Op: OpWrite, Addr: 3, Value: 7})
+	m.Enqueue(Request{Op: OpWrite, Addr: 3, Value: 8})
+	m.Enqueue(Request{Op: OpRead, Addr: 5, ReplyTo: "r"})
 	run(t, m, 20)
-	if len(got) != 0 || m.State(0) != Deferred {
-		t.Fatalf("read after clear must defer; got %v, state %v", got, m.State(0))
+	if addr, ok := m.Fault(); !ok || addr != 5 {
+		t.Fatalf("Fault() = %d, %v; want the first violation, address 5", addr, ok)
+	}
+	if m.Value(5) != 1 || m.Value(3) != 7 {
+		t.Fatalf("values %v, %v: a faulting write must not overwrite", m.Value(5), m.Value(3))
+	}
+	if len(got) != 1 || got[0].Value != 1 {
+		t.Fatalf("read after the fault got %v, want the first write's value", got)
+	}
+	if _, ok := New(8, func(Response) {}).Fault(); ok {
+		t.Fatal("a fresh module reports a fault")
+	}
+}
+
+// TestDoubleWriteCountedInErrors: every write to a present cell counts in
+// Errors, not only the one Fault reports; first writes count none.
+func TestDoubleWriteCountedInErrors(t *testing.T) {
+	m := New(8, func(Response) {})
+	m.Enqueue(Request{Op: OpWrite, Addr: 5, Value: 1})
+	m.Enqueue(Request{Op: OpWrite, Addr: 3, Value: 7})
+	m.Enqueue(Request{Op: OpWrite, Addr: 5, Value: 2})
+	m.Enqueue(Request{Op: OpWrite, Addr: 3, Value: 8})
+	m.Enqueue(Request{Op: OpWrite, Addr: 5, Value: 3})
+	run(t, m, 20)
+	if m.Stats().Errors.Value() != 3 {
+		t.Fatalf("errors = %d, want 3", m.Stats().Errors.Value())
+	}
+	if m.Stats().Writes.Value() != 5 {
+		t.Fatalf("writes = %d, want 5", m.Stats().Writes.Value())
+	}
+	if addr, ok := m.Fault(); !ok || addr != 5 {
+		t.Fatalf("Fault() = %d, %v; want the first violation, address 5", addr, ok)
 	}
 }
 
 func TestWriteTakesTwiceAsLongAsRead(t *testing.T) {
 	// Paper: "A read operation is as efficient as in a traditional
 	// memory. Write operations take twice as long."
-	m := New(Config{Size: 8, Respond: func(Response) {}})
+	m := New(8, func(Response) {})
 	for i := uint32(0); i < 8; i++ {
 		m.Enqueue(Request{Op: OpWrite, Addr: i, Value: 1})
 	}
@@ -143,7 +154,7 @@ func TestWriteTakesTwiceAsLongAsRead(t *testing.T) {
 	}
 	// Drain fully including busy tail: 8 writes at 2 cycles each start at
 	// 0,2,4,...,14, so the last starts at cycle 14.
-	m2 := New(Config{Size: 8, Respond: func(Response) {}})
+	m2 := New(8, func(Response) {})
 	for i := uint32(0); i < 8; i++ {
 		m2.Enqueue(Request{Op: OpRead, Addr: i, ReplyTo: i})
 	}
@@ -161,14 +172,11 @@ func TestWriteTakesTwiceAsLongAsRead(t *testing.T) {
 }
 
 func TestAddressRangeChecked(t *testing.T) {
-	m := New(Config{Base: 100, Size: 10, Respond: func(Response) {}})
-	if err := m.Enqueue(Request{Op: OpRead, Addr: 99}); err == nil {
-		t.Fatal("below-range address must error")
+	m := New(10, func(Response) {})
+	if err := m.Enqueue(Request{Op: OpRead, Addr: 10}); err == nil {
+		t.Fatal("out-of-range address must error")
 	}
-	if err := m.Enqueue(Request{Op: OpRead, Addr: 110}); err == nil {
-		t.Fatal("above-range address must error")
-	}
-	if err := m.Enqueue(Request{Op: OpRead, Addr: 105}); err != nil {
+	if err := m.Enqueue(Request{Op: OpRead, Addr: 9}); err != nil {
 		t.Fatalf("in-range address rejected: %v", err)
 	}
 }
@@ -181,9 +189,9 @@ func TestPropertyEveryReadEventuallySatisfied(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		const size = 8
 		got := map[int]interface{}{}
-		m := New(Config{Size: size, Respond: func(r Response) {
+		m := New(size, func(r Response) {
 			got[r.ReplyTo.(int)] = r.Value
-		}, Strict: true})
+		})
 		written := [size]bool{}
 		reads := 0
 		// random schedule of 8 writes and 16 reads
@@ -232,7 +240,7 @@ func TestPropertyEveryReadEventuallySatisfied(t *testing.T) {
 
 func TestHEPReadOfEmptyIsNACKed(t *testing.T) {
 	var got []HEPResponse
-	m := NewHEP(0, 8, 1, func(r HEPResponse) { got = append(got, r) })
+	m := NewHEP(8, func(r HEPResponse) { got = append(got, r) })
 	m.Enqueue(Request{Op: OpRead, Addr: 2, ReplyTo: "r"})
 	for c := 0; c < 5; c++ {
 		m.Step(sim.Cycle(c))
@@ -250,7 +258,7 @@ func TestHEPBusyWaitEventuallySucceeds(t *testing.T) {
 	// controller operations — the cost I-structures avoid.
 	var value interface{}
 	pending := 0
-	m := NewHEP(0, 8, 1, nil)
+	m := NewHEP(8, nil)
 	retry := func(r HEPResponse) {
 		pending--
 		if r.OK {

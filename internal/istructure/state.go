@@ -9,12 +9,11 @@ import (
 // Checkpoint serialization. A module's opaque payloads — cell values,
 // queued request values, and ReplyTo continuations — serialize through a
 // Codec the owning machine supplies, mirroring network.PayloadCodec.
-// Construction-time configuration (base, size, service times, strictness,
-// the respond callback) is not serialized: state restores into a freshly
-// built module of identical shape. The cell table restores canonically:
-// entries are written in ascending index order and untouched (or cleared)
-// cells are skipped, which is observationally identical and keeps
-// encode→decode→encode byte-stable regardless of hash-table history.
+// Construction-time configuration (size and the respond callback) is not
+// serialized: state restores into a freshly built module of identical
+// shape. The cell table restores canonically: entries are written in
+// ascending index order, which keeps encode→decode→encode byte-stable
+// regardless of hash-table history.
 
 // Codec serializes a module's opaque Value and ReplyTo payloads.
 type Codec interface {
@@ -50,17 +49,17 @@ func saveRequest(e *sim.Enc, c Codec, r Request) {
 
 // loadRequest reads one queued request, validating the opcode and the
 // address range.
-func loadRequest(d *sim.Dec, c Codec, base, size uint32) Request {
+func loadRequest(d *sim.Dec, c Codec, size uint32) Request {
 	var r Request
 	r.Op = Op(d.U8())
 	r.Addr = d.U32()
 	r.Value = loadOpt(d, c.LoadValue)
 	r.ReplyTo = loadOpt(d, c.LoadReply)
 	if d.Err() == nil {
-		if r.Op > OpClear {
+		if r.Op > OpWrite {
 			d.Failf("invalid I-structure op %d", r.Op)
-		} else if r.Addr < base || r.Addr >= base+size {
-			d.Failf("queued request address %d outside module [%d,%d)", r.Addr, base, base+size)
+		} else if r.Addr >= size {
+			d.Failf("queued request address %d outside module [0,%d)", r.Addr, size)
 		}
 	}
 	return r
@@ -81,23 +80,17 @@ func (m *Module) SaveTo(e *sim.Enc, c Codec) {
 	m.stats.Busy.Save(e)
 	sim.SaveFIFO(e, &m.queue, func(e *sim.Enc, r Request) { saveRequest(e, c, r) })
 
-	// Touched cells in ascending index order. Cells cleared back to the
-	// zero state are skipped: their presence in the table is invisible to
-	// every observer.
+	// Touched cells in ascending index order. A touched cell is never
+	// Empty: a read defers on it and a write fills it.
 	type entry struct {
 		k uint32
 		c *cell
 	}
 	var ents []entry
 	for b, s := range m.cells.idx {
-		if s == cellEmpty {
-			continue
+		if s != cellEmpty {
+			ents = append(ents, entry{m.cells.keys[b], &m.cells.slab[s]})
 		}
-		cl := &m.cells.slab[s]
-		if cl.state == Empty && cl.value == nil && len(cl.waiters) == 0 {
-			continue
-		}
-		ents = append(ents, entry{m.cells.keys[b], cl})
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].k < ents[j].k })
 	e.Len(len(ents))
@@ -128,7 +121,7 @@ func (m *Module) LoadFrom(d *sim.Dec, c Codec) error {
 	m.stats.Outstanding.Load(d)
 	m.stats.Busy.Load(d)
 	if err := sim.LoadFIFO(d, &m.queue, d.Remaining(), func(d *sim.Dec) Request {
-		return loadRequest(d, c, m.base, m.size)
+		return loadRequest(d, c, m.size)
 	}); err != nil {
 		return err
 	}
@@ -157,7 +150,7 @@ func (m *Module) LoadFrom(d *sim.Dec, c Codec) error {
 			d.Failf("cell index %d outside module of %d cells", k, m.size)
 			return d.Err()
 		}
-		if st > Present {
+		if st == Empty || st > Present {
 			d.Failf("invalid cell state %d", st)
 			return d.Err()
 		}

@@ -18,17 +18,17 @@ import (
 	"repro/internal/vn"
 )
 
+// bankService is the per-request bank occupancy.
+const bankService sim.Cycle = 2
+
 // Config sizes the machine.
 type Config struct {
+	// Processors share Banks memory banks; addresses interleave
+	// word-by-word across the banks.
 	Processors int
 	Banks      int
-	// BankWords is the address space per bank; addresses interleave
-	// word-by-word across banks.
-	BankWords uint32
 	// SwitchDelay is the crossbar transit time.
 	SwitchDelay sim.Cycle
-	// BankService is the per-request bank occupancy.
-	BankService sim.Cycle
 	// Shards > 1 runs the processors on the conservative parallel kernel
 	// (sim.ParallelEngine), bit-identical to the sequential engine.
 	Shards int
@@ -41,14 +41,8 @@ func (c Config) withDefaults() Config {
 	if c.Banks == 0 {
 		c.Banks = 16
 	}
-	if c.BankWords == 0 {
-		c.BankWords = 1 << 16
-	}
 	if c.SwitchDelay == 0 {
 		c.SwitchDelay = 2
-	}
-	if c.BankService == 0 {
-		c.BankService = 2
 	}
 	return c
 }
@@ -128,7 +122,7 @@ func New(cfg Config, prog *vn.Program, contextsPerCore int) *Machine {
 	m.retry = network.NewRetryQueue(m.xbar.Send)
 	m.banks = make([]*vn.BankedMemory, cfg.Banks)
 	for b := range m.banks {
-		m.banks[b] = vn.NewBankedMemory(1, cfg.BankService)
+		m.banks[b] = vn.NewBankedMemory(1, bankService)
 	}
 	m.xbar.SetDelivery(m.deliver)
 	for p := 0; p < cfg.Processors; p++ {

@@ -110,7 +110,7 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 	}
 	resolve := m.resolver()
 	pc := payloadCodec{m: m, resolve: resolve}
-	if err := m.retry.LoadFrom(d, pc); err != nil {
+	if err := m.retry.LoadFrom(d, pc, m.xbar.Ports()); err != nil {
 		return err
 	}
 	if err := m.xbar.LoadFrom(d, pc); err != nil {

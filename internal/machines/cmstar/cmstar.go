@@ -17,6 +17,15 @@ import (
 	"repro/internal/vn"
 )
 
+// A cluster's map bus is occupied busService cycles per request and
+// answers in busLatency; the Kmap is occupied kmapService cycles per
+// remote request, charged at the source.
+const (
+	busService  sim.Cycle = 1
+	busLatency  sim.Cycle = 3
+	kmapService sim.Cycle = 4
+)
+
 // Config sizes the machine.
 type Config struct {
 	Clusters        int
@@ -24,13 +33,9 @@ type Config struct {
 	// ClusterWords is the memory per cluster; global address a lives in
 	// cluster a/ClusterWords.
 	ClusterWords uint32
-	// BusService is the cluster map-bus occupancy per request; BusLatency
-	// the access time.
-	BusService, BusLatency sim.Cycle
-	// KmapService is the Kmap occupancy per remote request (charged at
-	// the source); HopLatency is the per-cluster-hop transit time over
-	// the intercluster links (clusters form a chain: distance |i-j|).
-	KmapService, HopLatency sim.Cycle
+	// HopLatency is the per-cluster-hop transit time over the
+	// intercluster links (clusters form a chain: distance |i-j|).
+	HopLatency sim.Cycle
 	// Shards > 1 runs the processors on the conservative parallel kernel
 	// (sim.ParallelEngine), bit-identical to the sequential engine. The
 	// cluster buses, Kmap event pump, and all Request routing (including
@@ -48,15 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ClusterWords == 0 {
 		c.ClusterWords = 1 << 16
-	}
-	if c.BusService == 0 {
-		c.BusService = 1
-	}
-	if c.BusLatency == 0 {
-		c.BusLatency = 3
-	}
-	if c.KmapService == 0 {
-		c.KmapService = 4
 	}
 	if c.HopLatency == 0 {
 		c.HopLatency = 12
@@ -202,7 +198,7 @@ func New(cfg Config, prog *vn.Program) *Machine {
 	}
 	m.stats.RemoteLatency = metrics.NewHistogram(4, 8, 16, 32, 64, 128, 256, 512)
 	for c := 0; c < cfg.Clusters; c++ {
-		m.buses = append(m.buses, vn.NewBankedMemory(cfg.BusLatency, cfg.BusService))
+		m.buses = append(m.buses, vn.NewBankedMemory(busLatency, busService))
 		for k := 0; k < cfg.CoresPerCluster; k++ {
 			port := &clusterPort{m: m, cluster: c}
 			core := vn.NewCore(prog, port, 1)
@@ -302,7 +298,7 @@ func (p *clusterPort) Request(r vn.MemRequest) {
 	if m.kmapBusy[p.cluster] > start {
 		start = m.kmapBusy[p.cluster]
 	}
-	m.kmapBusy[p.cluster] = start + m.cfg.KmapService
+	m.kmapBusy[p.cluster] = start + kmapService
 	issued := m.engine.Now()
 	id := m.remoteSeq
 	m.remoteSeq++
@@ -311,7 +307,7 @@ func (p *clusterPort) Request(r vn.MemRequest) {
 	remote.Addr = local
 	remote.Ref = vn.DoneRef{Kind: doneRefRemoteReply, B: id}
 	remote.Done = m.remoteReplyDone(id)
-	at := start + m.cfg.KmapService + transit
+	at := start + kmapService + transit
 	m.kq.push(kmapEvent{at: at, target: target, req: remote})
 	m.engine.Wake(m.pump, at)
 }

@@ -41,22 +41,18 @@ type Config struct {
 	// Router picks the fabric: the CM hypercube or an Illiac-IV-style
 	// grid (requires LogPEs even for a square grid).
 	Router Router
-	// QueueCap bounds router buffers.
-	QueueCap int
-	// BitSerialWordBits scales compute-instruction cost: a w-bit
-	// operation on a 1-bit ALU takes w cycles.
-	BitSerialWordBits int
 }
+
+// Router buffers hold queueCap packets. wordBits scales instruction cost:
+// a wordBits-bit operation on a 1-bit ALU takes wordBits cycles.
+const (
+	queueCap = 8
+	wordBits = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.LogPEs == 0 {
 		c.LogPEs = 8
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 8
-	}
-	if c.BitSerialWordBits == 0 {
-		c.BitSerialWordBits = 16
 	}
 	return c
 }
@@ -97,13 +93,13 @@ func New(cfg Config, memWords int) *Machine {
 	m := &Machine{cfg: cfg, n: n}
 	switch cfg.Router {
 	case RouterHypercube:
-		m.net = network.NewHypercube(cfg.LogPEs, cfg.QueueCap)
+		m.net = network.NewHypercube(cfg.LogPEs, queueCap)
 	case RouterGrid:
 		side := 1 << (cfg.LogPEs / 2)
 		if side*side != n {
 			panic(fmt.Sprintf("connection: grid router needs a square PE count, got 2^%d", cfg.LogPEs))
 		}
-		m.net = network.NewMesh(side, side, true, cfg.QueueCap)
+		m.net = network.NewMesh(side, side, true, queueCap)
 	}
 	m.net.SetDelivery(func(p *network.Packet) {
 		m.pendingDeliver = append(m.pendingDeliver, p)
@@ -116,9 +112,9 @@ func New(cfg Config, memWords int) *Machine {
 	m.retry = network.NewRetryQueue(m.net.Send)
 	// One engine tick is one router step; the links are bit-serial, so a
 	// word-sized message occupies its link for a full word time and each
-	// tick costs BitSerialWordBits sequencer cycles.
+	// tick costs wordBits sequencer cycles.
 	m.engine = sim.NewEngine()
-	m.engine.SetStride(sim.Cycle(cfg.BitSerialWordBits))
+	m.engine.SetStride(wordBits)
 	m.engine.Register(&routePass{m: m})
 	return m
 }
@@ -131,7 +127,7 @@ func (r *routePass) Step(now sim.Cycle) {
 	m := r.m
 	m.retry.Drain()
 	m.net.Step(now)
-	m.RouteCycles.Add(uint64(m.cfg.BitSerialWordBits))
+	m.RouteCycles.Add(wordBits)
 	for _, p := range m.pendingDeliver {
 		m.deliver(p.Dst, p.Payload.(int64))
 		m.Routed.Inc()
@@ -153,15 +149,14 @@ func (m *Machine) NumPEs() int { return m.n }
 func (m *Machine) Mem(pe int) []int64 { return m.mem[pe] }
 
 // Compute broadcasts one word-wide compute instruction: f runs on every
-// cell (cells opt out by doing nothing), costing BitSerialWordBits cycles
-// of sequencer time — the 1-bit-ALU tax.
+// cell (cells opt out by doing nothing), costing wordBits cycles of
+// sequencer time — the 1-bit-ALU tax.
 func (m *Machine) Compute(f func(pe int, mem []int64)) {
 	for pe := 0; pe < m.n; pe++ {
 		f(pe, m.mem[pe])
 	}
-	w := uint64(m.cfg.BitSerialWordBits)
-	m.ComputeCycles.Add(w)
-	m.engine.Advance(sim.Cycle(w))
+	m.ComputeCycles.Add(wordBits)
+	m.engine.Advance(wordBits)
 }
 
 // Route broadcasts a routing instruction: every message is injected and
@@ -177,7 +172,7 @@ func (m *Machine) Route(msgs []Message, deliver func(to int, value int64)) sim.C
 	}
 	_, ok := m.engine.Run(func() bool {
 		return m.retry.Len() == 0 && m.net.Pending() == 0
-	}, 1_000_000*sim.Cycle(m.cfg.BitSerialWordBits))
+	}, 1_000_000*wordBits)
 	if !ok {
 		panic("connection: routing did not converge")
 	}

@@ -175,7 +175,7 @@ func TestLabelPropagationFindsComponents(t *testing.T) {
 }
 
 func TestBitSerialComputeCost(t *testing.T) {
-	m := newTestMachine(t, Config{LogPEs: 4, BitSerialWordBits: 16})
+	m := newTestMachine(t, Config{LogPEs: 4})
 	m.Compute(func(int, []int64) {})
 	if m.ComputeCycles.Value() != 16 {
 		t.Fatalf("16-bit op on 1-bit ALU must cost 16 cycles, got %d", m.ComputeCycles.Value())

@@ -41,8 +41,8 @@ func (m *Machine) SaveState(e *sim.Enc) {
 	e.Tag("connmach", 1)
 	e.Int(m.cfg.LogPEs)
 	e.U8(uint8(m.cfg.Router))
-	e.Int(m.cfg.QueueCap)
-	e.Int(m.cfg.BitSerialWordBits)
+	e.Int(queueCap)
+	e.Int(wordBits)
 	e.Int(len(m.mem[0]))
 	m.engine.SaveState(e)
 	for pe := range m.mem {
@@ -69,8 +69,8 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 	}{
 		{"log-pes", m.cfg.LogPEs},
 		{"router", int(m.cfg.Router)},
-		{"queue-cap", m.cfg.QueueCap},
-		{"word-bits", m.cfg.BitSerialWordBits},
+		{"queue-cap", queueCap},
+		{"word-bits", wordBits},
 		{"mem-words", len(m.mem[0])},
 	}
 	for _, s := range shape {
@@ -99,7 +99,7 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 	if err := m.net.(network.Checkpointable).LoadFrom(d, wordCodec{}); err != nil {
 		return err
 	}
-	if err := m.retry.LoadFrom(d, wordCodec{}); err != nil {
+	if err := m.retry.LoadFrom(d, wordCodec{}, m.n); err != nil {
 		return err
 	}
 	m.pendingDeliver = m.pendingDeliver[:0]

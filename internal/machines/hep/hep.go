@@ -23,10 +23,13 @@ type Config struct {
 	// Shards > 1 runs the processors on the conservative parallel kernel
 	// (sim.ParallelEngine), bit-identical to the sequential engine.
 	Shards int
-	// MemLatency is the response time after service; MemService the bank
-	// occupancy per attempt (including failed, retried attempts).
-	MemLatency, MemService sim.Cycle
+	// MemLatency is the response time after service.
+	MemLatency sim.Cycle
 }
+
+// memService is the bank occupancy per attempt, failed and retried
+// attempts included.
+const memService sim.Cycle = 1
 
 func (c Config) withDefaults() Config {
 	if c.Processors == 0 {
@@ -38,9 +41,6 @@ func (c Config) withDefaults() Config {
 	if c.MemLatency == 0 {
 		c.MemLatency = 2
 	}
-	if c.MemService == 0 {
-		c.MemService = 1
-	}
 	return c
 }
 
@@ -48,13 +48,13 @@ func (c Config) withDefaults() Config {
 // PRD requests that find the wrong state go to the back of the queue and
 // try again — hardware busy-waiting, visible in Retries.
 type FullEmptyMemory struct {
-	latency, service sim.Cycle
-	words            map[uint32]vn.Word
-	full             map[uint32]bool
-	queue            sim.FIFO[vn.MemRequest]
-	busyUntil        sim.Cycle
-	due              sim.FIFO[dueCompleted]
-	pending          int
+	latency   sim.Cycle
+	words     map[uint32]vn.Word
+	full      map[uint32]bool
+	queue     sim.FIFO[vn.MemRequest]
+	busyUntil sim.Cycle
+	due       sim.FIFO[dueCompleted]
+	pending   int
 
 	// Served counts service slots consumed (including failed attempts);
 	// Retries counts the failed attempts themselves.
@@ -80,10 +80,11 @@ type dueCompleted struct {
 }
 
 // NewFullEmptyMemory returns an empty memory (all cells empty).
-func NewFullEmptyMemory(latency, service sim.Cycle) *FullEmptyMemory {
+func NewFullEmptyMemory(latency sim.Cycle) *FullEmptyMemory {
 	return &FullEmptyMemory{
-		latency: latency, service: service,
-		words: map[uint32]vn.Word{}, full: map[uint32]bool{},
+		latency: latency,
+		words:   map[uint32]vn.Word{},
+		full:    map[uint32]bool{},
 	}
 }
 
@@ -126,7 +127,7 @@ func (m *FullEmptyMemory) Step(now sim.Cycle) {
 		return
 	}
 	r := m.queue.Pop()
-	m.busyUntil = now + m.service
+	m.busyUntil = now + memService
 	m.Served.Inc()
 
 	var v vn.Word
@@ -193,7 +194,7 @@ type Machine struct {
 // New builds the machine, loading prog into every context of every core.
 func New(cfg Config, prog *vn.Program) *Machine {
 	cfg = cfg.withDefaults()
-	m := &Machine{cfg: cfg, mem: NewFullEmptyMemory(cfg.MemLatency, cfg.MemService)}
+	m := &Machine{cfg: cfg, mem: NewFullEmptyMemory(cfg.MemLatency)}
 	for p := 0; p < cfg.Processors; p++ {
 		c := vn.NewCore(prog, m.mem, cfg.ContextsPerCore)
 		c.SetSaveID(p)

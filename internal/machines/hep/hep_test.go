@@ -182,7 +182,7 @@ func TestMultithreadingHidesWaits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(Config{Processors: 1, ContextsPerCore: 2 * pairs, MemService: 1}, prog)
+		m := New(Config{Processors: 1, ContextsPerCore: 2 * pairs}, prog)
 		for i := 0; i < pairs; i++ {
 			cell := vn.Word(100 + i)
 			p := m.Core(0).Context(2 * i)

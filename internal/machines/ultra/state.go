@@ -83,9 +83,9 @@ func savePendingReply(e *sim.Enc, pr pendingReply, pc payloadCodec) {
 	e.Cycle(pr.due)
 }
 
-func loadPendingReply(d *sim.Dec, pc payloadCodec) pendingReply {
+func loadPendingReply(d *sim.Dec, pc payloadCodec, ports int) pendingReply {
 	return pendingReply{
-		pkt:     network.LoadPacket(d, pc),
+		pkt:     network.LoadPacket(d, pc, ports),
 		payload: pc.Load(d),
 		due:     d.Cycle(),
 	}
@@ -109,7 +109,7 @@ func (b *bank) save(e *sim.Enc, pc payloadCodec) {
 	}
 }
 
-func (b *bank) load(d *sim.Dec, pc payloadCodec) error {
+func (b *bank) load(d *sim.Dec, pc payloadCodec, ports int) error {
 	sim.LoadU32Map(d, b.words, func(d *sim.Dec) vn.Word { return d.I64() })
 	b.busyUntil = d.Cycle()
 	b.served = d.U64()
@@ -119,11 +119,11 @@ func (b *bank) load(d *sim.Dec, pc payloadCodec) error {
 	}
 	b.queue = b.queue[:0]
 	for i := 0; i < n; i++ {
-		b.queue = append(b.queue, network.LoadPacket(d, pc))
+		b.queue = append(b.queue, network.LoadPacket(d, pc, ports))
 	}
 	b.inService = pendingReply{}
 	if d.Bool() {
-		b.inService = loadPendingReply(d, pc)
+		b.inService = loadPendingReply(d, pc, ports)
 	}
 	n = d.Len(d.Remaining())
 	if d.Err() != nil {
@@ -131,7 +131,7 @@ func (b *bank) load(d *sim.Dec, pc payloadCodec) error {
 	}
 	b.pendingReplies = b.pendingReplies[:0]
 	for i := 0; i < n; i++ {
-		b.pendingReplies = append(b.pendingReplies, loadPendingReply(d, pc))
+		b.pendingReplies = append(b.pendingReplies, loadPendingReply(d, pc, ports))
 	}
 	return d.Err()
 }
@@ -162,7 +162,7 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 		return err
 	}
 	pc := payloadCodec{resolve: vn.Resolver(m.cores)}
-	if err := m.sendRetry.LoadFrom(d, pc); err != nil {
+	if err := m.sendRetry.LoadFrom(d, pc, m.net.Ports()); err != nil {
 		return err
 	}
 	if err := m.net.LoadFrom(d, pc); err != nil {
@@ -177,7 +177,7 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 		return d.Err()
 	}
 	for _, b := range m.banks {
-		if err := b.load(d, pc); err != nil {
+		if err := b.load(d, pc, m.net.Ports()); err != nil {
 			return err
 		}
 	}

@@ -15,18 +15,20 @@ import (
 	"repro/internal/vn"
 )
 
+// Each memory module is occupied bankService cycles per request, and each
+// switch queue holds queueCap packets. Every processor has one hardware
+// context.
+const (
+	bankService sim.Cycle = 2
+	queueCap              = 8
+)
+
 // Config sizes the machine.
 type Config struct {
 	// LogProcessors is log2 of the processor (and memory module) count.
 	LogProcessors int
 	// Combining enables switch-level FETCH-AND-ADD combining.
 	Combining bool
-	// BankService is the memory-module occupancy per request.
-	BankService sim.Cycle
-	// QueueCap bounds each switch queue.
-	QueueCap int
-	// ContextsPerCore gives each processor k hardware contexts.
-	ContextsPerCore int
 	// Shards > 1 runs the processors on the conservative parallel kernel
 	// (sim.ParallelEngine), bit-identical to the sequential engine.
 	Shards int
@@ -35,15 +37,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.LogProcessors == 0 {
 		c.LogProcessors = 4
-	}
-	if c.BankService == 0 {
-		c.BankService = 2
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 8
-	}
-	if c.ContextsPerCore == 0 {
-		c.ContextsPerCore = 1
 	}
 	return c
 }
@@ -106,7 +99,7 @@ type plainReq struct {
 }
 
 // bank is one memory module on the omega network's memory side. The
-// module is occupied for BankService cycles per request; the reply leaves
+// module is occupied for bankService cycles per request; the reply leaves
 // when service completes, not at service start — the quiet stretches this
 // opens in the network (request absorbed, reply not yet emitted) are what
 // the engine's idle skipping exploits.
@@ -149,7 +142,7 @@ func New(cfg Config, prog *vn.Program) *Machine {
 	cfg = cfg.withDefaults()
 	n := 1 << cfg.LogProcessors
 	m := &Machine{cfg: cfg, n: n}
-	m.net = network.NewOmega(cfg.LogProcessors, cfg.QueueCap, cfg.Combining)
+	m.net = network.NewOmega(cfg.LogProcessors, queueCap, cfg.Combining)
 	m.banks = make([]*bank, n)
 	for i := range m.banks {
 		m.banks[i] = &bank{words: map[uint32]vn.Word{}}
@@ -159,7 +152,7 @@ func New(cfg Config, prog *vn.Program) *Machine {
 	m.sendRetry = network.NewRetryQueue(m.net.Send)
 	for p := 0; p < n; p++ {
 		port := &cpuPort{m: m, cpu: p}
-		c := vn.NewCore(prog, port, cfg.ContextsPerCore)
+		c := vn.NewCore(prog, port, 1)
 		c.SetSaveID(p)
 		m.cores = append(m.cores, c)
 	}
@@ -249,7 +242,7 @@ func (m *Machine) stepBank(b *bank, now sim.Cycle) {
 	pkt := b.queue[0]
 	copy(b.queue, b.queue[1:])
 	b.queue = b.queue[:len(b.queue)-1]
-	b.busyUntil = now + m.cfg.BankService
+	b.busyUntil = now + bankService
 	b.served++
 	var payload interface{}
 	switch req := pkt.Payload.(type) {

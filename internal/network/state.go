@@ -42,6 +42,14 @@ var (
 	_ Checkpointable = (*Omega)(nil)
 )
 
+// TokenChecker is implemented by a PayloadCodec whose machine can vouch
+// for the tokens its packets carry: LoadPacket hands it each token it
+// decodes, and CheckToken fails the decoder for one the machine could not
+// have sent.
+type TokenChecker interface {
+	CheckToken(d *sim.Dec, t token.Token)
+}
+
 // SavePacket appends one packet. pc may be nil only for fabrics whose
 // packets never carry payloads (token-only traffic).
 func SavePacket(e *sim.Enc, p *Packet, pc PayloadCodec) {
@@ -70,14 +78,22 @@ func SavePacket(e *sim.Enc, p *Packet, pc PayloadCodec) {
 	e.Cycle(p.moved)
 }
 
-// LoadPacket reads one freshly allocated packet.
-func LoadPacket(d *sim.Dec, pc PayloadCodec) *Packet {
+// LoadPacket reads one freshly allocated packet, failing the decoder when
+// an endpoint is not one of the fabric's ports, [0, ports).
+func LoadPacket(d *sim.Dec, pc PayloadCodec, ports int) *Packet {
 	p := &Packet{}
 	p.Src = d.Int()
 	p.Dst = d.Int()
+	if d.Err() == nil && (p.Src < 0 || p.Src >= ports || p.Dst < 0 || p.Dst >= ports) {
+		d.Failf("packet %d->%d outside the fabric's %d ports", p.Src, p.Dst, ports)
+		return p
+	}
 	p.HasTok = d.Bool()
 	if p.HasTok {
 		p.Tok = token.LoadToken(d)
+		if tc, ok := pc.(TokenChecker); ok && d.Err() == nil {
+			tc.CheckToken(d, p.Tok)
+		}
 	}
 	if d.Bool() {
 		if pc == nil {
@@ -127,16 +143,17 @@ func saveQueue(e *sim.Enc, q *queue, pc PayloadCodec) {
 	}
 }
 
-// loadQueue restores a bounded packet queue, enforcing its capacity, and
-// returns the number of packets loaded.
-func loadQueue(d *sim.Dec, q *queue, pc PayloadCodec) int {
+// loadQueue restores a bounded packet queue of a fabric with the given
+// port count, enforcing its capacity, and returns the number of packets
+// loaded.
+func loadQueue(d *sim.Dec, q *queue, pc PayloadCodec, ports int) int {
 	n := d.Len(q.cap)
 	if d.Err() != nil {
 		return 0
 	}
 	q.buf = q.buf[:0]
 	for i := 0; i < n; i++ {
-		q.buf = append(q.buf, LoadPacket(d, pc))
+		q.buf = append(q.buf, LoadPacket(d, pc, ports))
 	}
 	return n
 }
@@ -174,7 +191,7 @@ func (n *Ideal) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 	n.now = d.Cycle()
 	n.stats.Load(d)
 	return sim.LoadFIFO(d, &n.inflight, d.Remaining(), func(d *sim.Dec) timedPacket {
-		return timedPacket{due: d.Cycle(), p: LoadPacket(d, pc)}
+		return timedPacket{due: d.Cycle(), p: LoadPacket(d, pc, n.ports)}
 	})
 }
 
@@ -206,15 +223,18 @@ func (c *Crossbar) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 	got := 0
 	clear(c.wanted)
 	for i, q := range c.in {
-		got += loadQueue(d, q, pc)
+		got += loadQueue(d, q, pc, c.ports)
 		clear(c.reqs[i])
 		c.headDst[i] = -1
+	}
+	if d.Err() != nil {
+		return d.Err()
 	}
 	for i := range c.in {
 		c.syncHead(i)
 	}
 	if err := sim.LoadFIFO(d, &c.inflight, d.Remaining(), func(d *sim.Dec) flight {
-		return flight{at: d.Cycle(), p: LoadPacket(d, pc)}
+		return flight{at: d.Cycle(), p: LoadPacket(d, pc, c.ports)}
 	}); err != nil {
 		return err
 	}
@@ -251,7 +271,7 @@ func (m *Mesh) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 	got := 0
 	for _, qs := range m.in {
 		for _, q := range qs {
-			got += loadQueue(d, q, pc)
+			got += loadQueue(d, q, pc, m.Ports())
 		}
 	}
 	m.stats.Load(d)
@@ -288,7 +308,7 @@ func (h *Hypercube) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 	got := 0
 	for _, qs := range h.in {
 		for _, q := range qs {
-			got += loadQueue(d, q, pc)
+			got += loadQueue(d, q, pc, h.n)
 		}
 	}
 	h.stats.Load(d)
@@ -361,14 +381,14 @@ func (o *Omega) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 	for s := 0; s < o.k; s++ {
 		for sw := 0; sw < o.n/2; sw++ {
 			for out := 0; out < 2; out++ {
-				got += loadQueue(d, o.fwd[s][sw][out], pc)
+				got += loadQueue(d, o.fwd[s][sw][out], pc, o.n)
 			}
 		}
 	}
 	for s := 0; s < o.k; s++ {
 		for sw := 0; sw < o.n/2; sw++ {
 			for in := 0; in < 2; in++ {
-				got += loadQueue(d, o.rev[s][sw][in], pc)
+				got += loadQueue(d, o.rev[s][sw][in], pc, o.n)
 			}
 		}
 	}
@@ -378,7 +398,7 @@ func (o *Omega) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 	}
 	o.deferred = o.deferred[:0]
 	for i := 0; i < nd; i++ {
-		o.deferred = append(o.deferred, LoadPacket(d, pc))
+		o.deferred = append(o.deferred, LoadPacket(d, pc, o.n))
 	}
 	for s := 0; s < o.k; s++ {
 		recs := map[uint64]*splitRecord{}
@@ -397,7 +417,7 @@ func (o *Omega) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
 			if !ok && d.Err() == nil {
 				d.Failf("decombine record %d decoded to %T, not a Splitter", id, v)
 			}
-			partner := LoadPacket(d, pc)
+			partner := LoadPacket(d, pc, o.n)
 			if d.Err() != nil {
 				return d.Err()
 			}
@@ -426,14 +446,15 @@ func (q *RetryQueue) SaveTo(e *sim.Enc, pc PayloadCodec) {
 	})
 }
 
-// LoadFrom restores the retry queue. The per-source occupancy counts are
-// derived from the queue contents, not decoded.
-func (q *RetryQueue) LoadFrom(d *sim.Dec, pc PayloadCodec) error {
+// LoadFrom restores the retry queue in front of a fabric with the given
+// port count. The per-source occupancy counts are derived from the queue
+// contents, not decoded.
+func (q *RetryQueue) LoadFrom(d *sim.Dec, pc PayloadCodec, ports int) error {
 	if err := d.Tag("net.retry", 1); err != nil {
 		return err
 	}
 	if err := sim.LoadFIFO(d, &q.queue, d.Remaining(), func(d *sim.Dec) *Packet {
-		return LoadPacket(d, pc)
+		return LoadPacket(d, pc, ports)
 	}); err != nil {
 		return err
 	}

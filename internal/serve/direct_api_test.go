@@ -96,7 +96,7 @@ func TestDirectNormalizationZeroesCycleKnobs(t *testing.T) {
 
 // TestDirectRunFailures422: dataflow faults and firing-budget exhaustion
 // on the direct backend are unprocessable submissions, same as every
-// other machine.
+// other machine. The message names the backend once.
 func TestDirectRunFailures422(t *testing.T) {
 	s := newTestServer(t, Options{})
 	cases := []struct {
@@ -116,6 +116,10 @@ func TestDirectRunFailures422(t *testing.T) {
 			if rr.Code != http.StatusUnprocessableEntity {
 				t.Fatalf("status = %d, want 422: %s", rr.Code, rr.Body)
 			}
+			body := rr.Body.String()
+			if !strings.HasPrefix(body, `{"error":"direct: `) || strings.Count(body, "direct: ") != 1 {
+				t.Fatalf("body %s: want one \"direct: \" prefix", body)
+			}
 		})
 	}
 }
@@ -126,10 +130,13 @@ func TestDirectRunFailures422(t *testing.T) {
 // instead of exhausting its memory (direct, interp) or caching an array
 // narrowed to 32 bits (ttda). A recursion that never returns exhausts the
 // job's contexts (graph.ContextBudget) long before its cycle budget, even
-// at the 500M cap. Nothing is cached, and the service stays healthy.
+// at the 500M cap. A second write to a cell is the single-assignment
+// fault on every backend, so ttda cannot cache whichever write landed
+// last. Nothing is cached, and the service stays healthy.
 func TestOversizedAllocation422(t *testing.T) {
 	s := newTestServer(t, Options{})
 	const recursion = `"program":"def f(x) = f(x + 1); def main(n) = f(n);","args":[0]`
+	const doubleWrite = `"program":"def main(n) = { a = array(8); a[5] <- n; a[5] <- n + 1; a[5] };","args":[5]`
 	cases := []struct {
 		name, body, msg string
 	}{
@@ -140,6 +147,9 @@ func TestOversizedAllocation422(t *testing.T) {
 		{"ttda array(2^32+5)", `{"kind":"minid","machine":"ttda","program":"def main(n) = { a = array(n); len(a) };","args":[4294967301]}`, "bad size"},
 		{"direct array(2^32-1)", `{"kind":"minid","machine":"direct","program":"def main(n) = { a = array(n); a[0] };","args":[4294967295]}`, "space exhausted"},
 		{"interp array(2^32-1)", `{"kind":"minid","machine":"interp","program":"def main(n) = { a = array(n); a[0] };","args":[4294967295]}`, "space exhausted"},
+		{"ttda double write", `{"kind":"minid","machine":"ttda",` + doubleWrite + `}`, "address 5 already written (single-assignment violation)"},
+		{"interp double write", `{"kind":"minid","machine":"interp",` + doubleWrite + `}`, "address 5 already written (single-assignment violation)"},
+		{"direct double write", `{"kind":"minid","machine":"direct",` + doubleWrite + `}`, "address 5 already written (single-assignment violation)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

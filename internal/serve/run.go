@@ -159,7 +159,8 @@ func runDirectJob(spec *JobSpec) (*RunResult, error) {
 	x.SetMaxSteps(spec.Config.MaxCycles)
 	res, err := x.Run(args...)
 	if err != nil {
-		return nil, errf(http.StatusUnprocessableEntity, "direct: %v", err)
+		// Every direct fault already names the backend.
+		return nil, errf(http.StatusUnprocessableEntity, "%v", err)
 	}
 	out := &RunResult{Machine: spec.Machine, Stats: map[string]uint64{
 		"fired": x.Fired(),

@@ -187,8 +187,16 @@ func (d *Dec) U64() uint64 {
 // I64 reads a two's-complement int64.
 func (d *Dec) I64() int64 { return int64(d.U64()) }
 
-// Int reads an int64 into an int.
-func (d *Dec) Int() int { return int(d.I64()) }
+// Int reads an int64 into an int, failing when the value does not fit (on
+// a 32-bit platform), so a stream is never accepted with a field narrowed.
+func (d *Dec) Int() int {
+	v := d.I64()
+	if int64(int(v)) != v {
+		d.Failf("integer %d overflows int", v)
+		return 0
+	}
+	return int(v)
+}
 
 // Bool reads a 0/1 byte; any other value is an error.
 func (d *Dec) Bool() bool {

@@ -17,10 +17,10 @@ var (
 
 // Pool is the dynamic sibling of Run: a long-lived bounded worker pool
 // for job streams whose points arrive over time (a server's request
-// traffic) instead of as a slice known up front. It deliberately shares
-// Run's discipline — bounded concurrency, context cancellation honored
+// traffic) instead of as a slice known up front. It shares Run's bounded
+// concurrency and adds what a server needs — context cancellation honored
 // while queued, explicit back-pressure instead of unbounded buffering —
-// but runs each job on its submitter's goroutine once a worker slot
+// and runs each job on its submitter's goroutine once a worker slot
 // frees, so results and errors flow back without any channel plumbing.
 //
 // Concurrency is bounded by the slot count; the number of submitters

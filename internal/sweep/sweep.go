@@ -1,7 +1,6 @@
 // Package sweep is the repository's parallel sweep runner: it evaluates a
 // slice of independent simulation points across a bounded worker pool with
-// per-point deterministic seeding, optional cancellation, and optional
-// NDJSON progress reporting.
+// per-point deterministic seeding.
 //
 // Sweep points in this repository are independent whole-machine simulations
 // (each builds its own machine from its own compiled program), which makes
@@ -13,20 +12,12 @@
 package sweep
 
 import (
-	"context"
-	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/sim"
 )
-
-// progressMu serializes NDJSON progress records across every Run (and
-// Pool) in the process, so sweeps sharing one writer never tear lines.
-// Contention is negligible: one short Write per completed point.
-var progressMu sync.Mutex
 
 // Env is the per-point context a worker hands to the point function.
 type Env struct {
@@ -42,19 +33,6 @@ type Options struct {
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS. The pool
 	// never exceeds the number of points.
 	Workers int
-	// Progress, when non-nil, receives one NDJSON record per completed
-	// point: {"done":d,"total":n,"index":i,"ok":b}. Records are written
-	// in completion order (schedule-dependent); the "done" counter is
-	// monotonic per Run. Every record is emitted as a single Write under
-	// a package-wide lock, so concurrent sweeps may share one writer —
-	// even an unsynchronized one like bytes.Buffer — without torn or
-	// interleaved lines (their records simply intermix whole-line-wise;
-	// tag the writer or the record consumer if runs must be told apart).
-	Progress io.Writer
-	// Context, when non-nil, cancels the sweep: points not yet started
-	// when it is done are skipped, and Run reports the context's error
-	// unless a lower-indexed point already failed on its own.
-	Context context.Context
 }
 
 // Seed derives a well-mixed RNG seed from a sweep-point index (splitmix64
@@ -70,13 +48,11 @@ func Seed(i int) uint64 {
 
 // Run evaluates fn over every point, fanning points across the worker
 // pool. Results are returned in input order. The first error in input
-// order (not completion order) is returned; a canceled context surfaces as
-// its error after lower-indexed genuine failures.
+// order (not completion order) is returned.
 func Run[P, R any](points []P, fn func(env Env, p P) (R, error), opt Options) ([]R, error) {
 	n := len(points)
 	results := make([]R, n)
 	errs := make([]error, n)
-	started := make([]bool, n)
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -87,21 +63,6 @@ func Run[P, R any](points []P, fn func(env Env, p P) (R, error), opt Options) ([
 	if workers < 1 {
 		workers = 1
 	}
-	ctx := opt.Context
-	done := 0 // guarded by progressMu
-	report := func(i int, ok bool) {
-		if opt.Progress == nil {
-			return
-		}
-		// Count and write under one lock, so records reach the writer in
-		// done order. The lock is package-wide (not per-Run) so two sweeps
-		// sharing one writer serialize against each other, not just
-		// against themselves — a per-Run mutex raced on the shared writer.
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		done++
-		opt.Progress.Write(fmt.Appendf(nil, "{\"done\":%d,\"total\":%d,\"index\":%d,\"ok\":%t}\n", done, n, i, ok))
-	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -109,28 +70,19 @@ func Run[P, R any](points []P, fn func(env Env, p P) (R, error), opt Options) ([
 		go func() {
 			defer wg.Done()
 			for {
-				if ctx != nil && ctx.Err() != nil {
-					return
-				}
 				i := int(cursor.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				started[i] = true
 				env := Env{Index: i, RNG: sim.NewRNG(Seed(i))}
 				results[i], errs[i] = fn(env, points[i])
-				report(i, errs[i] == nil)
 			}
 		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-		if !started[i] {
-			// Only cancellation leaves a gap in the cursor's coverage.
-			return nil, ctx.Err()
 		}
 	}
 	return results, nil

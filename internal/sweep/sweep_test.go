@@ -1,15 +1,9 @@
 package sweep
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -76,66 +70,6 @@ func TestRunSeedsMatchSeed(t *testing.T) {
 // Run1RNG reproduces the first draw a point's Env RNG yields.
 func Run1RNG(i int) uint64 {
 	return sim.NewRNG(Seed(i)).Uint64()
-}
-
-// TestRunProgressNDJSON checks every record parses, the done counter is
-// monotonic, and every index is reported exactly once.
-func TestRunProgressNDJSON(t *testing.T) {
-	var buf bytes.Buffer
-	points := make([]int, 11)
-	_, err := Run(points, func(env Env, _ int) (int, error) {
-		return env.Index, nil
-	}, Options{Workers: 3, Progress: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(points) {
-		t.Fatalf("%d progress records for %d points", len(lines), len(points))
-	}
-	seen := make([]bool, len(points))
-	prevDone := 0
-	for _, line := range lines {
-		var rec struct {
-			Done, Total, Index int
-			OK                 bool
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad NDJSON record %q: %v", line, err)
-		}
-		if rec.Total != len(points) || !rec.OK {
-			t.Fatalf("record %q: want total=%d ok=true", line, len(points))
-		}
-		if rec.Done != prevDone+1 {
-			t.Fatalf("done counter not monotonic: %q after done=%d", line, prevDone)
-		}
-		prevDone = rec.Done
-		if seen[rec.Index] {
-			t.Fatalf("index %d reported twice", rec.Index)
-		}
-		seen[rec.Index] = true
-	}
-}
-
-// TestRunCancellation: a canceled context skips unstarted points and
-// surfaces the context error.
-func TestRunCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	points := make([]int, 1000)
-	_, err := Run(points, func(env Env, _ int) (int, error) {
-		if ran.Add(1) == 3 {
-			cancel()
-		}
-		time.Sleep(time.Millisecond)
-		return 0, nil
-	}, Options{Workers: 2, Context: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n >= int64(len(points)) {
-		t.Fatalf("cancellation did not stop the sweep (%d points ran)", n)
-	}
 }
 
 func TestSeedMixes(t *testing.T) {

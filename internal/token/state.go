@@ -83,6 +83,8 @@ func LoadToken(d *sim.Dec) Token {
 	t.Value = LoadValue(d)
 	if d.Err() == nil && t.Class > Control {
 		d.Failf("invalid token class %d", t.Class)
+	} else if d.Err() == nil && t.Port > PortRight {
+		d.Failf("invalid operand port %d", t.Port)
 	}
 	return t
 }
