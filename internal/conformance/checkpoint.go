@@ -78,9 +78,10 @@ func checkCheckpoint(ct *counter, c *compiled) {
 		{"ttda", ttda(2, 0, 0, false)},
 		{"ttda/shards=2", ttda(4, 2, 0, false)},
 		{"ttda/shards=4", ttda(4, 4, 0, false)},
-		// Windowed kernels checkpoint only at window boundaries: Run's pause
-		// lands between windows, where the shards' clocks agree, so the split
-		// run must still match the uninterrupted one bit-for-bit.
+		// core ignores EpochWindow, so these two repeat ttda/shards=2 on
+		// the per-tick kernel, each at a pause cycle of its own from the
+		// seed's stream. They keep their window names and arguments only
+		// while the sweep digest pins E14's check counts.
 		{"ttda/shards=2/window=4", ttda(4, 2, 4, false)},
 		{"ttda/shards=2/window=adaptive", ttda(4, 2, -1, false)},
 		{"ttda/own-plan", ttda(2, 0, 0, true)},

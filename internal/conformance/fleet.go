@@ -329,11 +329,11 @@ func finish(m Machine, legacy bool) (Snapshot, error) {
 
 // runTTDA executes the dataflow graph on the cycle-accurate tagged-token
 // machine. shards > 1 selects the conservative parallel kernel (never
-// combined with legacy, which requires the sequential engine); window sets
-// the parallel kernel's epoch window width (0/1 per-tick, >= 2 capped, < 0
-// adaptive — meaningful only with shards > 1). The machine runs the seed's
-// shared plan, or with ownPlan a private one NewMachine compiles, which
-// the compiled-equivalence oracle pins the shared plan against.
+// combined with legacy, which requires the sequential engine); window is
+// passed through to core.Config.EpochWindow, which core ignores. The
+// machine runs the seed's shared plan, or with ownPlan a private one
+// NewMachine compiles, which the compiled-equivalence oracle pins the
+// shared plan against.
 func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy bool, shards, window int, ownPlan bool) (Snapshot, error) {
 	m := newTTDA(c, core.Config{PEs: pes, NetLatency: netLatency, Shards: shards, EpochWindow: window}, ownPlan)
 	s, err := finish(m, legacy)

@@ -67,16 +67,11 @@ type Config struct {
 	// the sequential driver.
 	Shards int
 
-	// EpochWindow controls multi-tick epoch windows on the parallel
-	// kernel (Shards > 1): 0 or 1 runs the classic one-tick epochs, a
-	// value >= 2 caps each window at that many cycles, and a negative
-	// value runs fully adaptive windows bounded only by the fabric's
-	// cross-shard horizon. Windows require a fabric that declares a
-	// windowing lookahead (network.Windowable — the ideal network does;
-	// stepped fabrics with per-cycle arbitration do not): with any other
-	// fabric the setting is silently ignored and epochs stay per-tick.
-	// Results, cycle counts, and statistics are bit-identical across all
-	// settings.
+	// EpochWindow is ignored: the sharded kernel commits once per cycle
+	// (DESIGN.md §12).
+	//
+	// Deprecated: leave it unset. It remains only so that existing callers
+	// still compile.
 	EpochWindow int
 
 	// MatchBandwidth is how many tokens the waiting-matching section

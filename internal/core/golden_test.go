@@ -20,12 +20,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current simulator")
 
 // -shards runs every golden scenario on the conservative parallel kernel
-// with that many shards; -window additionally sets Config.EpochWindow
-// (0/1 per-tick, >=2 capped multi-tick epochs, negative adaptive). The
-// committed golden numbers must not move under any combination — that is
-// the parallel kernel's bit-identity contract, enforced in CI with -race.
+// with that many shards. The committed golden numbers must not move — that
+// is the parallel kernel's bit-identity contract, enforced in CI with -race.
 var shardsGolden = flag.Int("shards", 0, "run golden scenarios with this many shards on the parallel kernel")
-var windowGolden = flag.Int("window", 0, "epoch window width for -shards runs (0/1 per-tick, >=2 capped, <0 adaptive)")
 
 // peSnapshot is the deterministic per-PE statistics contract: every field
 // must be bit-identical run-to-run and across kernel optimizations.
@@ -135,7 +132,6 @@ func snapshotWith(t *testing.T, sc goldenScenario, build func(Config) *Machine) 
 	cfg := sc.cfg()
 	if *shardsGolden > 0 && cfg.Shards == 0 {
 		cfg.Shards = *shardsGolden
-		cfg.EpochWindow = *windowGolden
 	}
 	m := build(cfg)
 	res, err := m.Run(500_000_000, sc.args...)

@@ -59,11 +59,6 @@ type Machine struct {
 	// kernel; shardOf maps a PE/module id to its owning shard.
 	shards  []*coreShard
 	shardOf []int
-	// winOn marks multi-tick epoch windows active (EpochWindow config on a
-	// Windowable fabric): the net driver stops mirroring runner wakes —
-	// the fabric schedules exact delivery times, so co-ticking it is
-	// unnecessary and would close every window.
-	winOn bool
 
 	// context manager state (conceptually distributed; centralized here
 	// with its cost charged through the PE controller's d=2 path)
@@ -269,9 +264,7 @@ func (m *Machine) wakePE(id int) {
 		}
 		if !sh.inStep {
 			m.par.Wake(sh, m.par.Now())
-			if !m.winOn {
-				m.par.Wake(m.netDrv, m.par.Now())
-			}
+			m.par.Wake(m.netDrv, m.par.Now())
 		}
 		return
 	}
@@ -295,16 +288,12 @@ func (m *Machine) wakeIS(id int) {
 			sh.isQ.push(id)
 		}
 		if sh.inStep {
-			// sh.now, not m.now: inside an epoch window the shard's local
-			// clock runs ahead of the machine clock.
-			if t := sh.now + 1; t < sh.isNext {
+			if t := m.now + 1; t < sh.isNext {
 				sh.isNext = t
 			}
 		} else {
 			m.par.Wake(sh, m.par.Now())
-			if !m.winOn {
-				m.par.Wake(m.netDrv, m.par.Now())
-			}
+			m.par.Wake(m.netDrv, m.par.Now())
 		}
 		return
 	}
@@ -460,7 +449,7 @@ func (m *Machine) failIS(id int, local uint32) {
 		return
 	}
 	if sh := m.shards[m.shardOf[id]]; sh.isFault == nil {
-		sh.isFault, sh.isFaultTick = err, sh.now
+		sh.isFault = err
 	}
 }
 
@@ -652,25 +641,6 @@ func (m *Machine) Network() network.Network { return m.net }
 // Engine exposes the simulation engine (scheduling counters). Sequential
 // machines return a *sim.Engine, sharded ones a *sim.ParallelEngine.
 func (m *Machine) Engine() sim.Driver { return m.engine }
-
-// WorkerSteps reports per-shard runner step counts, or nil for a
-// sequential machine.
-func (m *Machine) WorkerSteps() []uint64 {
-	if m.par == nil {
-		return nil
-	}
-	return m.par.WorkerSteps()
-}
-
-// WindowStats reports how many multi-tick epoch windows the parallel
-// kernel ran and how many simulated cycles they covered; zero outside
-// windowed parallel runs (see Config.EpochWindow).
-func (m *Machine) WindowStats() (windows, cycles uint64) {
-	if m.par == nil {
-		return 0, 0
-	}
-	return m.par.WindowStats()
-}
 
 // PEStats returns per-PE statistics.
 func (m *Machine) PEStats() []*PEStats {

@@ -54,13 +54,6 @@ type coreShard struct {
 	// runner phase (see wakePE and wakeIS).
 	inStep bool
 
-	// now is the shard's local clock: the tick currently being stepped.
-	// Inside a multi-tick epoch window it runs ahead of the machine's
-	// global clock (which only the serial net driver advances), so every
-	// in-step consumer of "the current cycle" — op tick stamps, the
-	// wakeIS next-cycle fold — reads it instead of m.now.
-	now sim.Cycle
-
 	// Deferred cross-shard effects, drained at the epoch's commit.
 	ops []shardOp
 	// busyMax accumulates the shard's busy-horizon contributions; folded
@@ -71,9 +64,8 @@ type coreShard struct {
 	// increment is immaterial).
 	isResponses uint64
 	// isFault is the first single-assignment fault this shard's modules
-	// met, at tick isFaultTick (see Machine.failIS).
-	isFault     error
-	isFaultTick sim.Cycle
+	// met this tick (see Machine.failIS).
+	isFault error
 }
 
 type opKind uint8
@@ -100,11 +92,6 @@ const (
 // second copy of them, keeping the struct (copied on every push) small.
 type shardOp struct {
 	kind opKind
-	// tick is the local cycle the op was produced at. In per-tick epochs
-	// every logged op carries the current tick; inside a window the stamp
-	// selects which commit slot drains the op, keeping the global replay
-	// in exact (tick, shard) order.
-	tick sim.Cycle
 	pe   *PE
 	pkt  *network.Packet
 	// in names the deferred instruction for opCtrl/opExec.
@@ -114,48 +101,15 @@ type shardOp struct {
 	err  error
 }
 
-func (sh *coreShard) push(op shardOp) {
-	op.tick = sh.now
-	sh.ops = append(sh.ops, op)
-}
+func (sh *coreShard) push(op shardOp) { sh.ops = append(sh.ops, op) }
 
 // Step runs the shard's slice of the sequential sweep: modules in
 // ascending id order, then PEs in ascending id order.
 func (sh *coreShard) Step(now sim.Cycle) {
 	sh.inStep = true
-	sh.now = now
 	sh.isNext = sh.m.sweepISQ(now, &sh.isQ)
 	sh.peNext = sh.m.sweepPEsQ(now, &sh.peQ)
 	sh.inStep = false
-}
-
-// StepWindow implements sim.WindowRunner: the shard advances its own
-// timeline through the window, stepping exactly the ticks its next-event
-// answer makes due (the same ticks the per-tick engine would have stepped
-// it at) and halting immediately after any tick that deferred ops — its
-// own state past that tick could depend on their commit (a manager reply
-// token lands in a PE's input queue at commit, a refused send re-wakes the
-// PE), so the engine replays the commit with the clock rewound and
-// resumes the shard from its frontier.
-func (sh *coreShard) StepWindow(from, until sim.Cycle, stepped []bool, base sim.Cycle) (last, next sim.Cycle, dirty bool, steps uint64) {
-	t := from
-	for {
-		stepped[t-base] = true
-		steps++
-		last = t
-		sh.Step(t)
-		if len(sh.ops) > 0 || sh.isFault != nil {
-			return last, sim.Never, true, steps
-		}
-		nx := sh.isNext
-		if sh.peNext < nx {
-			nx = sh.peNext
-		}
-		if nx >= until {
-			return last, nx, false, steps
-		}
-		t = nx
-	}
 }
 
 // NextEvent reports the earliest future cycle any shard member can act.
@@ -193,14 +147,6 @@ func (d *netDriver) NextEvent(now sim.Cycle) sim.Cycle {
 	next := sim.Never
 	if !d.m.net.Idle() {
 		next = d.m.net.NextEvent(now)
-	}
-	if d.m.winOn {
-		// Windowed mode runs on a fabric that schedules exact delivery
-		// times and tolerates unstepped idle ticks (network.Windowable),
-		// so the co-tick mirroring below would only pin the driver's wake
-		// to the runners' — which would make every serial horizon equal
-		// the runner horizon and no window could ever open.
-		return next
 	}
 	for _, sh := range d.m.shards {
 		if t := sh.NextEvent(now); t < next {
@@ -241,28 +187,15 @@ func (m *Machine) setupShards(shards int) {
 		par.RegisterShard(sh)
 	}
 	par.OnCommit(m.commitOps)
-	// Multi-tick epoch windows: only fabrics that schedule exact delivery
-	// times can be left unstepped across a window, so the opt-in is gated
-	// on the fabric declaring itself Windowable. Per-tick otherwise.
-	if w, ok := m.net.(network.Windowable); ok && m.cfg.EpochWindow != 0 && m.cfg.EpochWindow != 1 {
-		cap := sim.Cycle(m.cfg.EpochWindow)
-		if m.cfg.EpochWindow < 0 {
-			cap = 0 // adaptive: bounded only by the horizon rule
-		}
-		par.EnableWindows(w.WindowLookahead(), cap)
-		m.winOn = true
-	}
 }
 
 // commitOps drains every shard's deferred-op log in ascending shard order
 // — the epoch commit that makes the sharded run bit-identical to the
-// sequential sweep. Only ops produced at or before now are drained: in
-// per-tick epochs that is the whole log; inside a multi-tick window the
-// engine replays one production tick per call (clock rewound to it), and
-// the dirty-stop protocol guarantees a shard's log never mixes ticks.
-func (m *Machine) commitOps(now sim.Cycle) {
+// sequential sweep. Module faults go first: modules sweep before PEs in
+// every tick, so a shard's single-assignment fault precedes its logged ops.
+func (m *Machine) commitOps(sim.Cycle) {
 	for _, sh := range m.shards {
-		if sh.isFault != nil && sh.isFaultTick <= now {
+		if sh.isFault != nil {
 			m.fail(sh.isFault)
 			sh.isFault = nil
 		}
@@ -275,27 +208,11 @@ func (m *Machine) commitOps(now sim.Cycle) {
 		if sh.busyMax > 0 {
 			m.engine.NoteBusy(sh.busyMax)
 		}
-		ops := sh.ops
-		n := 0
-		for n < len(ops) && ops[n].tick <= now {
-			n++
+		for i := range sh.ops {
+			m.applyOp(&sh.ops[i])
+			sh.ops[i] = shardOp{} // drop packet/error references
 		}
-		if n == 0 {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			m.applyOp(&ops[i])
-			ops[i] = shardOp{} // drop packet/error references
-		}
-		if n == len(ops) {
-			sh.ops = ops[:0]
-		} else {
-			rem := copy(ops, ops[n:])
-			for i := rem; i < len(ops); i++ {
-				ops[i] = shardOp{}
-			}
-			sh.ops = ops[:rem]
-		}
+		sh.ops = sh.ops[:0]
 	}
 }
 

@@ -65,79 +65,87 @@ func TestShardedIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestShardedWorkerSteps checks the per-shard accounting surface: a
-// sharded run reports one counter per shard and the shards collectively
-// did something; a sequential machine reports none.
-func TestShardedWorkerSteps(t *testing.T) {
-	prog, err := id.Compile(workload.MatMulID)
-	if err != nil {
-		t.Fatal(err)
+// TestWindowedBitIdentical pins that EpochWindow is ignored: every golden
+// scenario run with 2 and 4 shards and EpochWindow 4 or -1 (the values
+// callers set when the field chose multi-tick epochs) must produce the
+// same full snapshot as its sequential run.
+func TestWindowedBitIdentical(t *testing.T) {
+	for _, sc := range goldenScenarios() {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			seq := snapshotRun(t, sc)
+			for _, shards := range []int{2, 4} {
+				for _, window := range []int{4, -1} {
+					par := sc
+					par.cfg = func() Config {
+						c := sc.cfg()
+						c.Shards = shards
+						c.EpochWindow = window
+						return c
+					}
+					got := snapshotRun(t, par)
+					if !reflect.DeepEqual(seq, got) {
+						t.Errorf("shards=%d window=%d diverged from sequential:\n  seq: %s\n  par: %s",
+							shards, window, mustJSON(seq), mustJSON(got))
+					}
+				}
+			}
+		})
 	}
-	m := NewMachine(Config{PEs: 8, Shards: 4}, prog)
-	if _, err := m.Run(500_000_000, token.Int(4)); err != nil {
-		t.Fatal(err)
+}
+
+// TestWindowedIndependentOfGOMAXPROCS pins that a sharded run that sets
+// the ignored EpochWindow does not depend on the runtime's thread count
+// either: GOMAXPROCS 1, 2 and 4 agree bit-for-bit.
+func TestWindowedIndependentOfGOMAXPROCS(t *testing.T) {
+	sc := goldenScenario{
+		name: "gomaxprocs-window-matmul4-pe8",
+		src:  workload.MatMulID,
+		args: []token.Value{token.Int(4)},
+		cfg:  func() Config { return Config{PEs: 8, Shards: 4, EpochWindow: -1} },
 	}
-	steps := m.WorkerSteps()
-	if len(steps) == 0 {
-		t.Fatal("sharded machine reported no per-shard counters")
-	}
-	var total uint64
-	for _, s := range steps {
-		total += s
-	}
-	if total == 0 {
-		t.Fatal("no shard ever stepped")
-	}
-	seq := NewMachine(Config{PEs: 8}, prog)
-	if _, err := seq.Run(500_000_000, token.Int(4)); err != nil {
-		t.Fatal(err)
-	}
-	if seq.WorkerSteps() != nil {
-		t.Fatal("sequential machine should report no per-shard counters")
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	var first runSnapshot
+	for i, procs := range []int{1, 2, 4, prev} {
+		runtime.GOMAXPROCS(procs)
+		got := snapshotRun(t, sc)
+		if i == 0 {
+			first = got
+		} else if !reflect.DeepEqual(first, got) {
+			t.Fatalf("GOMAXPROCS=%d changed the run:\n  first: %s\n  got:   %s",
+				procs, mustJSON(first), mustJSON(got))
+		}
 	}
 }
 
 // TestShardedEngineCountersPinned pins the sharded kernel's scheduling
-// counters and per-shard step counts for matmul(6) on 8 PEs. They are not
-// simulated observables; pinning them makes any change to the shard
-// protocol's scheduling a deliberate one.
+// counters for matmul(6) on 8 PEs. They are not simulated observables;
+// pinning them makes any change to the shard protocol's scheduling a
+// deliberate one.
 func TestShardedEngineCountersPinned(t *testing.T) {
 	prog, err := id.Compile(workload.MatMulID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepsBy := map[int][]uint64{
-		2: {2411, 2396},
-		4: {2115, 2190, 2154, 2112},
-		8: {1478, 1722, 1675, 1972, 1889, 1832, 1877, 1585},
-	}
 	for _, tc := range []struct {
-		shards, window int
-		want           sim.Counters
+		shards int
+		want   sim.Counters
 	}{
-		{2, 1, sim.Counters{StepsExecuted: 6999, CyclesSkipped: 38, WakesEnqueued: 11640}},
-		{2, 4, sim.Counters{StepsExecuted: 6474, CyclesSkipped: 39, WakesEnqueued: 7509}},
-		{2, -1, sim.Counters{StepsExecuted: 6474, CyclesSkipped: 39, WakesEnqueued: 7509}},
-		{4, 1, sim.Counters{StepsExecuted: 10763, CyclesSkipped: 38, WakesEnqueued: 11640}},
-		{4, 4, sim.Counters{StepsExecuted: 10238, CyclesSkipped: 39, WakesEnqueued: 7509}},
-		{4, -1, sim.Counters{StepsExecuted: 10238, CyclesSkipped: 39, WakesEnqueued: 7509}},
-		{8, 1, sim.Counters{StepsExecuted: 16222, CyclesSkipped: 38, WakesEnqueued: 11640}},
-		{8, 4, sim.Counters{StepsExecuted: 15697, CyclesSkipped: 39, WakesEnqueued: 7509}},
-		{8, -1, sim.Counters{StepsExecuted: 15697, CyclesSkipped: 39, WakesEnqueued: 7509}},
+		{2, sim.Counters{StepsExecuted: 6999, CyclesSkipped: 38, WakesEnqueued: 11640}},
+		{4, sim.Counters{StepsExecuted: 10763, CyclesSkipped: 38, WakesEnqueued: 11640}},
+		{8, sim.Counters{StepsExecuted: 16222, CyclesSkipped: 38, WakesEnqueued: 11640}},
 	} {
-		m := NewMachine(Config{PEs: 8, Shards: tc.shards, EpochWindow: tc.window}, prog)
+		m := NewMachine(Config{PEs: 8, Shards: tc.shards}, prog)
 		res, err := m.Run(500_000_000, token.Int(6))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res) != 1 || res[0] != token.Int(2486) {
-			t.Fatalf("shards=%d window=%d: result %v, want [2486]", tc.shards, tc.window, res)
+			t.Fatalf("shards=%d: result %v, want [2486]", tc.shards, res)
 		}
 		if got := m.Engine().Counters(); got != tc.want {
-			t.Errorf("shards=%d window=%d: counters %+v, want %+v", tc.shards, tc.window, got, tc.want)
-		}
-		if got := m.WorkerSteps(); !reflect.DeepEqual(got, stepsBy[tc.shards]) {
-			t.Errorf("shards=%d window=%d: worker steps %v, want %v", tc.shards, tc.window, got, stepsBy[tc.shards])
+			t.Errorf("shards=%d: counters %+v, want %+v", tc.shards, got, tc.want)
 		}
 	}
 }
@@ -146,10 +154,9 @@ func TestShardedEngineCountersPinned(t *testing.T) {
 // deferred to commit (a module's single-assignment fault beside its
 // shard's log, ahead of it), so every shard count must report exactly
 // what the sequential machine reports and stop at the same cycle with the
-// same firings. Epoch windows must report the same error; they may stop
-// later, because the other shards step ahead inside the window before
-// the fault commits. The double write names the cell's global address:
-// on four PEs cell 5 lives on PE 1.
+// same firings. EpochWindow is ignored, so the runs that set it must stop
+// there too. The double write names the cell's global address: on four
+// PEs cell 5 lives on PE 1.
 func TestShardedErrorsMatchSequential(t *testing.T) {
 	type stop struct {
 		err   string
@@ -174,6 +181,8 @@ func TestShardedErrorsMatchSequential(t *testing.T) {
 		{"cycle limit", `def main(n) = (initial s <- 0 for i from 1 to n do new s <- s + i return s);`, 5, 1000, "did not finish within 5 cycles"},
 		{"double write", `def main(n) = { a = array(8); a[5] <- n; a[5] <- n + 1; a[5] };`, 100_000, 5,
 			"core: store: address 5 already written (single-assignment violation)"},
+		{"division by zero", `def main(n) = (initial s <- 0 for i from 1 to n do new s <- s + 100 / (i - 3) return s);`, 100_000, 5,
+			"integer division by zero"},
 	} {
 		prog, err := id.Compile(tc.src)
 		if err != nil {
@@ -183,14 +192,14 @@ func TestShardedErrorsMatchSequential(t *testing.T) {
 		if !strings.Contains(seq.err, tc.want) {
 			t.Fatalf("%s: sequential run gave %q, want %q", tc.name, seq.err, tc.want)
 		}
-		for _, shards := range []int{2, 4} {
-			if got := run(Config{PEs: 4, Shards: shards}, prog, tc.limit, tc.arg); got != seq {
-				t.Errorf("%s, %d shards: got %+v, want the sequential %+v", tc.name, shards, got, seq)
-			}
-		}
-		for _, window := range []int{-1, 4} {
-			if got := run(Config{PEs: 4, Shards: 2, EpochWindow: window}, prog, tc.limit, tc.arg); got.err != seq.err {
-				t.Errorf("%s, window %d: got %q, want the sequential %q", tc.name, window, got.err, seq.err)
+		for _, cfg := range []Config{
+			{PEs: 4, Shards: 2},
+			{PEs: 4, Shards: 4},
+			{PEs: 4, Shards: 2, EpochWindow: -1},
+			{PEs: 4, Shards: 2, EpochWindow: 4},
+		} {
+			if got := run(cfg, prog, tc.limit, tc.arg); got != seq {
+				t.Errorf("%s, %d shards, EpochWindow %d: got %+v, want the sequential %+v", tc.name, cfg.Shards, cfg.EpochWindow, got, seq)
 			}
 		}
 	}
@@ -209,7 +218,7 @@ func TestTraceForcesSequential(t *testing.T) {
 	if _, err := m.Run(1_000_000, token.Int(10)); err != nil {
 		t.Fatal(err)
 	}
-	if m.WorkerSteps() != nil {
+	if _, par := m.Engine().(*sim.ParallelEngine); par {
 		t.Fatal("traced machine must run sequentially")
 	}
 	if tr.Total() == 0 {

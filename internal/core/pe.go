@@ -424,9 +424,7 @@ func (pe *PE) stepInput(now sim.Cycle) {
 // overflow store instead of the associative memory.
 const overflowPenalty = 4
 
-// classify implements Figure 2-3's input-type dispatch. now is the PE's
-// local cycle — under multi-tick epoch windows the machine clock lags the
-// shard's local timeline, so the stepping clock is threaded through.
+// classify implements Figure 2-3's input-type dispatch at cycle now.
 func (pe *PE) classify(t *token.Token, now sim.Cycle) {
 	switch t.Class {
 	case token.Normal:
@@ -568,8 +566,8 @@ func (pe *PE) execute(in *graph.CInstr, e *enabledInstr) {
 		// cycle t cannot reach a consumer before t+2 (the base travels
 		// through at least the output and input sections), so the bound
 		// checked here always predates this cycle.
-		addr, err := vals[0].AsInt()
-		if err != nil || addr < 0 || uint32(addr) >= pe.m.nextAddr {
+		addr, ok := graph.CellAddr(vals[0], pe.m.nextAddr)
+		if !ok {
 			pe.fail(fmt.Errorf("core: fetch at %s: bad address %s", act, vals[0]))
 			return
 		}
@@ -587,17 +585,17 @@ func (pe *PE) execute(in *graph.CInstr, e *enabledInstr) {
 		if pe.m.cfg.Trace != nil {
 			pe.trace(TraceISRead, "addr=%d for %s", addr, rt.activity)
 		}
-		pe.emitIS(isRequest{op: istructure.OpRead, addr: uint32(addr), replyTo: rt})
+		pe.emitIS(isRequest{op: istructure.OpRead, addr: addr, replyTo: rt})
 	case graph.KindStore:
-		addr, err := vals[0].AsInt()
-		if err != nil || addr < 0 || uint32(addr) >= pe.m.nextAddr {
+		addr, ok := graph.CellAddr(vals[0], pe.m.nextAddr)
+		if !ok {
 			pe.fail(fmt.Errorf("core: store at %s: bad address %s", act, vals[0]))
 			return
 		}
 		if pe.m.cfg.Trace != nil {
 			pe.trace(TraceISWrite, "addr=%d value=%s", addr, vals[1])
 		}
-		pe.emitIS(isRequest{op: istructure.OpWrite, addr: uint32(addr), value: vals[1]})
+		pe.emitIS(isRequest{op: istructure.OpWrite, addr: addr, value: vals[1]})
 	case graph.KindSink, graph.KindNop:
 		// absorbed
 	default:

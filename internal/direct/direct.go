@@ -71,7 +71,9 @@ type frame struct {
 // ctxState is one invocation record. Records are never deallocated while
 // the run lives (context numbers are allocated monotonically and stale
 // handles must keep failing loudly, matching the interpreter), but loop
-// iteration frames are recycled as soon as they empty.
+// iteration frames are recycled as soon as they empty. Each record is
+// allocated on its own and never moves, so a pointer to one stays valid
+// while later calls create more.
 type ctxState struct {
 	cb          *graph.CBlock
 	parentCtx   uint32
@@ -125,7 +127,7 @@ type Exec struct {
 	cg         *graph.CompiledGraph
 	compileErr error
 
-	ctxs  []ctxState
+	ctxs  []*ctxState
 	stack []delivery
 
 	// queue is the FIFO lane for iteration-advancing (D) deliveries. A
@@ -192,7 +194,7 @@ func (x *Exec) Run(args ...token.Value) ([]token.Value, error) {
 			x.cg.Prog.Name, len(entry.Entries), len(args))
 	}
 	// Context 0 is the root invocation of block 0.
-	x.ctxs = append(x.ctxs, ctxState{cb: entry, live: true})
+	x.ctxs = append(x.ctxs, &ctxState{cb: entry, live: true})
 	// Push in reverse so argument 0 pops first (cosmetic: the answer is
 	// order-independent, the firing count is not path-dependent either).
 	for j := len(args) - 1; j >= 0; j-- {
@@ -292,7 +294,7 @@ func (cs *ctxState) slot(init uint32, ms int32) (*frame, *pair) {
 // statements, otherwise park in the activation frame and fire on the
 // completing operand.
 func (x *Exec) deliver(d delivery) error {
-	cs := &x.ctxs[d.ctx]
+	cs := x.ctxs[d.ctx]
 	in := &cs.cb.Instrs[d.stmt]
 	if in.NT <= 1 {
 		var vals [2]token.Value
@@ -365,7 +367,7 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 			return fmt.Errorf("direct: get-context: context space exhausted (%d contexts, limit %d)", len(x.ctxs), graph.ContextBudget)
 		}
 		u := uint32(len(x.ctxs))
-		x.ctxs = append(x.ctxs, ctxState{
+		x.ctxs = append(x.ctxs, &ctxState{
 			cb:          x.cg.Block(in.Target),
 			parentCtx:   d.ctx,
 			parentBlock: uint16(cs.cb.ID),
@@ -374,7 +376,6 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 			live:        true,
 			lp:          x.loopPlanFor(in.Target),
 		})
-		cs = &x.ctxs[d.ctx] // the append may have moved the backing array
 		for _, dst := range in.Dests {
 			x.push(d.ctx, d.init, dst.Stmt, dst.Port, token.Int(int64(u)))
 		}
@@ -450,8 +451,8 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 			x.push(d.ctx, d.init, dst.Stmt, dst.Port, ref)
 		}
 	case graph.KindFetch:
-		addr, err := vals[0].AsInt()
-		if err != nil || addr < 0 || int(addr) >= len(x.cells) {
+		addr, ok := graph.CellAddr(vals[0], uint32(len(x.cells)))
+		if !ok {
 			return fmt.Errorf("direct: fetch: bad address %s", vals[0])
 		}
 		c := &x.cells[addr]
@@ -465,8 +466,8 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 		c.waiters = append(c.waiters, waiter{ctx: d.ctx, init: d.init, stmt: dst.Stmt, port: dst.Port})
 		x.deferred++
 	case graph.KindStore:
-		addr, err := vals[0].AsInt()
-		if err != nil || addr < 0 || int(addr) >= len(x.cells) {
+		addr, ok := graph.CellAddr(vals[0], uint32(len(x.cells)))
+		if !ok {
 			return fmt.Errorf("direct: store: bad address %s", vals[0])
 		}
 		c := &x.cells[addr]
@@ -493,7 +494,7 @@ func (x *Exec) ctx(h int64) *ctxState {
 	if h < 1 || h >= int64(len(x.ctxs)) {
 		return nil
 	}
-	cs := &x.ctxs[h]
+	cs := x.ctxs[h]
 	if !cs.live {
 		return nil
 	}
@@ -507,8 +508,7 @@ func (x *Exec) ctx(h int64) *ctxState {
 // terminates with exactly the unaccelerated run's disposition.
 func (x *Exec) flushStranded() bool {
 	flushed := false
-	for i := range x.ctxs {
-		cs := &x.ctxs[i]
+	for i, cs := range x.ctxs {
 		if cs.lp == nil || cs.argGot == 0 {
 			continue
 		}

@@ -574,7 +574,7 @@ func (x *Exec) loopPlanFor(id graph.BlockID) *loopPlan {
 // handed back at initiation 1, so the engine runs the whole activation.
 func (x *Exec) runLoop(u uint32, lp *loopPlan, vars []token.Value) {
 	iter := x.runLoopInt(lp, vars)
-	cs := &x.ctxs[u]
+	cs := x.ctxs[u]
 	for k := lp.nVars - 1; k >= 0; k-- {
 		x.push(u, iter, cs.cb.Entries[k], 0, vars[k])
 	}

@@ -306,6 +306,15 @@ func (f *Facility) homePE(t token.Tag) int {
 	return f.runNodes[t.HomePE(len(f.runNodes))]
 }
 
+// allocTop is the first structure address not yet allocated, read under
+// the allocator's lock: a node checking a FETCH or STORE address races
+// with allocations on other nodes.
+func (f *Facility) allocTop() uint32 {
+	f.allocMu.Lock()
+	defer f.allocMu.Unlock()
+	return f.nextAddr
+}
+
 // homeModule maps a structure address onto its owning node.
 func (f *Facility) homeModule(addr uint32) int {
 	return f.runNodes[int(addr)%len(f.runNodes)]

@@ -283,8 +283,8 @@ func (nd *node) fire(act token.ActivityName, vals [2]token.Value) {
 		f.allocMu.Unlock()
 		nd.sendToDests(act, in.Dests, token.NewRef(token.Ref{Base: base, Len: uint32(n)}), act.Initiation)
 	case graph.OpFetch:
-		addr, err := vals[0].AsInt()
-		if err != nil || addr < 0 {
+		addr, ok := graph.CellAddr(vals[0], f.allocTop())
+		if !ok {
 			f.fail(fmt.Errorf("emulator: fetch at %s: bad address %s", act, vals[0]))
 			return
 		}
@@ -299,16 +299,14 @@ func (nd *node) fire(act token.ActivityName, vals [2]token.Value) {
 			port: d.Port,
 			nt:   blk.Instr(d.Stmt).NT,
 		}
-		home := f.homeModule(uint32(addr))
-		f.post(nd.id, message{dst: home, isReq: &isRequest{addr: uint32(addr), reply: rt}})
+		f.post(nd.id, message{dst: f.homeModule(addr), isReq: &isRequest{addr: addr, reply: rt}})
 	case graph.OpStore:
-		addr, err := vals[0].AsInt()
-		if err != nil || addr < 0 {
+		addr, ok := graph.CellAddr(vals[0], f.allocTop())
+		if !ok {
 			f.fail(fmt.Errorf("emulator: store at %s: bad address %s", act, vals[0]))
 			return
 		}
-		home := f.homeModule(uint32(addr))
-		f.post(nd.id, message{dst: home, isReq: &isRequest{write: true, addr: uint32(addr), value: vals[1]}})
+		f.post(nd.id, message{dst: f.homeModule(addr), isReq: &isRequest{write: true, addr: addr, value: vals[1]}})
 	case graph.OpSink, graph.OpNop:
 		// absorbed
 	default:

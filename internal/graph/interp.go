@@ -19,6 +19,18 @@ import (
 // address within 32 bits.
 const CellBudget = 1 << 20
 
+// CellAddr is the address rule of every backend that runs MiniID: the
+// TTDA, this interpreter, internal/direct and the emulator. A FETCH or
+// STORE address is an integer in [0, top), where top is the first cell the
+// run has not allocated. The check is made on the operand's full value,
+// before any narrowing to 32 bits, so 2³²+k never names cell k. ok is
+// false for any other operand (a negative one wraps past every top), and
+// the caller faults with "bad address" without using addr.
+func CellAddr(v token.Value, top uint32) (addr uint32, ok bool) {
+	a, err := v.AsInt()
+	return uint32(a), err == nil && uint64(a) < uint64(top)
+}
+
 // ContextBudget bounds the invocation contexts one run may create in total
 // on every backend that runs MiniID: the TTDA, this interpreter,
 // internal/direct and the emulator. A GET-CONTEXT past it faults with
@@ -442,8 +454,8 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 		it.store.cells = append(it.store.cells, make([]idealCell, n)...)
 		emit(in.Dests, token.NewRef(token.Ref{Base: uint32(base), Len: uint32(n)}))
 	case KindFetch:
-		addr, err := ops[0].AsInt()
-		if err != nil || addr < 0 || int(addr) >= len(it.store.cells) {
+		addr, ok := CellAddr(ops[0], uint32(len(it.store.cells)))
+		if !ok {
 			return fmt.Errorf("fetch at %s: bad address %s", act, ops[0])
 		}
 		cell := &it.store.cells[addr]
@@ -460,8 +472,8 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 			it.store.deferMax = it.store.deferred
 		}
 	case KindStore:
-		addr, err := ops[0].AsInt()
-		if err != nil || addr < 0 || int(addr) >= len(it.store.cells) {
+		addr, ok := CellAddr(ops[0], uint32(len(it.store.cells)))
+		if !ok {
 			return fmt.Errorf("store at %s: bad address %s", act, ops[0])
 		}
 		cell := &it.store.cells[addr]

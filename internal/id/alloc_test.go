@@ -64,7 +64,11 @@ func TestAllocateSizeBounds(t *testing.T) {
 // graph.ContextBudget per run: a recursion that never returns and a loop
 // that calls once per iteration both exhaust it. A second write to an
 // I-structure cell is the single-assignment fault everywhere, named by
-// the cell's global address (on four PEs, cell 5 lives on PE 1).
+// the cell's global address (on four PEs, cell 5 lives on PE 1). An
+// address is an integer in [0, allocated top) on every backend: a FETCH
+// or STORE at 2³²+5 is a bad address, never cell 5. MiniID's bounds-checked
+// indexing cannot form such an address, so those rows are hand-built
+// graphs, the kind of program an object file carries.
 func TestAllocateDispositions(t *testing.T) {
 	const sized = "def main(n) = { a = array(n); len(a) };"
 	const loop = `
@@ -85,19 +89,22 @@ def main(n) =
 `
 	cases := []struct {
 		name, src string
+		prog      *graph.Program // run instead of compiling src
 		arg       int64
 		want      string // "=answer", or the fault class the error names
 	}{
-		{"size 0", sized, 0, "=0"},
-		{"size 5", sized, 5, "=5"},
-		{"size 2^32-1", sized, 1<<32 - 1, "space exhausted"},
-		{"size 2^32", sized, 1 << 32, "bad size"},
-		{"size -1", sized, -1, "bad size"},
-		{"allocating loop", loop, 100, "space exhausted"},
-		{"unbounded recursion", recursion, 0, "context space exhausted"},
-		{"budget + 1 calls", calls, graph.ContextBudget + 1, "context space exhausted"},
-		{"double write", "def main(n) = { a = array(8); a[5] <- n; a[5] <- n + 1; a[5] };", 5,
-			"address 5 already written (single-assignment violation)"},
+		{name: "size 0", src: sized, arg: 0, want: "=0"},
+		{name: "size 5", src: sized, arg: 5, want: "=5"},
+		{name: "size 2^32-1", src: sized, arg: 1<<32 - 1, want: "space exhausted"},
+		{name: "size 2^32", src: sized, arg: 1 << 32, want: "bad size"},
+		{name: "size -1", src: sized, arg: -1, want: "bad size"},
+		{name: "allocating loop", src: loop, arg: 100, want: "space exhausted"},
+		{name: "unbounded recursion", src: recursion, arg: 0, want: "context space exhausted"},
+		{name: "budget + 1 calls", src: calls, arg: graph.ContextBudget + 1, want: "context space exhausted"},
+		{name: "double write", src: "def main(n) = { a = array(8); a[5] <- n; a[5] <- n + 1; a[5] };", arg: 5,
+			want: "address 5 already written (single-assignment violation)"},
+		{name: "fetch at 2^32+5", prog: rawAddressProgram(t, false), arg: 1<<32 + 5, want: "bad address 4294967301"},
+		{name: "store at 2^32+5", prog: rawAddressProgram(t, true), arg: 1<<32 + 5, want: "bad address 4294967301"},
 	}
 	backends := []struct {
 		name string
@@ -113,9 +120,12 @@ def main(n) =
 		}},
 	}
 	for _, tc := range cases {
-		prog, err := Compile(tc.src)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		prog := tc.prog
+		if prog == nil {
+			var err error
+			if prog, err = Compile(tc.src); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
 		}
 		for _, b := range backends {
 			t.Run(tc.name+"/"+b.name, func(t *testing.T) {
@@ -135,4 +145,47 @@ def main(n) =
 			})
 		}
 	}
+}
+
+// rawAddressProgram builds main(n): allocate 8 cells, store 7 into cell 5,
+// then FETCH (or, with store, STORE 9 at) the raw address n. The raw
+// access waits for the allocation, so a backend that narrowed n to 32 bits
+// before its bounds check would reach cell 5: the fetch would answer 7 and
+// the store would be a second write to cell 5.
+func rawAddressProgram(t *testing.T, store bool) *graph.Program {
+	t.Helper()
+	b := graph.NewBuilder("raw-address")
+	bb := b.NewBlock("main", 1)
+	n := bb.Entry(0)
+	size := bb.OpLit(graph.OpConst, token.Int(8), 1, "8")
+	alloc := bb.Op(graph.OpAllocate, "a = array(8)")
+	a := bb.Fan(alloc)
+	a5 := bb.OpLit(graph.OpIAddr, token.Int(5), 1, "&a[5]")
+	st := bb.OpLit(graph.OpStore, token.Int(7), 1, "a[5] <- 7")
+	length := bb.Op(graph.OpLen, "len(a)")
+	zero := bb.OpLit(graph.OpMul, token.Int(0), 1, "len(a) * 0")
+	raw := bb.Op(graph.OpAdd, "n + 0, after the allocation")
+	ret := bb.Op(graph.OpReturn, "")
+	bb.Connect(n, size, 0)
+	bb.Connect(size, alloc, 0)
+	bb.Connect(a, a5, 0)
+	bb.Connect(a5, st, 0)
+	bb.Connect(a, length, 0)
+	bb.Connect(length, zero, 0)
+	bb.Connect(n, raw, 0)
+	bb.Connect(zero, raw, 1)
+	if store {
+		rawStore := bb.OpLit(graph.OpStore, token.Int(9), 1, "[n] <- 9")
+		bb.Connect(raw, rawStore, 0)
+		bb.Connect(length, ret, 0)
+	} else {
+		fetch := bb.Op(graph.OpFetch, "[n]")
+		bb.Connect(raw, fetch, 0)
+		bb.Connect(fetch, ret, 0)
+	}
+	p, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

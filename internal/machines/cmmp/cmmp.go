@@ -271,15 +271,6 @@ func (m *Machine) Crossbar() *network.Crossbar { return m.xbar }
 // Engine exposes the simulation engine (scheduling counters).
 func (m *Machine) Engine() sim.Driver { return m.engine }
 
-// WorkerSteps reports per-shard step counts, in shard order (nil when
-// sequential).
-func (m *Machine) WorkerSteps() []uint64 {
-	if par, ok := m.engine.(*sim.ParallelEngine); ok {
-		return par.WorkerSteps()
-	}
-	return nil
-}
-
 // MeanUtilization averages core utilization.
 func (m *Machine) MeanUtilization() float64 {
 	u := 0.0

@@ -3,6 +3,8 @@ package cmmp
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestShardedBitIdentical pins the parallel kernel to the sequential one:
@@ -17,11 +19,8 @@ func TestShardedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shards > 1 && m.WorkerSteps() == nil {
-			t.Fatalf("shards=%d: expected parallel engine worker counters", shards)
-		}
-		if shards <= 1 && m.WorkerSteps() != nil {
-			t.Fatal("sequential run reported worker counters")
+		if _, par := m.Engine().(*sim.ParallelEngine); par != (shards > 1) {
+			t.Fatalf("shards=%d ran on %T", shards, m.Engine())
 		}
 		return snapshotCMMP(t, m, cfg, uint64(cycles))
 	}

@@ -253,12 +253,3 @@ func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 
 // Engine exposes the simulation engine (scheduling counters).
 func (m *Machine) Engine() sim.Driver { return m.engine }
-
-// WorkerSteps reports per-shard step counts, in shard order (nil when
-// sequential).
-func (m *Machine) WorkerSteps() []uint64 {
-	if par, ok := m.engine.(*sim.ParallelEngine); ok {
-		return par.WorkerSteps()
-	}
-	return nil
-}

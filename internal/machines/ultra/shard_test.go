@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/vn"
 )
 
@@ -22,8 +23,8 @@ func TestShardedBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if shards > 1 && m.WorkerSteps() == nil {
-				t.Fatalf("shards=%d: expected parallel engine worker counters", shards)
+			if _, par := m.Engine().(*sim.ParallelEngine); par != (shards > 1) {
+				t.Fatalf("shards=%d ran on %T", shards, m.Engine())
 			}
 			return snapshotUltra(m, uint64(cycles))
 		}

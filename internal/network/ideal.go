@@ -97,14 +97,7 @@ func (n *Ideal) Stats() *Stats { return n.stats }
 // Lookahead: every delivery happens exactly Latency cycles after Send.
 func (n *Ideal) Lookahead() sim.Cycle { return n.latency }
 
-// WindowLookahead implements Windowable: Send schedules the exact
-// delivery cycle from the injection clock, and Step on a delivery-free
-// tick is a no-op, so the ideal fabric is safe to leave unstepped for up
-// to Latency cycles past the earliest injection.
-func (n *Ideal) WindowLookahead() sim.Cycle { return n.latency }
-
 var (
 	_ Network     = (*Ideal)(nil)
 	_ Lookaheader = (*Ideal)(nil)
-	_ Windowable  = (*Ideal)(nil)
 )

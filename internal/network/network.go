@@ -98,22 +98,6 @@ type Lookaheader interface {
 	Lookahead() sim.Cycle
 }
 
-// Windowable is implemented by fabrics that can additionally support
-// multi-tick epoch windows (sim.ParallelEngine.EnableWindows): beyond the
-// Lookaheader promise, the fabric must schedule each packet's exact
-// delivery time at Send — stamping timestamps from the clock it was
-// handed, not from how often it is stepped — and tolerate not being
-// stepped at all on delivery-free ticks. Stepped fabrics with per-cycle
-// arbitration (crossbars, meshes, omega networks) cannot promise this:
-// their state advances only when stepped, so skipping their ticks would
-// change arbitration outcomes. WindowLookahead is the window horizon: an
-// effect deferred by a shard at tick t cannot require the fabric (or any
-// other serial component) to act before t+WindowLookahead().
-type Windowable interface {
-	Lookaheader
-	WindowLookahead() sim.Cycle
-}
-
 // clocked is the engine attachment embedded by every fabric: the Waker
 // captured at registration plus the slot-accurate clock and re-arm rules.
 // Unattached fabrics (driven by a hand-rolled loop or an exhaustive

@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"fmt"
-	"slices"
-)
-
 // ParallelEngine is the sharded counterpart of Engine: the machine's
 // components are split into a serial prefix (fabrics, pumps, shared
 // managers — everything whose step may touch global state) and a block of
@@ -39,10 +34,6 @@ import (
 // Host parallelism lives between runs instead: the sweep runner and the
 // serve workers run whole machines concurrently.
 //
-// Machines whose fabric declares a windowing lookahead (EnableWindows) can
-// widen an epoch to several ticks: see the "adaptive epoch windows"
-// section below.
-//
 // Everything else — wake-queue arming, SlotNow's slot clock, the
 // settle-before-mutation rule, busy-horizon quiescence, idle-cycle
 // skipping — reproduces Engine behaviour exactly, so cycle counts and
@@ -62,7 +53,6 @@ type ParallelEngine struct {
 
 	now         Cycle
 	prevTick    Cycle
-	stride      Cycle
 	busyHorizon Cycle
 
 	wake     []Cycle
@@ -82,63 +72,17 @@ type ParallelEngine struct {
 	stepsExecuted uint64
 	cyclesSkipped uint64
 	wakesEnqueued uint64
-	workerSteps   []uint64 // Step calls per shard runner
 
-	// gridAnchor / resumePending: see Engine — the stride-grid anchor and
-	// the LoadState flag that makes the next Run resume without re-arming.
-	gridAnchor    Cycle
+	// resumePending: see Engine — the LoadState flag that makes the next
+	// Run resume without re-arming.
 	resumePending bool
 
 	dueRunners []int
-
-	// --- adaptive epoch windows (EnableWindows) ---
-
-	// winOn enables multi-tick epochs; winLook is the fabric's declared
-	// windowing lookahead and winCap an optional ceiling on window width
-	// (0 = adaptive/unbounded).
-	winOn   bool
-	winLook Cycle
-	winCap  Cycle
-	// inWindow is true while a window executes; SaveState refuses then,
-	// and arm clamps runner wakes to their frontier.
-	inWindow bool
-	// winRunners caches the WindowRunner view of each shard runner.
-	winRunners []WindowRunner
-	// frontier[k] is the lowest tick runner k may still step inside the
-	// current window: one past the last tick it executed. Commit-time
-	// wakes back-dated to an already-stepped tick clamp up to it.
-	frontier []Cycle
-	// pendTick[k] is the tick at which runner k dirty-stopped and whose
-	// deferred ops await their commit slot; Never when none pending.
-	pendTick []Cycle
-	// winMark[k] records which region ticks runner k stepped (census for
-	// exact cycles-skipped accounting).
-	winMark [][]bool
-
-	winEpochs uint64 // windows executed
-	winTicks  uint64 // simulated cycles covered by those windows
-}
-
-// WindowRunner is a shard runner that can execute several consecutive
-// ticks of its local timeline between commits. EnableWindows requires
-// every registered shard runner to implement it.
-type WindowRunner interface {
-	Component
-	// StepWindow advances the runner's local timeline from tick `from`
-	// toward `until` (exclusive): the runner steps every tick its own
-	// next-event answer makes due, in ascending order, marking each
-	// stepped tick t in stepped[t-base] (the engine's executed-tick
-	// census), and stops early — a dirty stop — immediately after any
-	// tick on which it appended to its deferred-op log. It returns the
-	// last tick it stepped, the earliest future tick it wants to run
-	// (Never when parked; ignored after a dirty stop), whether it stopped
-	// dirty, and how many Steps it executed.
-	StepWindow(from, until Cycle, stepped []bool, base Cycle) (last, next Cycle, dirty bool, steps uint64)
 }
 
 // NewParallelEngine returns an empty parallel engine at cycle 0.
 func NewParallelEngine() *ParallelEngine {
-	return &ParallelEngine{stride: 1, stepping: -1, firstRunner: -1, index: map[Component]int{}}
+	return &ParallelEngine{stepping: -1, firstRunner: -1, index: map[Component]int{}}
 }
 
 // Register adds a serial component. Serial components step before every
@@ -162,7 +106,6 @@ func (e *ParallelEngine) RegisterShard(c Component) {
 		e.firstRunner = len(e.components)
 	}
 	e.register(c)
-	e.workerSteps = append(e.workerSteps, 0)
 }
 
 func (e *ParallelEngine) register(c Component) {
@@ -188,79 +131,10 @@ func (e *ParallelEngine) register(c Component) {
 	}
 }
 
-// EnableWindows opts the engine into adaptive multi-tick epochs. lookahead
-// is the fabric's declared windowing lookahead: an effect a runner defers
-// at tick t cannot reach another shard before t+lookahead (the fabric must
-// schedule exact delivery times at injection and tolerate not being
-// stepped on delivery-free ticks — see network.Windowable). cap bounds the
-// width of one window in cycles (<= 0 means adaptive: bounded only by the
-// horizon rule). A cap of 1 degenerates to per-tick epochs.
-//
-// Window soundness is the machine's side of a contract: deferred ops may
-// only (a) mutate state read exclusively inside commit hooks, (b) schedule
-// serial-component work at or after t+lookahead, or (c) mutate the
-// producing shard's own state — the dirty stop keeps that shard from
-// running past its own uncommitted effects. Machines whose shard members
-// are attached through MemberWaker must not enable windows: the member
-// settle path uses the epoch clock, which lags the runner's local tick
-// inside a window.
-//
-// Call after every RegisterShard; every runner must implement
-// WindowRunner, and lookahead must be at least 1.
-func (e *ParallelEngine) EnableWindows(lookahead, cap Cycle) {
-	if e.firstRunner < 0 {
-		panic("sim: EnableWindows before any RegisterShard")
-	}
-	if lookahead < 1 {
-		panic(fmt.Sprintf("sim: EnableWindows lookahead %d — a window needs a cross-shard latency of at least 1 cycle", lookahead))
-	}
-	if cap == 1 {
-		return // per-tick epochs requested explicitly
-	}
-	n := e.Shards()
-	e.winRunners = make([]WindowRunner, n)
-	for k := 0; k < n; k++ {
-		r, ok := e.components[e.firstRunner+k].(WindowRunner)
-		if !ok {
-			panic("sim: EnableWindows requires every shard runner to implement WindowRunner")
-		}
-		e.winRunners[k] = r
-	}
-	e.frontier = make([]Cycle, n)
-	e.pendTick = make([]Cycle, n)
-	e.winMark = make([][]bool, n)
-	for k := range e.winMark {
-		e.winMark[k] = make([]bool, lookahead)
-	}
-	e.winLook, e.winCap = lookahead, cap
-	if e.winCap < 0 {
-		e.winCap = 0
-	}
-	e.winOn = true
-}
-
-// WindowStats reports how many multi-tick windows ran and how many
-// simulated cycles they covered (0, 0 when windowing is off or never
-// engaged). Diagnostics only; not part of the checkpoint state.
-func (e *ParallelEngine) WindowStats() (windows, cycles uint64) {
-	return e.winEpochs, e.winTicks
-}
-
 // OnCommit installs the machine's commit hook, called once per tick after
-// the runner phase (even when the deferred logs are empty). The
-// hook must drain, from every shard's log in ascending shard order, the
-// ops whose production tick is at or before now — in per-tick mode that is
-// every logged op; inside a window later-tick ops stay queued for a later
-// commit slot.
+// the runner phase (even when the deferred logs are empty). The hook must
+// drain every shard's log, in ascending shard order.
 func (e *ParallelEngine) OnCommit(fn func(now Cycle)) { e.commit = fn }
-
-// Shards reports the number of registered shard runners.
-func (e *ParallelEngine) Shards() int {
-	if e.firstRunner < 0 {
-		return 0
-	}
-	return len(e.components) - e.firstRunner
-}
 
 // Now reports the current cycle.
 func (e *ParallelEngine) Now() Cycle { return e.now }
@@ -315,14 +189,6 @@ func (e *ParallelEngine) Wake(c Component, at Cycle) {
 	e.arm(i, at)
 }
 
-// SetStride sets the simulated-time cost of one tick.
-func (e *ParallelEngine) SetStride(d Cycle) {
-	if d < 1 {
-		d = 1
-	}
-	e.stride = d
-}
-
 // NoteBusy raises the busy horizon (serial contexts only; shard code
 // accumulates a per-shard horizon merged at commit).
 func (e *ParallelEngine) NoteBusy(until Cycle) {
@@ -341,15 +207,6 @@ func (e *ParallelEngine) Counters() Counters {
 		CyclesSkipped: e.cyclesSkipped,
 		WakesEnqueued: e.wakesEnqueued,
 	}
-}
-
-// WorkerSteps reports per-shard runner Step counts, in shard order: each
-// shard's share of the runner phase. A window pass counts every tick the
-// runner stepped.
-func (e *ParallelEngine) WorkerSteps() []uint64 {
-	out := make([]uint64, len(e.workerSteps))
-	copy(out, e.workerSteps)
-	return out
 }
 
 // --- wake-queue plumbing (identical to Engine's) ---
@@ -427,14 +284,6 @@ func (e *ParallelEngine) heapRemove(i int) {
 func (e *ParallelEngine) arm(i int, at Cycle) {
 	if at < e.now {
 		at = e.now
-	}
-	if e.inWindow && i >= e.firstRunner {
-		// A commit replayed at an already-executed tick may wake its
-		// producing runner back-dated; the runner's local timeline has
-		// passed that tick, so the wake lands at its frontier instead.
-		if f := e.frontier[i-e.firstRunner]; at < f {
-			at = f
-		}
 	}
 	if p := e.pos[i]; p >= 0 {
 		if at < e.wake[i] {
@@ -541,238 +390,7 @@ func (e *ParallelEngine) tick() {
 		}
 	}
 	e.prevTick = e.now
-	e.now += e.stride
-}
-
-// --- adaptive epoch windows ---
-//
-// A window is a run of ticks [now, wEnd) that the engine can prove free of
-// serial-component work and of cross-shard influence: wEnd never passes
-// the earliest armed serial wake, and never passes runnerMin+lookahead,
-// where runnerMin is the earliest armed runner wake — so an effect a
-// runner defers at tick u >= runnerMin cannot reach another shard (or the
-// fabric's delivery path) before u+lookahead >= wEnd. Inside the window
-// each shard runs its local timeline independently of the others; the
-// only ordering left is the dirty-stop protocol:
-//
-//   - a runner halts its timeline immediately after any tick u on which it
-//     deferred ops (its own state may depend on their commit at u);
-//   - the engine replays pending ops strictly in (tick, shard) order, with
-//     the clock rewound to the production tick so commit-time timestamps
-//     (InjectedAt, memory due cycles) match the per-tick engine exactly —
-//     and only once no runner armed earlier could still produce
-//     earlier-tick ops;
-//   - the committed runner resumes from its frontier, never re-stepping a
-//     tick it already executed.
-//
-// In the worst case (ops on every tick) this degenerates to per-tick
-// epochs; when cross-shard traffic is sparse it collapses a commit scan
-// per tick into one per lookahead-window, and fuses the idle jump in.
-
-// tryWindow attempts a multi-tick epoch ending no later than maxEnd.
-// It reports false — fall back to a normal tick — when the window would
-// not beat per-tick stepping.
-func (e *ParallelEngine) tryWindow(maxEnd Cycle) bool {
-	if e.stride != 1 || len(e.due) > 0 || e.Shards() == 0 {
-		return false
-	}
-	serialMin, runnerMin := Never, Never
-	for _, i := range e.fheap {
-		if i < e.firstRunner {
-			if e.wake[i] < serialMin {
-				serialMin = e.wake[i]
-			}
-		} else if e.wake[i] < runnerMin {
-			runnerMin = e.wake[i]
-		}
-	}
-	if runnerMin == Never || serialMin <= e.now {
-		return false
-	}
-	base := runnerMin
-	if base < e.now {
-		base = e.now
-	}
-	wEnd := base + e.winLook
-	if serialMin < wEnd {
-		wEnd = serialMin
-	}
-	if e.winCap > 0 && e.now+e.winCap < wEnd {
-		wEnd = e.now + e.winCap
-	}
-	if wEnd > maxEnd {
-		wEnd = maxEnd
-	}
-	if wEnd <= e.now+1 || runnerMin >= wEnd {
-		return false
-	}
-	e.runWindow(base, wEnd)
-	return true
-}
-
-// runWindow executes the window [e.now, wEnd). base is the first tick any
-// runner can step (max of the earliest armed runner wake and now); the
-// stepped region [base, wEnd) is at most lookahead cycles wide.
-func (e *ParallelEngine) runWindow(base, wEnd Cycle) {
-	e.inWindow = true
-	winStart := e.now
-	width := int(wEnd - base)
-	for k := range e.winMark {
-		mark := e.winMark[k]
-		if width > len(mark) {
-			mark = make([]bool, width)
-			e.winMark[k] = mark
-		}
-		for t := 0; t < width; t++ {
-			mark[t] = false
-		}
-		e.frontier[k] = winStart
-		e.pendTick[k] = Never
-	}
-	maxStepped := winStart - 1
-	for {
-		// Earliest armed runner wake and earliest pending commit tick.
-		armedMin := Never
-		for _, i := range e.fheap {
-			if i >= e.firstRunner && e.wake[i] < armedMin {
-				armedMin = e.wake[i]
-			}
-		}
-		pendMin := Never
-		for _, t := range e.pendTick {
-			if t < pendMin {
-				pendMin = t
-			}
-		}
-		if pendMin != Never && pendMin < armedMin {
-			// No runner is armed at or before pendMin, so no shard can still
-			// produce ops at that tick: its ops are complete and next in the
-			// global (tick, shard) order. A runner armed exactly at pendMin
-			// must run first — it may defer ops at that very tick, and
-			// committing before it does would replay the tick's ops across
-			// two commit calls, out of shard order.
-			e.commitWindowTick(pendMin)
-			continue
-		}
-		if armedMin >= wEnd {
-			break // window drained: every runner parked at or past the horizon
-		}
-		if last := e.runWindowPass(wEnd, base); last > maxStepped {
-			maxStepped = last
-		}
-	}
-	// Fold the shards' per-window accumulators (busy horizons, shard
-	// counters) exactly as the per-tick mode folds them every tick. The
-	// deferred logs are empty here — the loop above drained them.
-	if e.commit != nil {
-		saved := e.now
-		e.now = maxStepped
-		e.inCommit = true
-		e.commit(maxStepped)
-		e.inCommit = false
-		e.now = saved
-	}
-	e.inWindow = false
-
-	// Exact cycles-skipped accounting: the per-tick engine would have
-	// executed exactly the distinct ticks some runner stepped, and idle-
-	// jumped (counting) everything else in [winStart, endNow).
-	executed := 0
-	for t := 0; t < width; t++ {
-		for k := range e.winMark {
-			if e.winMark[k][t] {
-				executed++
-				break
-			}
-		}
-	}
-	endNow := wEnd
-	if len(e.fheap) == 0 {
-		// Everything parked: mirror the per-tick engine, which stops
-		// ticking right after the last executed tick (the exact completion
-		// cycle the done() contract reports).
-		endNow = maxStepped + 1
-	}
-	e.cyclesSkipped += uint64(endNow-winStart) - uint64(executed)
-	e.winEpochs++
-	e.winTicks += uint64(endNow - winStart)
-	e.prevTick = maxStepped
-	e.now = endNow
-}
-
-// runWindowPass pops every runner armed before wEnd and runs each, in
-// ascending shard order, from its wake to the horizon (or its dirty stop).
-// It returns the highest tick stepped in the pass.
-func (e *ParallelEngine) runWindowPass(wEnd, base Cycle) (maxLast Cycle) {
-	e.dueRunners = e.dueRunners[:0]
-	for len(e.fheap) > 0 && e.wake[e.fheap[0]] < wEnd {
-		i := e.heapPopMin()
-		if i < e.firstRunner {
-			panic("sim: serial component armed inside an epoch window — the fabric's declared lookahead was violated")
-		}
-		e.dueRunners = append(e.dueRunners, i)
-	}
-	slices.Sort(e.dueRunners)
-	maxLast = base - 1
-	// Re-arming runner k before runner k+1 steps is safe: a runner's step
-	// reads only its own wake and frontier, never the heap.
-	e.inPhase = true
-	for _, i := range e.dueRunners {
-		k := i - e.firstRunner
-		last, next, dirty, steps := e.winRunners[k].StepWindow(e.windowFrom(i), wEnd, e.winMark[k], base)
-		e.workerSteps[k] += steps
-		e.stepsExecuted += steps
-		e.frontier[k] = last + 1
-		if last > maxLast {
-			maxLast = last
-		}
-		if dirty {
-			e.pendTick[k] = last
-		} else if next != Never {
-			e.arm(i, next)
-		}
-	}
-	e.inPhase = false
-	return maxLast
-}
-
-// windowFrom is the first tick runner i steps in this pass: its armed
-// wake, clamped to the window start and to its own frontier.
-func (e *ParallelEngine) windowFrom(i int) Cycle {
-	from := e.wake[i]
-	if from < e.now {
-		from = e.now
-	}
-	if f := e.frontier[i-e.firstRunner]; from < f {
-		from = f
-	}
-	return from
-}
-
-// commitWindowTick replays every pending deferred op produced at tick u,
-// in ascending shard order, with the clock rewound to u — reproducing the
-// per-tick engine's commit at the end of tick u exactly, timestamps
-// included. Committed runners are re-armed from their post-commit
-// NextEvent answer (frontier-clamped), mirroring the per-tick re-arm.
-func (e *ParallelEngine) commitWindowTick(u Cycle) {
-	saved := e.now
-	e.now = u
-	e.inCommit = true
-	if e.commit != nil {
-		e.commit(u)
-	}
-	e.inCommit = false
-	for k, t := range e.pendTick {
-		if t != u {
-			continue
-		}
-		e.pendTick[k] = Never
-		i := e.firstRunner + k
-		if nx := e.events[i].NextEvent(u); nx != Never {
-			e.arm(i, nx)
-		}
-	}
-	e.now = saved
+	e.now++
 }
 
 // runPhase steps every due runner, in ascending shard order, on the
@@ -781,7 +399,6 @@ func (e *ParallelEngine) runPhase() {
 	e.inPhase = true
 	for _, i := range e.dueRunners {
 		e.components[i].Step(e.now)
-		e.workerSteps[i-e.firstRunner]++
 	}
 	e.inPhase = false
 	e.stepsExecuted += uint64(len(e.dueRunners))
@@ -801,10 +418,6 @@ func (e *ParallelEngine) settleAll() {
 // on return.
 func (e *ParallelEngine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
 	start := e.now
-	maxEnd := start + limit
-	if maxEnd < start {
-		maxEnd = Never // overflow: effectively unbounded
-	}
 	defer e.settleAll()
 	if e.resumePending {
 		// Resuming from a checkpoint: the restored wake queue is exact;
@@ -814,16 +427,13 @@ func (e *ParallelEngine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok b
 			e.idleJump(start, limit)
 		}
 	} else {
-		e.gridAnchor = e.now
 		e.wakeAllAt(e.now)
 	}
 	for e.now-start < limit {
 		if done() {
 			return e.now - start, true
 		}
-		if !e.winOn || !e.tryWindow(maxEnd) {
-			e.tick()
-		}
+		e.tick()
 		if done() {
 			continue // report the exact completion cycle, not a jump target
 		}
@@ -838,7 +448,8 @@ func (e *ParallelEngine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok b
 	return e.now - start, ok
 }
 
-// idleJump mirrors Engine.idleJump for the parallel kernel.
+// idleJump mirrors Engine.idleJump for the parallel kernel, whose ticks
+// are one cycle apart: there is no stride grid to align to.
 func (e *ParallelEngine) idleJump(start, limit Cycle) {
 	var t Cycle
 	if len(e.fheap) > 0 {
@@ -863,15 +474,6 @@ func (e *ParallelEngine) idleJump(start, limit Cycle) {
 		t = start + limit
 		clamped = true
 	}
-	if e.stride > 1 {
-		if off := (t - e.gridAnchor) % e.stride; off != 0 {
-			t += e.stride - off
-			if t-start > limit {
-				t = start + limit
-				clamped = true
-			}
-		}
-	}
 	if t > e.now {
 		e.cyclesSkipped += uint64(t - e.now)
 	}
@@ -889,10 +491,6 @@ func (e *ParallelEngine) idleJump(start, limit Cycle) {
 // boundary is now+1, exactly Engine's rule — and leaves arming to the
 // runner's post-commit NextEvent poll, which subsumes the wake (the
 // member's own NextEvent reflects the mutation that prompted it).
-//
-// The in-phase settle boundary uses the engine's epoch clock, which inside
-// a multi-tick window lags the runner's local tick: machines that attach
-// shard members through MemberWaker must not EnableWindows.
 type MemberWaker struct {
 	Eng    *ParallelEngine
 	Runner Component

@@ -17,10 +17,6 @@ type ringSend struct {
 	due Cycle
 	dst int
 	val int
-	// tick is the production tick of a deferred send (shard log entries
-	// only); the commit hook drains entries up to the commit tick, the
-	// same prefix discipline real machines use under epoch windows.
-	tick Cycle
 }
 
 type ringFabric struct {
@@ -57,27 +53,13 @@ type ringCell struct {
 	pending int // delivered this tick by the fabric, consumed at the next step
 	tokens  int
 	budget  int
-	// chew is the number of shard-local work ticks a cell spends on each
-	// received token before forwarding it — the clean stretches that let
-	// an epoch window widen past one tick.
-	chew     int
-	chewLeft int
-	steps    uint64
-	passed   uint64
+	passed  uint64
 }
 
 func (c *ringCell) Step(now Cycle) {
-	c.steps++
 	if c.pending > 0 {
 		c.tokens += c.pending
 		c.pending = 0
-		if c.chew > 0 && c.budget > 0 {
-			c.chewLeft = c.chew
-		}
-	}
-	if c.chewLeft > 0 {
-		c.chewLeft--
-		return
 	}
 	if c.tokens > 0 && c.budget > 0 {
 		c.tokens--
@@ -88,7 +70,7 @@ func (c *ringCell) Step(now Cycle) {
 }
 
 func (c *ringCell) NextEvent(now Cycle) Cycle {
-	if c.pending > 0 || c.chewLeft > 0 || (c.tokens > 0 && c.budget > 0) {
+	if c.pending > 0 || (c.tokens > 0 && c.budget > 0) {
 		return now
 	}
 	return Never
@@ -106,27 +88,6 @@ func (s *ringShard) Step(now Cycle) {
 		if c.NextEvent(now) <= now {
 			c.Step(now)
 		}
-	}
-}
-
-// StepWindow implements WindowRunner: advance the shard's local timeline
-// tick by tick, halting after any tick that deferred sends (see
-// coreShard.StepWindow for the dirty-stop rationale).
-func (s *ringShard) StepWindow(from, until Cycle, stepped []bool, base Cycle) (last, next Cycle, dirty bool, steps uint64) {
-	t := from
-	for {
-		stepped[t-base] = true
-		steps++
-		last = t
-		s.Step(t)
-		if len(s.sends) > 0 {
-			return last, Never, true, steps
-		}
-		nx := s.NextEvent(t + 1)
-		if nx >= until {
-			return last, nx, false, steps
-		}
-		t = nx
 	}
 }
 
@@ -152,7 +113,7 @@ type ringMachine struct {
 
 func (m *ringMachine) send(c *ringCell, dst, val int, now Cycle) {
 	if sh := m.shardOf[c.id]; sh != nil {
-		sh.sends = append(sh.sends, ringSend{dst: dst, val: val, tick: now})
+		sh.sends = append(sh.sends, ringSend{dst: dst, val: val})
 		return
 	}
 	m.fabric.inflight = append(m.fabric.inflight, ringSend{due: now + m.latency, dst: dst, val: val})
@@ -171,15 +132,11 @@ func (m *ringMachine) deliver(dst, val int) {
 
 func (m *ringMachine) commit(now Cycle) {
 	for _, sh := range m.shards {
-		n := 0
-		for n < len(sh.sends) && sh.sends[n].tick <= now {
-			n++
-		}
-		for _, s := range sh.sends[:n] {
+		for _, s := range sh.sends {
 			m.fabric.inflight = append(m.fabric.inflight, ringSend{due: now + m.latency, dst: s.dst, val: s.val})
 			m.eng.Wake(m.fabric, now+m.latency)
 		}
-		sh.sends = sh.sends[:copy(sh.sends, sh.sends[n:])]
+		sh.sends = sh.sends[:0]
 	}
 }
 
@@ -188,7 +145,7 @@ func (m *ringMachine) quiet() bool {
 		return false
 	}
 	for _, c := range m.cells {
-		if c.pending > 0 || c.chewLeft > 0 || (c.tokens > 0 && c.budget > 0) {
+		if c.pending > 0 || (c.tokens > 0 && c.budget > 0) {
 			return false
 		}
 	}
@@ -290,25 +247,6 @@ func TestParallelEngineSkipsIdleCycles(t *testing.T) {
 	}
 }
 
-func TestParallelEngineWorkerSteps(t *testing.T) {
-	m := newRing(12, 4, 2, 40)
-	for i := range m.cells {
-		m.cells[i].tokens = 1
-	}
-	if _, ok := m.eng.Run(m.quiet, 100_000); !ok {
-		t.Fatal("did not quiesce")
-	}
-	ws := m.peng.WorkerSteps()
-	if len(ws) != 4 {
-		t.Fatalf("want 4 per-shard counters, got %v", ws)
-	}
-	for _, w := range ws {
-		if w == 0 {
-			t.Fatalf("a shard executed zero steps: %v", ws)
-		}
-	}
-}
-
 // goroutineProbe is an always-due shard runner that records the largest
 // goroutine count it observes while stepping.
 type goroutineProbe struct{ max *int }
@@ -321,47 +259,28 @@ func (p goroutineProbe) Step(Cycle) {
 
 func (goroutineProbe) NextEvent(now Cycle) Cycle { return now }
 
-func (p goroutineProbe) StepWindow(from, until Cycle, stepped []bool, base Cycle) (last, next Cycle, dirty bool, steps uint64) {
-	for t := from; t < until; t++ {
-		stepped[t-base] = true
-		p.Step(t)
-		steps++
-	}
-	return until - 1, until, false, steps
-}
-
 // TestShardedRunStartsNoGoroutines pins that shard runners step on the
-// calling goroutine, per-tick and windowed alike, even when the runtime
-// offers more threads than there are shards.
+// calling goroutine, even when the runtime offers more threads than there
+// are shards.
 func TestShardedRunStartsNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, windowed := range []bool{false, true} {
-		e := NewParallelEngine()
-		seen := 0
-		for k := 0; k < 4; k++ {
-			e.RegisterShard(goroutineProbe{max: &seen})
-		}
-		if windowed {
-			e.EnableWindows(8, 0)
-		}
-		before := runtime.NumGoroutine()
-		if _, ok := e.Run(func() bool { return false }, 200); ok {
-			t.Fatalf("windowed=%v: a never-done run reported done", windowed)
-		}
-		if seen == 0 {
-			t.Fatalf("windowed=%v: no shard runner stepped", windowed)
-		}
-		if seen > before {
-			t.Errorf("windowed=%v: %d goroutines while shards stepped, %d before Run", windowed, seen, before)
-		}
-		if w, _ := e.WindowStats(); windowed != (w > 0) {
-			t.Errorf("windowed=%v: %d windows ran", windowed, w)
-		}
-		for k, s := range e.WorkerSteps() {
-			if s != 200 {
-				t.Errorf("windowed=%v: shard %d stepped %d ticks, want 200", windowed, k, s)
-			}
-		}
+	e := NewParallelEngine()
+	seen := 0
+	for k := 0; k < 4; k++ {
+		e.RegisterShard(goroutineProbe{max: &seen})
+	}
+	before := runtime.NumGoroutine()
+	if _, ok := e.Run(func() bool { return false }, 200); ok {
+		t.Fatal("a never-done run reported done")
+	}
+	if seen == 0 {
+		t.Fatal("no shard runner stepped")
+	}
+	if seen > before {
+		t.Errorf("%d goroutines while shards stepped, %d before Run", seen, before)
+	}
+	if got := e.Counters().StepsExecuted; got != 4*200 {
+		t.Errorf("%d runner steps, want 4 shards × 200 ticks", got)
 	}
 }
 

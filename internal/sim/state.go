@@ -498,52 +498,33 @@ func (e *Engine) LoadState(d *Dec) error {
 	return nil
 }
 
-// SaveState implements Stateful for the parallel engine; the format
-// mirrors Engine's plus the per-shard step counters.
+// SaveState implements Stateful for the parallel engine; the format is
+// Engine's without the legacy flag. A parallel engine ticks every cycle, so
+// its stride is always 1 and its stride-grid anchor always 0.
 func (e *ParallelEngine) SaveState(enc *Enc) {
 	if e.stepping >= 0 || len(e.due) > 0 || e.inPhase || e.inCommit {
 		panic("sim: ParallelEngine.SaveState mid-tick")
 	}
-	if e.inWindow {
-		// Inside a multi-tick epoch window the shards' local clocks have
-		// diverged and deferred ops may be pending commit; only window
-		// boundaries are checkpointable states (Run clamps every window to
-		// the pause limit, so pauses always land on one).
-		panic("sim: ParallelEngine.SaveState mid-window — epoch windows only checkpoint at window boundaries")
-	}
-	enc.Tag("parengine", 1)
+	enc.Tag("parengine", 2)
 	saveEngineCore(enc, engineCore{
-		now: e.now, prevTick: e.prevTick, stride: e.stride,
-		busyHorizon: e.busyHorizon, gridAnchor: e.gridAnchor,
+		now: e.now, prevTick: e.prevTick, stride: 1, busyHorizon: e.busyHorizon,
 		stepsExecuted: e.stepsExecuted, cyclesSkipped: e.cyclesSkipped,
 		wakesEnqueued: e.wakesEnqueued,
 	})
-	enc.Len(len(e.workerSteps))
-	for _, w := range e.workerSteps {
-		enc.U64(w)
-	}
 	saveWakeQueue(enc, e.wake, e.pos)
 }
 
 // LoadState implements Stateful for the parallel engine.
 func (e *ParallelEngine) LoadState(d *Dec) error {
-	if err := d.Tag("parengine", 1); err != nil {
+	if err := d.Tag("parengine", 2); err != nil {
 		return err
 	}
 	c := loadEngineCore(d)
 	if d.Err() != nil {
 		return d.Err()
 	}
-	nw := d.Len(d.Remaining())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if nw != len(e.workerSteps) {
-		return fmt.Errorf("checkpoint: %d shard runners, machine has %d", nw, len(e.workerSteps))
-	}
-	ws := make([]uint64, nw)
-	for i := range ws {
-		ws[i] = d.U64()
+	if c.stride != 1 || c.gridAnchor != 0 {
+		return fmt.Errorf("checkpoint: parallel engine stride %d anchored at %d; the sharded kernel ticks every cycle", c.stride, c.gridAnchor)
 	}
 	n := d.Len(d.Remaining())
 	if d.Err() != nil {
@@ -552,10 +533,8 @@ func (e *ParallelEngine) LoadState(d *Dec) error {
 	if n != len(e.components) {
 		return fmt.Errorf("checkpoint: %d components, machine has %d", n, len(e.components))
 	}
-	e.now, e.prevTick, e.stride = c.now, c.prevTick, c.stride
-	e.busyHorizon, e.gridAnchor = c.busyHorizon, c.gridAnchor
+	e.now, e.prevTick, e.busyHorizon = c.now, c.prevTick, c.busyHorizon
 	e.stepsExecuted, e.cyclesSkipped, e.wakesEnqueued = c.stepsExecuted, c.cyclesSkipped, c.wakesEnqueued
-	copy(e.workerSteps, ws)
 	e.fheap = e.fheap[:0]
 	for i := range e.components {
 		e.pos[i] = -1

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -282,5 +283,49 @@ func TestWakeQueueRejectsPreTickArm(t *testing.T) {
 	corrupted := Checkpoint(bad)
 	if err := Restore(newChainRig(false), corrupted); err == nil {
 		t.Fatal("restore accepted a wake armed before the last executed tick")
+	}
+}
+
+// TestParallelEngineSectionVersion pins the parengine section at version
+// 2: a version-1 section, which carried per-shard step counters, is
+// refused, and so is a stride or stride-grid anchor, because the sharded
+// kernel ticks every cycle.
+func TestParallelEngineSectionVersion(t *testing.T) {
+	m := newChainRig(true)
+	if m.run(t, 15) {
+		t.Fatal("run finished unexpectedly")
+	}
+	eng := m.eng.(*ParallelEngine)
+	stream := func(version uint32, stride, anchor Cycle) []byte {
+		e := NewEnc()
+		e.String(ckptMagic)
+		e.U32(ckptVersion)
+		e.Tag("parengine", version)
+		saveEngineCore(e, engineCore{
+			now: eng.now, prevTick: eng.prevTick, stride: stride, busyHorizon: eng.busyHorizon, gridAnchor: anchor,
+			stepsExecuted: eng.stepsExecuted, cyclesSkipped: eng.cyclesSkipped, wakesEnqueued: eng.wakesEnqueued,
+		})
+		saveWakeQueue(e, eng.wake, eng.pos)
+		for _, c := range m.comps {
+			c.save(e)
+		}
+		return e.Bytes()
+	}
+	if good := stream(2, 1, 0); !bytes.Equal(good, Checkpoint(m)) {
+		t.Fatal("the hand-built version-2 stream differs from SaveState's")
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"version 1", stream(1, 1, 0), `section "parengine" version 1, want 2`},
+		{"stride 2", stream(2, 2, 0), "stride 2"},
+		{"anchored grid", stream(2, 1, 7), "anchored at 7"},
+	} {
+		err := Restore(newChainRig(true), tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restore gave %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
