@@ -26,7 +26,7 @@ import (
 
 // ISCellsPerPE sizes each PE's I-structure module. Global addresses
 // interleave across PEs: address a lives on module a mod PEs, so a machine
-// holds ISCellsPerPE × PEs cells.
+// holds ISCellsPerPE × PEs cells, at most 2³² − 1 (isCellLimit).
 const ISCellsPerPE = 1 << 16
 
 // controllerTime is the PE-controller service time for d=2 requests

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -49,9 +50,11 @@ type Machine struct {
 	// engine drives the run; its busy horizon (the latest ALU/controller
 	// busy-until cycle ever scheduled) makes quiescence a comparison
 	// instead of a machine-wide scan. Sequential machines register one
-	// driver with sim.Engine; sharded machines run on sim.ParallelEngine
-	// (see parallel_core.go).
+	// driver with sim.Engine, kept typed in seq so the done predicate and
+	// noteBusy call it directly; sharded machines run on
+	// sim.ParallelEngine (see parallel_core.go) and leave seq nil.
 	engine sim.Driver
+	seq    *sim.Engine
 	seqDrv *machineDriver
 	par    *sim.ParallelEngine
 	netDrv *netDriver
@@ -147,7 +150,7 @@ func newMachine(cfg Config, prog *graph.Program) *Machine {
 		prog:     prog,
 		nextCtx:  1,
 		ctxs:     make([]*ctxRecord, 1, 64),
-		isLimit:  ISCellsPerPE * uint32(cfg.PEs),
+		isLimit:  isCellLimit(cfg.PEs),
 		peActive: make([]bool, cfg.PEs),
 		isActive: make([]bool, cfg.PEs),
 	}
@@ -179,7 +182,7 @@ func newMachine(cfg Config, prog *graph.Program) *Machine {
 		m.setupShards(shards)
 	} else {
 		eng := sim.NewEngine()
-		m.engine = eng
+		m.engine, m.seq = eng, eng
 		m.seqDrv = &machineDriver{m: m, isNext: sim.Never, peNext: sim.Never}
 		eng.Register(m.seqDrv)
 	}
@@ -310,8 +313,9 @@ func (m *Machine) wakeIS(id int) {
 
 // noteBusy extends the machine-wide busy horizon. Busy-until values only
 // grow per unit, so the engine's running maximum equals the max over the
-// current values.
-func (m *Machine) noteBusy(t sim.Cycle) { m.engine.NoteBusy(t) }
+// current values. Sequential machines only: a sharded PE notes its busy
+// time in its shard (PE.noteBusy), and commit folds it in.
+func (m *Machine) noteBusy(t sim.Cycle) { m.seq.NoteBusy(t) }
 
 // deliver routes a network packet arriving at its destination PE. It runs
 // in a serial context in both modes (inside the machine driver's step, or
@@ -370,6 +374,14 @@ func (m *Machine) isRespond(pe int, r istructure.Response) {
 	} else {
 		m.stats.ISResponses++
 	}
+}
+
+// isCellLimit is the allocator's ceiling for a machine of pes PEs:
+// ISCellsPerPE × pes cells, computed in 64 bits and capped at
+// math.MaxUint32, so neither the product nor the bump pointer below it
+// wraps past 2³².
+func isCellLimit(pes int) uint32 {
+	return uint32(min(uint64(ISCellsPerPE)*uint64(pes), math.MaxUint32))
 }
 
 // allocate reserves n I-structure cells and returns the base address.
@@ -453,20 +465,22 @@ func (m *Machine) failIS(id int, local uint32) {
 	}
 }
 
-// quiescent reports whether no work remains anywhere in the machine. With
-// active lists and the busy horizon this is O(1) instead of a scan over
-// every PE and module (O(shards) in sharded mode).
+// quiescent reports whether no work remains anywhere in a sequential
+// machine. With active lists and the busy horizon this is O(1) instead of
+// a scan over every PE and module.
 func (m *Machine) quiescent() bool {
-	if m.shards != nil {
-		for _, sh := range m.shards {
-			if len(sh.peQ.ids) > 0 || len(sh.isQ.ids) > 0 {
-				return false
-			}
-		}
-		return m.net.Pending() == 0 && m.now >= m.engine.BusyHorizon()
-	}
 	return len(m.peQ.ids) == 0 && len(m.isQ.ids) == 0 &&
-		m.net.Pending() == 0 && m.now >= m.engine.BusyHorizon()
+		m.net.Pending() == 0 && m.now >= m.seq.BusyHorizon()
+}
+
+// shardsQuiescent is quiescent for a sharded machine, O(shards).
+func (m *Machine) shardsQuiescent() bool {
+	for _, sh := range m.shards {
+		if len(sh.peQ.ids) > 0 || len(sh.isQ.ids) > 0 {
+			return false
+		}
+	}
+	return m.net.Pending() == 0 && m.now >= m.engine.BusyHorizon()
 }
 
 // sweepISQ steps the listed active I-structure modules in ascending id
@@ -521,26 +535,23 @@ func (m *Machine) sweepPEsQ(now sim.Cycle, q *idQueue) sim.Cycle {
 	keep := q.ids[:0]
 	for _, id := range q.ids {
 		pe := m.pes[id]
-		if !pe.hasQueuedWork() {
-			// Possible only in sharded mode: a commit-phase retry drain
-			// emptied the PE after its sweep kept it.
+		t := pe.nextWork(now)
+		if t == sim.Never {
+			// No stage queue holds an item. Possible only in sharded
+			// mode: a commit-phase retry drain emptied the PE after its
+			// sweep kept it.
 			m.peActive[id] = false
 			continue
 		}
-		if t := pe.nextWork(now); t > now {
-			keep = append(keep, id)
-			if t < next {
-				next = t
+		if t <= now {
+			pe.step(now)
+			if t = pe.nextWork(now + 1); t == sim.Never {
+				m.peActive[id] = false
+				continue
 			}
-			continue
-		}
-		pe.step(now)
-		if !pe.hasQueuedWork() {
-			m.peActive[id] = false
-			continue
 		}
 		keep = append(keep, id)
-		if t := pe.nextWork(now + 1); t < next {
+		if t < next {
 			next = t
 		}
 	}
@@ -584,10 +595,19 @@ func (m *Machine) Run(limit sim.Cycle, args ...token.Value) ([]token.Value, erro
 		m.started = true
 		m.runStart = m.now
 	}
-	_, ok := m.engine.Run(func() bool {
-		m.now = m.engine.Now()
-		return m.runErr != nil || m.quiescent()
-	}, limit)
+	var done func() bool
+	if m.seq != nil {
+		done = func() bool {
+			m.now = m.seq.Now()
+			return m.runErr != nil || m.quiescent()
+		}
+	} else {
+		done = func() bool {
+			m.now = m.engine.Now()
+			return m.runErr != nil || m.shardsQuiescent()
+		}
+	}
+	_, ok := m.engine.Run(done, limit)
 	m.now = m.engine.Now()
 	if m.runErr != nil {
 		return nil, m.runErr

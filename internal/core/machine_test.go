@@ -491,3 +491,80 @@ func TestInvalidProgramFailsAtRun(t *testing.T) {
 		t.Fatalf("LoadState: got %v, want %v", err, want)
 	}
 }
+
+// TestNextWorkNeverIffQueuesEmpty pins the property sweepPEsQ relies on to
+// poll each PE once per side of its step: nextWork answers sim.Never
+// exactly when every stage queue is empty, whatever the busy timers say.
+func TestNextWorkNeverIffQueuesEmpty(t *testing.T) {
+	prog, err := id.Compile(`def main(x) = x + 1;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(Config{PEs: 1}, prog)
+	rows := []struct {
+		name  string
+		empty bool
+		fill  func(pe *PE)
+	}{
+		{"no queued work", true, func(*PE) {}},
+		{"input", false, func(pe *PE) { *pe.input.Slot() = token.Token{} }},
+		{"awaiting fetch", false, func(pe *PE) { pe.ready.Slot() }},
+		{"operand queue", false, func(pe *PE) { pe.ready.Slot(); pe.aluN = 1 }},
+		{"operand queue full", false, func(pe *PE) {
+			for i := 0; i <= aluQueueDepth; i++ {
+				pe.ready.Slot()
+			}
+			pe.aluN = aluQueueDepth
+		}},
+		{"output", false, func(pe *PE) { pe.outQ.Slot() }},
+		{"network retry", false, func(pe *PE) { pe.netRetry.Push(&network.Packet{}) }},
+		{"controller", false, func(pe *PE) { pe.ctrlQ.Push(ctrlRequest{}) }},
+	}
+	timers := [][3]sim.Cycle{{0, 0, 0}, {1000, 1000, 1000}, {1000, 0, 1000}, {0, 1000, 0}}
+	for _, row := range rows {
+		for _, busy := range timers {
+			for _, now := range []sim.Cycle{0, 10, 999, 5000} {
+				pe := newPE(m, 0)
+				row.fill(pe)
+				pe.aluBusyUntil, pe.ctrlBusyUntil, pe.matchBusyUntil = busy[0], busy[1], busy[2]
+				if got := pe.nextWork(now); (got == sim.Never) != row.empty {
+					t.Errorf("%s, busy until %v, now %d: nextWork %d, want never = %v", row.name, busy, now, got, row.empty)
+				}
+			}
+		}
+	}
+}
+
+// TestISCellLimitCapsAt32Bits pins the allocator ceiling around 2³² cells.
+// ISCellsPerPE × PEs computed in 32 bits wrapped: 65,536 PEs got a limit
+// of 0 and 65,537 PEs a limit of 65,536.
+func TestISCellLimitCapsAt32Bits(t *testing.T) {
+	for _, tc := range []struct {
+		pes  int
+		want uint32
+	}{
+		{1, 1 << 16},
+		{4, 1 << 18},
+		{65535, 65535 << 16},
+		{65536, math.MaxUint32},
+		{65537, math.MaxUint32},
+		{1 << 20, math.MaxUint32},
+	} {
+		if got := isCellLimit(tc.pes); got != tc.want {
+			t.Errorf("isCellLimit(%d) = %d, want %d", tc.pes, got, tc.want)
+		}
+	}
+	// At the cap the bump pointer stops instead of wrapping.
+	prog, err := id.Compile(`def main(x) = x;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(Config{PEs: 1}, prog)
+	m.isLimit, m.nextAddr = math.MaxUint32, math.MaxUint32-3
+	if base, err := m.allocate(3); err != nil || base != math.MaxUint32-3 {
+		t.Fatalf("allocate(3) below the cap = %d, %v", base, err)
+	}
+	if _, err := m.allocate(1); err == nil || m.nextAddr != math.MaxUint32 {
+		t.Fatalf("allocate(1) at the cap: err %v, bump pointer %d", err, m.nextAddr)
+	}
+}

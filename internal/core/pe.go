@@ -129,21 +129,16 @@ func (pe *PE) accept(t *token.Token) {
 	pe.m.wakePE(pe.id)
 }
 
-// hasQueuedWork reports whether any stage queue holds an item. A PE with
-// no queued work needs no stepping regardless of its busy timers (the
-// waiting store may hold half-matched tokens; those are checked separately
-// at termination).
-func (pe *PE) hasQueuedWork() bool {
-	return pe.input.Len() > 0 || pe.ready.Len() > 0 ||
-		pe.outQ.Len() > 0 || pe.netRetry.Len() > 0 || pe.ctrlQ.Len() > 0
-}
-
 // nextWork reports the earliest cycle at or after now at which stepping
 // this PE can change machine state: now when any stage can progress, a
 // future busy-until cycle when every queue is gated behind an occupied
-// unit, or sim.Never with no queued work. Cycles before the answer are
-// provably no-ops (modulo per-cycle statistics, which settleStalls and the
-// ALU/occupancy accounting reconstruct exactly).
+// unit, or sim.Never with no queued work. Busy-until cycles are finite, so
+// the answer is sim.Never exactly when every stage queue is empty: such a
+// PE needs no stepping regardless of its busy timers (the waiting store
+// may hold half-matched tokens; those are checked separately at
+// termination). Cycles before the answer are provably no-ops (modulo
+// per-cycle statistics, which settleStalls and the ALU/occupancy
+// accounting reconstruct exactly).
 func (pe *PE) nextWork(now sim.Cycle) sim.Cycle {
 	if pe.netRetry.Len() > 0 || pe.outQ.Len() > 0 {
 		return now
@@ -496,15 +491,15 @@ func (pe *PE) sendToken(act token.ActivityName, nt, port uint8, v token.Value) {
 // queue: local destinations bypass the network, remote ones are sent (with
 // retry).
 func (pe *PE) emit(dst int, act token.ActivityName, nt, port uint8, v token.Value) {
+	// Written field by field: a composite literal would be built on the
+	// stack first and then copied into the slot.
 	t := pe.outQ.Slot()
-	*t = token.Token{
-		PE:    dst,
-		Tag:   token.Tag{Activity: act},
-		Class: token.Normal,
-		NT:    nt,
-		Port:  port,
-		Value: v,
-	}
+	t.PE = dst
+	t.Tag.Activity = act
+	t.Class = token.Normal
+	t.NT = nt
+	t.Port = port
+	t.Value = v
 	pe.m.wakePE(pe.id)
 }
 

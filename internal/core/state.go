@@ -317,6 +317,11 @@ func (pe *PE) loadPE(d *sim.Dec, pc isCodec) error {
 	pe.ctrlBusyUntil = d.Cycle()
 	pe.matchBusyUntil = d.Cycle()
 	pe.lastStep = d.Cycle()
+	if d.Err() == nil && max(pe.aluBusyUntil, pe.ctrlBusyUntil, pe.matchBusyUntil) == sim.Never {
+		// nextWork answers sim.Never only for a PE with empty queues.
+		d.Failf("PE %d busy until the never cycle", pe.id)
+		return d.Err()
+	}
 	if err := sim.LoadFIFO(d, &pe.outQ, d.Remaining(), m.loadToken); err != nil {
 		return err
 	}

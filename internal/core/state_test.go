@@ -262,3 +262,26 @@ func TestReplyTagLoadChecksPortAndActivity(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointRejectsNeverBusyTimer: busy timers are finite in any run,
+// which is what lets nextWork answer sim.Never only for a PE with no queued
+// work. A stream with a timer at sim.Never is refused.
+func TestCheckpointRejectsNeverBusyTimer(t *testing.T) {
+	prog, err := id.Compile(workload.MatMulID)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	args, err := id.EntryArgs(prog, []token.Value{token.Int(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(Config{PEs: 4}, prog)
+	if _, err := m.Run(50, args...); err == nil {
+		t.Fatal("run finished early")
+	}
+	m.pes[1].ctrlBusyUntil = sim.Never
+	err = sim.Restore(NewMachine(Config{PEs: 4}, prog), sim.Checkpoint(m))
+	if err == nil || !strings.Contains(err.Error(), "PE 1 busy until the never cycle") {
+		t.Fatalf("got %v, want the never-cycle refusal", err)
+	}
+}

@@ -80,3 +80,29 @@ func TestFIFOSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state FIFO traffic allocated %.1f times per cycle; want 0", allocs)
 	}
 }
+
+// BenchmarkEngineTick reports the engine's scheduling overhead per
+// simulated cycle: one op is one tick of a component that is due every
+// cycle and does nothing, so the time is the engine's alone. "one" runs it
+// alone, on the one-component loop; "beside-inert" registers a neighbour
+// that is never armed after its first step, which keeps the engine on the
+// wake-queue heap path with the same single component due each tick.
+func BenchmarkEngineTick(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		neighbour bool
+	}{{"one", false}, {"beside-inert", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEngine()
+			e.Register(&ticker{})
+			if bc.neighbour {
+				e.Register(&inert{})
+			}
+			never := func() bool { return false }
+			e.Run(never, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run(never, Cycle(b.N))
+		})
+	}
+}

@@ -461,6 +461,9 @@ func (e *Engine) settleAll() {
 // component is re-armed at entry, so state mutated between Runs needs no
 // explicit Wake. On return (either way) all Settler components are settled
 // through the final cycle, so statistics read afterwards are complete.
+//
+// An engine with exactly one registered component, event-aware, runs the
+// same schedule through runOne, which skips the wake-queue's heaps.
 func (e *Engine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
 	start := e.now
 	defer e.settleAll()
@@ -479,10 +482,27 @@ func (e *Engine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
 			e.wakeAllAt(e.now)
 		}
 	}
+	if len(e.components) == 1 && !e.legacy {
+		ok = e.runOne(done, start, limit)
+	} else {
+		ok = e.runMany(done, start, limit)
+	}
+	if !ok {
+		// Paused at the limit: the wake queue is exact, so the next Run
+		// (on this engine, or on one restored from a checkpoint taken now)
+		// must resume rather than blanket re-arm.
+		e.resumePending = true
+	}
+	return e.now - start, ok
+}
+
+// runMany is Run's loop over the wake queue, for any number of components
+// (and for the legacy exhaustive mode).
+func (e *Engine) runMany(done func() bool, start, limit Cycle) bool {
 	asked := false // done answered false and nothing has moved since
 	for e.now-start < limit {
 		if !asked && done() {
-			return e.now - start, true
+			return true
 		}
 		if e.legacy {
 			e.legacyTick()
@@ -490,19 +510,61 @@ func (e *Engine) Run(done func() bool, limit Cycle) (elapsed Cycle, ok bool) {
 			e.tick()
 		}
 		if done() {
-			return e.now - start, true // the exact completion cycle, not a jump target
+			return true // the exact completion cycle, not a jump target
 		}
 		before := e.now
 		e.idleJump(start, limit)
 		asked = e.now == before
 	}
-	if ok = done(); !ok {
-		// Paused at the limit: the wake queue is exact, so the next Run
-		// (on this engine, or on one restored from a checkpoint taken now)
-		// must resume rather than blanket re-arm.
-		e.resumePending = true
+	return done()
+}
+
+// runOne is runMany specialised to a single event-aware component, the
+// shape of the TTDA's merged driver, vliw and the Connection Machine's
+// router. With one component the future heap
+// holds at most that component and the due heap only ever receives it, so
+// the tick reads the armed wake directly, steps the component when it is
+// due, and re-arms it in place from NextEvent; idleJump runs only when the
+// wake lies ahead (it is a no-op otherwise). Every field runMany would
+// leave behind — wake, pos, fheap, prevTick, stepping, now and the
+// counters — ends up identical, so Wake and SlotNow inside the step, the
+// stride grid, busy-horizon ticks, pauses and checkpoint resumes behave
+// exactly as on the heap path.
+func (e *Engine) runOne(done func() bool, start, limit Cycle) bool {
+	c := e.events[0]
+	asked := false // done answered false and nothing has moved since
+	for e.now-start < limit {
+		if !asked && done() {
+			return true
+		}
+		if e.pos[0] >= 0 && e.wake[0] <= e.now {
+			// Wake aimed at the component from inside its own Step only
+			// settles it (it is the stepping slot), so the in-place arm
+			// below is the only write to its wake.
+			e.stepping = 0
+			c.Step(e.now)
+			e.stepsExecuted++
+			if t := c.NextEvent(e.now); t == Never {
+				e.fheap = e.fheap[:0]
+				e.pos[0] = -1
+			} else {
+				e.wake[0] = max(t, e.now)
+			}
+			e.stepping = -1
+		}
+		e.prevTick = e.now
+		e.now += e.stride
+		if done() {
+			return true // the exact completion cycle, not a jump target
+		}
+		asked = true
+		if e.pos[0] < 0 || e.wake[0] > e.now {
+			before := e.now
+			e.idleJump(start, limit)
+			asked = e.now == before
+		}
 	}
-	return e.now - start, ok
+	return done()
 }
 
 // idleJump advances simulated time to the next armed wake (or the busy

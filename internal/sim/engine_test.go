@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"bytes"
+	"slices"
+	"testing"
+)
 
 // beacon fires work every `period` cycles for `count` pulses, tracking the
 // cycles at which it was stepped with work available.
@@ -280,5 +284,225 @@ func TestEngineLegacyFallback(t *testing.T) {
 	}
 	if plainSteps != elapsed {
 		t.Fatalf("plain component stepped %d times over %d cycles; legacy mode must step every cycle", plainSteps, elapsed)
+	}
+}
+
+// pulser is a self-scheduling component with a fixed plan of work cycles.
+// It records the cycle and slot clock of each Step and the bound of each
+// Settle, can wake itself for its next piece of work from inside Step, and
+// can promise busy time after each piece.
+type pulser struct {
+	plan     []Cycle // work cycles still ahead, ascending
+	selfWake bool
+	busyFor  Cycle // NoteBusy(now+busyFor) after each piece of work
+	eng      *Engine
+	waker    Waker
+
+	steps, slots, settles []Cycle
+}
+
+func (p *pulser) Attach(w Waker) { p.waker = w }
+
+func (p *pulser) Step(now Cycle) {
+	p.steps = append(p.steps, now)
+	p.slots = append(p.slots, p.waker.SlotNow(p))
+	if len(p.plan) == 0 || p.plan[0] > now {
+		return
+	}
+	p.plan = p.plan[1:]
+	if p.busyFor > 0 {
+		p.eng.NoteBusy(now + p.busyFor)
+	}
+	if p.selfWake && len(p.plan) > 0 {
+		p.waker.Wake(p, p.plan[0])
+	}
+}
+
+func (p *pulser) NextEvent(now Cycle) Cycle {
+	if len(p.plan) == 0 {
+		return Never
+	}
+	return p.plan[0] // may lie before now: the engine clamps it
+}
+
+func (p *pulser) Settle(through Cycle) { p.settles = append(p.settles, through) }
+
+// clone copies p's plan and records for a fresh engine.
+func (p *pulser) clone() *pulser {
+	return &pulser{
+		plan: append([]Cycle(nil), p.plan...), selfWake: p.selfWake, busyFor: p.busyFor,
+		steps:   append([]Cycle(nil), p.steps...),
+		slots:   append([]Cycle(nil), p.slots...),
+		settles: append([]Cycle(nil), p.settles...),
+	}
+}
+
+// inert is an event-aware component with no work of its own. Its NextEvent
+// is always Never, so after its first step it is stepped only by the
+// exhaustive ticks that arm every component. Registered beside a single
+// component it keeps the engine on the heap path.
+type inert struct{ steps uint64 }
+
+func (n *inert) Step(Cycle)            { n.steps++ }
+func (n *inert) NextEvent(Cycle) Cycle { return Never }
+
+// engineView is what one Run leaves behind in the engine for component i.
+type engineView struct {
+	elapsed               Cycle
+	ok                    bool
+	now, prevTick, anchor Cycle
+	stride, horizon       Cycle
+	stepping              int
+	resumePending, armed  bool
+	wake                  Cycle
+	skipped, wakes, steps uint64
+	dueLen                int
+}
+
+func viewOf(e *Engine, i int, elapsed Cycle, ok bool) engineView {
+	v := engineView{
+		elapsed: elapsed, ok: ok,
+		now: e.now, prevTick: e.prevTick, anchor: e.gridAnchor,
+		stride: e.stride, horizon: e.busyHorizon, stepping: e.stepping,
+		resumePending: e.resumePending, armed: e.pos[i] >= 0,
+		skipped: e.cyclesSkipped, wakes: e.wakesEnqueued, steps: e.stepsExecuted,
+		dueLen: len(e.due),
+	}
+	if v.armed {
+		v.wake = e.wake[i]
+	}
+	return v
+}
+
+// TestEngineMatchesHeapPathWithOneComponent pins the one-component loop of
+// Engine.Run to the wake-queue path it replaces. Each case runs a pulser
+// alone (the one-component loop), beside an inert neighbour (the heap
+// path), and alone again with a checkpoint taken and restored into a
+// fresh engine at every pause. After every Run the three must agree on the
+// pulser's steps, slot clocks and settlements, the elapsed cycles, ok, Now,
+// the pulser's armed wake and the clock and counter state; the heap path's
+// StepsExecuted exceeds the others by exactly the neighbour's steps.
+func TestEngineMatchesHeapPathWithOneComponent(t *testing.T) {
+	planDone := func(p *pulser, e *Engine) bool { return len(p.plan) == 0 }
+	cases := []struct {
+		name    string
+		stride  Cycle
+		advance Cycle // cycles to Advance before the first Run
+		plan    []Cycle
+		self    bool
+		busyFor Cycle
+		done    func(p *pulser, e *Engine) bool
+		limits  []Cycle
+	}{
+		{name: "self-wake", plan: []Cycle{0, 1, 2, 4, 7, 8, 30, 31, 32, 100}, self: true,
+			done: planDone, limits: []Cycle{1000}},
+		{name: "stride-16", stride: 16, advance: 3, plan: []Cycle{3, 5, 37, 38, 200},
+			done: planDone, limits: []Cycle{1000}},
+		{name: "overdue-work-stride-16", stride: 16, advance: 3, plan: []Cycle{3, 5, 6, 7},
+			done: planDone, limits: []Cycle{20, 1000}},
+		{name: "busy-horizon", plan: []Cycle{0, 10}, busyFor: 50,
+			done:   func(p *pulser, e *Engine) bool { return len(p.plan) == 0 && e.Now() > e.BusyHorizon() },
+			limits: []Cycle{1000}},
+		{name: "idle-ticks-to-limit", plan: []Cycle{3},
+			done: func(*pulser, *Engine) bool { return false }, limits: []Cycle{40, 7}},
+		{name: "pause-mid-jump", plan: []Cycle{0, 5, 200, 203, 450}, self: true,
+			done: planDone, limits: []Cycle{100, 50, 1000}},
+		{name: "pause-mid-jump-stride-16", stride: 16, advance: 3, plan: []Cycle{3, 5, 200, 203}, self: true,
+			done: planDone, limits: []Cycle{100, 1000}},
+		{name: "pause-mid-horizon-jump", plan: []Cycle{0}, busyFor: 300,
+			done:   func(p *pulser, e *Engine) bool { return len(p.plan) == 0 && e.Now() > e.BusyHorizon() },
+			limits: []Cycle{100, 1000}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(neighbour bool) (*Engine, *pulser, *inert) {
+				e := NewEngine()
+				e.SetStride(tc.stride)
+				e.Advance(tc.advance)
+				p := &pulser{plan: append([]Cycle(nil), tc.plan...), selfWake: tc.self, busyFor: tc.busyFor, eng: e}
+				e.Register(p)
+				var n *inert
+				if neighbour {
+					n = &inert{}
+					e.Register(n)
+				}
+				return e, p, n
+			}
+			one, p1, _ := build(false)
+			heap, p2, n := build(true)
+			resumed, p3, _ := build(false)
+			for k, limit := range tc.limits {
+				el1, ok1 := one.Run(func() bool { return tc.done(p1, one) }, limit)
+				el2, ok2 := heap.Run(func() bool { return tc.done(p2, heap) }, limit)
+				el3, ok3 := resumed.Run(func() bool { return tc.done(p3, resumed) }, limit)
+				v1, v2, v3 := viewOf(one, 0, el1, ok1), viewOf(heap, 0, el2, ok2), viewOf(resumed, 0, el3, ok3)
+				if v2.steps != v1.steps+n.steps {
+					t.Fatalf("run %d: heap path executed %d steps, want %d + neighbour's %d", k, v2.steps, v1.steps, n.steps)
+				}
+				v2.steps = v1.steps
+				for _, e := range []*Engine{one, resumed} {
+					armed := e.pos[0] == 0 && slices.Equal(e.fheap, []int{0})
+					unarmed := e.pos[0] == -1 && len(e.fheap) == 0
+					if !armed && !unarmed {
+						t.Fatalf("run %d: one-component heap %v with pos %v", k, e.fheap, e.pos)
+					}
+				}
+				if v1 != v2 || v1 != v3 {
+					t.Fatalf("run %d: engines diverged:\n one-component %+v\n heap path     %+v\n resumed       %+v", k, v1, v2, v3)
+				}
+				for _, q := range []*pulser{p2, p3} {
+					if !slices.Equal(p1.steps, q.steps) || !slices.Equal(p1.slots, q.slots) || !slices.Equal(p1.settles, q.settles) {
+						t.Fatalf("run %d: component records diverged:\n one-component steps %v slots %v settles %v\n other         steps %v slots %v settles %v",
+							k, p1.steps, p1.slots, p1.settles, q.steps, q.slots, q.settles)
+					}
+				}
+				if ok3 {
+					continue
+				}
+				// Paused: checkpoint the resumed arm and restore it into a
+				// fresh one-component engine, which must carry on exactly.
+				enc := NewEnc()
+				resumed.SaveState(enc)
+				fresh := NewEngine()
+				p3 = p3.clone()
+				p3.eng = fresh
+				fresh.Register(p3)
+				if err := fresh.LoadState(NewDec(enc.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+				again := NewEnc()
+				fresh.SaveState(again)
+				if !bytes.Equal(enc.Bytes(), again.Bytes()) {
+					t.Fatalf("run %d: restored engine re-saves different bytes", k)
+				}
+				resumed = fresh
+			}
+			if len(tc.limits) > 1 && p1.steps[len(p1.steps)-1] < tc.limits[0] {
+				t.Fatalf("the run never stepped past its first pause: steps %v", p1.steps)
+			}
+		})
+	}
+}
+
+// ticker is due every cycle and never allocates.
+type ticker struct{ steps uint64 }
+
+func (k *ticker) Step(Cycle)                { k.steps++ }
+func (k *ticker) NextEvent(now Cycle) Cycle { return now }
+
+// TestEngineTickAllocatesNothing: a tick allocates nothing on the
+// one-component loop or on the heap path, once the heaps have grown.
+func TestEngineTickAllocatesNothing(t *testing.T) {
+	for _, neighbour := range []bool{false, true} {
+		e := NewEngine()
+		e.Register(&ticker{})
+		if neighbour {
+			e.Register(&inert{})
+		}
+		never := func() bool { return false }
+		e.Run(never, 16)
+		if allocs := testing.AllocsPerRun(100, func() { e.Run(never, 64) }); allocs != 0 {
+			t.Fatalf("neighbour %v: %.1f allocations per 64-tick Run, want 0", neighbour, allocs)
+		}
 	}
 }
