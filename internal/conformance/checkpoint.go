@@ -34,8 +34,8 @@ type resumable interface {
 }
 
 // ckptTTDA is the checkpoint oracle's tagged-token machine.
-func ckptTTDA(c *compiled, pes, shards, window int, ownPlan bool) *TTDA {
-	return newTTDA(c, core.Config{PEs: pes, NetLatency: 4, Shards: shards, EpochWindow: window}, ownPlan)
+func ckptTTDA(c *compiled, pes int, ownPlan bool) *TTDA {
+	return newTTDA(c, core.Config{PEs: pes, NetLatency: 4}, ownPlan)
 }
 
 // vliwAdapter drives the resumable VLIW runner.
@@ -62,30 +62,30 @@ func (a *vliwAdapter) Snapshot() Snapshot {
 }
 
 // checkCheckpoint runs the split-run check across the fleet, crossing the
-// TTDA with the conservative parallel kernel and with machines that build
-// their own plan instead of sharing the seed's, and the shardable
-// baselines with the parallel kernel.
+// TTDA with machines that build their own plan instead of sharing the
+// seed's. The entries named for shards once ran the conservative sharded
+// kernel; that kernel is deleted (DESIGN.md §12), and each now builds the
+// same shape on the sequential kernel and splits it at a pause cycle of its
+// own. They keep their names and their places in the list, because each
+// entry draws its pause cycle in order from the seed's stream, only while
+// the sweep digest pins E14's table.
 func checkCheckpoint(ct *counter, c *compiled) {
 	rng := sim.NewRNG(c.w.Seed ^ 0x5EEDC4C7)
 	type entry struct {
 		name  string
 		build func() resumable
 	}
-	ttda := func(pes, shards, window int, ownPlan bool) func() resumable {
-		return func() resumable { return ckptTTDA(c, pes, shards, window, ownPlan) }
+	ttda := func(pes int, ownPlan bool) func() resumable {
+		return func() resumable { return ckptTTDA(c, pes, ownPlan) }
 	}
 	entries := []entry{
-		{"ttda", ttda(2, 0, 0, false)},
-		{"ttda/shards=2", ttda(4, 2, 0, false)},
-		{"ttda/shards=4", ttda(4, 4, 0, false)},
-		// core ignores EpochWindow, so these two repeat ttda/shards=2 on
-		// the per-tick kernel, each at a pause cycle of its own from the
-		// seed's stream. They keep their window names and arguments only
-		// while the sweep digest pins E14's check counts.
-		{"ttda/shards=2/window=4", ttda(4, 2, 4, false)},
-		{"ttda/shards=2/window=adaptive", ttda(4, 2, -1, false)},
-		{"ttda/own-plan", ttda(2, 0, 0, true)},
-		{"ttda/own-plan/shards=2", ttda(4, 2, 0, true)},
+		{"ttda", ttda(2, false)},
+		{"ttda/shards=2", ttda(4, false)},
+		{"ttda/shards=4", ttda(4, false)},
+		{"ttda/shards=2/window=4", ttda(4, false)},
+		{"ttda/shards=2/window=adaptive", ttda(4, false)},
+		{"ttda/own-plan", ttda(2, true)},
+		{"ttda/own-plan/shards=2", ttda(4, true)},
 		{"vn", func() resumable { return NewVN(c.asm, 2, 4) }},
 		{"vliw", func() resumable {
 			return &vliwAdapter{m: vliw.NewMachine(vliwSchedule(c.w), vliw.Config{
@@ -93,21 +93,17 @@ func checkCheckpoint(ct *counter, c *compiled) {
 			})}
 		}},
 	}
-	for _, shards := range []int{0, 2} {
-		suffix := ""
-		if shards > 0 {
-			suffix = fmt.Sprintf("/shards=%d", shards)
-		}
+	for _, suffix := range []string{"", "/shards=2"} {
 		entries = append(entries,
 			entry{"cmmp" + suffix, func() resumable {
-				return NewCmmp(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: 2, Shards: shards}, c.asm)
+				return NewCmmp(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: 2}, c.asm)
 			}},
-			entry{"cmstar" + suffix, func() resumable { return NewCmstar(cmstarConfig(8, shards), c.asm) }},
+			entry{"cmstar" + suffix, func() resumable { return NewCmstar(cmstarConfig(8), c.asm) }},
 			entry{"ultra" + suffix, func() resumable {
-				return NewUltra(ultra.Config{LogProcessors: 2, Combining: true, Shards: shards}, c.asm)
+				return NewUltra(ultra.Config{LogProcessors: 2, Combining: true}, c.asm)
 			}},
 			entry{"hep" + suffix, func() resumable {
-				return NewHEP(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4, Shards: shards}, c.asm)
+				return NewHEP(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4}, c.asm)
 			}},
 		)
 	}
@@ -230,7 +226,7 @@ func MaterializeCheckpoint(seed uint64, at sim.Cycle, path string) (string, erro
 	if err != nil {
 		return "", err
 	}
-	a := ckptTTDA(c, 2, 0, 0, false)
+	a := ckptTTDA(c, 2, false)
 	done, err := a.Run(at)
 	if err != nil {
 		return "", err
@@ -242,7 +238,7 @@ func MaterializeCheckpoint(seed uint64, at sim.Cycle, path string) (string, erro
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return "", err
 	}
-	fresh := ckptTTDA(c, 2, 0, 0, false)
+	fresh := ckptTTDA(c, 2, false)
 	if err := sim.Restore(fresh, data); err != nil {
 		return "", fmt.Errorf("written checkpoint does not restore: %v", err)
 	}

@@ -118,7 +118,7 @@ func TestMaterializeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ckptTTDA(c, 2, 0, 0, false)
+	a := ckptTTDA(c, 2, false)
 	if err := sim.Restore(a, data); err != nil {
 		t.Fatalf("artifact does not restore: %v", err)
 	}

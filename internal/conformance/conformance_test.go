@@ -3,6 +3,7 @@ package conformance
 import (
 	"flag"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,6 +56,52 @@ func TestConformanceSeeds(t *testing.T) {
 			for _, v := range CheckSeed(seed) {
 				t.Errorf("%s", v)
 			}
+		})
+	}
+}
+
+// TestSweepChecksPinned pins the per-family check counts of Sweep(8), the
+// run E14 tallies in quick mode; the sweep digest hashes E14's table, so a
+// change to any count must be deliberate.
+func TestSweepChecksPinned(t *testing.T) {
+	rep := Sweep(8)
+	want := map[Oracle]int{
+		OracleResult: 80, OracleDeterminism: 64, OracleMetamorphic: 96, OracleHonesty: 48,
+		OracleParallel: 152, OracleCompiled: 32, OracleCheckpoint: 280, OracleDirect: 16,
+	}
+	if !reflect.DeepEqual(rep.PerOracle, want) || rep.Checks != 768 || rep.Programs != 8 {
+		t.Errorf("Sweep(8): %d programs, %d checks, per family %v; want 8, 768, %v", rep.Programs, rep.Checks, rep.PerOracle, want)
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("%s", v)
+	}
+}
+
+// BenchmarkOracleFamilies times each oracle family alone over the
+// programs of seeds 0–15, generated and compiled once up front, and
+// reports nanoseconds per seed.
+func BenchmarkOracleFamilies(b *testing.B) {
+	const seeds = 16
+	progs := make([]*compiled, seeds)
+	for s := range progs {
+		c, err := compile(Generate(uint64(s)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[s] = c
+	}
+	for _, f := range families {
+		b.Run(string(f.oracle), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for s, c := range progs {
+					ct := newCounter(uint64(s))
+					f.check(ct, c)
+					if len(ct.vs) > 0 {
+						b.Fatal(ct.vs[0])
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*seeds), "ns/seed")
 		})
 	}
 }

@@ -77,7 +77,7 @@ func coreStats(s *Snapshot, c *vn.Core) {
 type Machine interface {
 	sim.Stateful
 	Run(limit sim.Cycle) (done bool, err error)
-	Engine() sim.Driver
+	Engine() *sim.Engine
 	Snapshot() Snapshot
 }
 
@@ -97,7 +97,7 @@ func NewTTDA(cfg core.Config, plan *graph.CompiledGraph, args []token.Value) *TT
 
 func (t *TTDA) SaveState(e *sim.Enc)       { t.m.SaveState(e) }
 func (t *TTDA) LoadState(d *sim.Dec) error { return t.m.LoadState(d) }
-func (t *TTDA) Engine() sim.Driver         { return t.m.Engine() }
+func (t *TTDA) Engine() *sim.Engine        { return t.m.Engine() }
 
 func (t *TTDA) Run(limit sim.Cycle) (bool, error) {
 	res, err := t.m.Run(limit, t.args...)
@@ -131,7 +131,7 @@ func (t *TTDA) Snapshot() Snapshot {
 type vnRunner interface {
 	sim.Stateful
 	Run(limit sim.Cycle) (sim.Cycle, error)
-	Engine() sim.Driver
+	Engine() *sim.Engine
 }
 
 // vnMember makes a vn-family machine a fleet member. Its Run shadows the
@@ -184,7 +184,7 @@ type vnSingle struct {
 	cpu *vn.Core
 }
 
-func (v *vnSingle) Engine() sim.Driver { return v.eng }
+func (v *vnSingle) Engine() *sim.Engine { return v.eng }
 
 func (v *vnSingle) Run(limit sim.Cycle) (sim.Cycle, error) {
 	elapsed, ok := v.eng.Run(func() bool { return v.cpu.Halted() && v.mem.Pending() == 0 }, limit)
@@ -265,9 +265,8 @@ type compiled struct {
 	w    Workload
 	prog *graph.Program // dataflow graph (TTDA, emulator, interpreter)
 	// plan is prog's execution plan, built once per seed and shared by
-	// every TTDA machine the oracles build on it (sequential and sharded
-	// alike), except the own-plan references of the compiled-equivalence
-	// and checkpoint oracles.
+	// every TTDA machine the oracles build on it, except the own-plan
+	// references of the compiled-equivalence and checkpoint oracles.
 	plan *graph.CompiledGraph
 	asm  *vn.Program   // vn machine code (all Section-1.2 baselines)
 	args []token.Value // entry tokens for the dataflow forms
@@ -311,8 +310,7 @@ func runInterp(c *compiled) (int64, *graph.Interp, error) {
 // finish runs a fleet member to completion and returns its snapshot.
 // With legacy set it first registers an inert non-EventAware component,
 // flipping the member's engine into its exhaustive per-cycle fallback —
-// the engine-honesty oracle's second arm. Only sequential engines are
-// ever forced (the parallel engine requires EventAware components).
+// the engine-honesty oracle's second arm.
 func finish(m Machine, legacy bool) (Snapshot, error) {
 	if legacy {
 		m.Engine().Register(sim.ComponentFunc(func(sim.Cycle) {}))
@@ -328,14 +326,11 @@ func finish(m Machine, legacy bool) (Snapshot, error) {
 }
 
 // runTTDA executes the dataflow graph on the cycle-accurate tagged-token
-// machine. shards > 1 selects the conservative parallel kernel (never
-// combined with legacy, which requires the sequential engine); window is
-// passed through to core.Config.EpochWindow, which core ignores. The
-// machine runs the seed's shared plan, or with ownPlan a private one
-// NewMachine compiles, which the compiled-equivalence oracle pins the
-// shared plan against.
-func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy bool, shards, window int, ownPlan bool) (Snapshot, error) {
-	m := newTTDA(c, core.Config{PEs: pes, NetLatency: netLatency, Shards: shards, EpochWindow: window}, ownPlan)
+// machine. The machine runs the seed's shared plan, or with ownPlan a
+// private one NewMachine compiles, which the compiled-equivalence oracle
+// pins the shared plan against.
+func runTTDA(c *compiled, pes int, netLatency sim.Cycle, legacy, ownPlan bool) (Snapshot, error) {
+	m := newTTDA(c, core.Config{PEs: pes, NetLatency: netLatency}, ownPlan)
 	s, err := finish(m, legacy)
 	if res := m.Results(); err == nil && (len(res) != 1 || res[0].Kind != token.KindInt) {
 		err = fmt.Errorf("ttda: results %v, want one integer", res)
@@ -389,33 +384,33 @@ func runVN(c *compiled, contexts int, latency sim.Cycle, evented bool) (Snapshot
 }
 
 // runCmmp executes the asm form on core 0 of a 2-processor C.mmp.
-func runCmmp(c *compiled, switchDelay sim.Cycle, legacy bool, shards int) (Snapshot, error) {
-	return finish(NewCmmp(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: switchDelay, Shards: shards}, c.asm), legacy)
+func runCmmp(c *compiled, switchDelay sim.Cycle, legacy bool) (Snapshot, error) {
+	return finish(NewCmmp(cmmp.Config{Processors: 2, Banks: 2, SwitchDelay: switchDelay}, c.asm), legacy)
 }
 
 // cmstarConfig keeps the cluster space tight so both ResultAddr and the
 // fill array land in clusters remote from core 0 — remote references are
 // what give HopLatency leverage.
-func cmstarConfig(hopLatency sim.Cycle, shards int) cmstar.Config {
-	return cmstar.Config{Clusters: 8, CoresPerCluster: 1, ClusterWords: 32, HopLatency: hopLatency, Shards: shards}
+func cmstarConfig(hopLatency sim.Cycle) cmstar.Config {
+	return cmstar.Config{Clusters: 8, CoresPerCluster: 1, ClusterWords: 32, HopLatency: hopLatency}
 }
 
 // runCmstar executes the asm form on core 0 of cluster 0 of an 8-cluster
 // Cm*; all data addresses are inter-cluster references.
-func runCmstar(c *compiled, hopLatency sim.Cycle, legacy bool, shards int) (Snapshot, error) {
-	return finish(NewCmstar(cmstarConfig(hopLatency, shards), c.asm), legacy)
+func runCmstar(c *compiled, hopLatency sim.Cycle, legacy bool) (Snapshot, error) {
+	return finish(NewCmstar(cmstarConfig(hopLatency), c.asm), legacy)
 }
 
 // runUltra executes the asm form on core 0 of a 4-processor
 // Ultracomputer.
-func runUltra(c *compiled, combining, legacy bool, shards int) (Snapshot, error) {
-	return finish(NewUltra(ultra.Config{LogProcessors: 2, Combining: combining, Shards: shards}, c.asm), legacy)
+func runUltra(c *compiled, combining, legacy bool) (Snapshot, error) {
+	return finish(NewUltra(ultra.Config{LogProcessors: 2, Combining: combining}, c.asm), legacy)
 }
 
 // runHEP executes the asm form on core 0 of a 2-processor HEP with one
 // hardware context per core, through the full/empty memory.
-func runHEP(c *compiled, legacy bool, shards int) (Snapshot, error) {
-	return finish(NewHEP(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4, Shards: shards}, c.asm), legacy)
+func runHEP(c *compiled, legacy bool) (Snapshot, error) {
+	return finish(NewHEP(hep.Config{Processors: 2, ContextsPerCore: 1, MemLatency: 4}, c.asm), legacy)
 }
 
 // runConnection folds the workload on the Connection Machine model: each

@@ -47,7 +47,7 @@ func TestPauseContract(t *testing.T) {
 			"vn: did not halt within 5 cycles"},
 		{"cmmp", func(p *vn.Program) Machine { return NewCmmp(cmmp.Config{Processors: 2, Banks: 2}, p) },
 			"cmmp: did not halt within 5 cycles"},
-		{"cmstar", func(p *vn.Program) Machine { return NewCmstar(cmstarConfig(3, 0), p) },
+		{"cmstar", func(p *vn.Program) Machine { return NewCmstar(cmstarConfig(3), p) },
 			"cmstar: did not halt within 5 cycles"},
 		{"ultra", func(p *vn.Program) Machine { return NewUltra(ultra.Config{LogProcessors: 2, Combining: true}, p) },
 			"ultra: did not halt within 5 cycles"},

@@ -125,15 +125,25 @@ func checkSeed(seed uint64) (*counter, []Violation) {
 		ct.fail(OracleResult, "compile", fmt.Errorf("%v (%s)", err, w))
 		return ct, ct.vs
 	}
-	checkResults(ct, c)
-	checkDeterminism(ct, c)
-	checkMetamorphic(ct, c)
-	checkHonesty(ct, c)
-	checkParallel(ct, c)
-	checkCompiled(ct, c)
-	checkCheckpoint(ct, c)
-	checkDirect(ct, c)
+	for _, f := range families {
+		f.check(ct, c)
+	}
 	return ct, ct.vs
+}
+
+// families lists the oracle families in the order checkSeed runs them.
+var families = []struct {
+	oracle Oracle
+	check  func(*counter, *compiled)
+}{
+	{OracleResult, checkResults},
+	{OracleDeterminism, checkDeterminism},
+	{OracleMetamorphic, checkMetamorphic},
+	{OracleHonesty, checkHonesty},
+	{OracleParallel, checkParallel},
+	{OracleCompiled, checkCompiled},
+	{OracleCheckpoint, checkCheckpoint},
+	{OracleDirect, checkDirect},
 }
 
 // --- oracle 1: result equivalence -----------------------------------
@@ -153,7 +163,7 @@ func checkResults(ct *counter, c *compiled) {
 	iv, _, err := runInterp(c)
 	expect("interp", iv, err)
 
-	ts, err := runTTDA(c, 2, 4, false, 0, 0, false)
+	ts, err := runTTDA(c, 2, 4, false, false)
 	expect("ttda", ts.Result, err)
 
 	ev, err := runEmulator(c)
@@ -164,16 +174,16 @@ func checkResults(ct *counter, c *compiled) {
 		expect(fmt.Sprintf("vn/k=%d", k), s.Result, err)
 	}
 
-	cs, err := runCmmp(c, 2, false, 0)
+	cs, err := runCmmp(c, 2, false)
 	expect("cmmp", cs.Result, err)
 
-	ms, err := runCmstar(c, 8, false, 0)
+	ms, err := runCmstar(c, 8, false)
 	expect("cmstar", ms.Result, err)
 
-	us, err := runUltra(c, true, false, 0)
+	us, err := runUltra(c, true, false)
 	expect("ultra", us.Result, err)
 
-	hs, err := runHEP(c, false, 0)
+	hs, err := runHEP(c, false)
 	expect("hep", hs.Result, err)
 
 	cv, _, err := runConnection(c)
@@ -195,12 +205,12 @@ func checkDeterminism(ct *counter, c *compiled) {
 		})
 	}
 
-	twice("ttda", func() (Snapshot, error) { return runTTDA(c, 2, 4, false, 0, 0, false) })
+	twice("ttda", func() (Snapshot, error) { return runTTDA(c, 2, 4, false, false) })
 	twice("vn", func() (Snapshot, error) { return runVN(c, 2, 4, true) })
-	twice("cmmp", func() (Snapshot, error) { return runCmmp(c, 2, false, 0) })
-	twice("cmstar", func() (Snapshot, error) { return runCmstar(c, 8, false, 0) })
-	twice("ultra", func() (Snapshot, error) { return runUltra(c, true, false, 0) })
-	twice("hep", func() (Snapshot, error) { return runHEP(c, false, 0) })
+	twice("cmmp", func() (Snapshot, error) { return runCmmp(c, 2, false) })
+	twice("cmstar", func() (Snapshot, error) { return runCmstar(c, 8, false) })
+	twice("ultra", func() (Snapshot, error) { return runUltra(c, true, false) })
+	twice("hep", func() (Snapshot, error) { return runHEP(c, false) })
 	twice("connection", func() (Snapshot, error) {
 		v, steps, err := runConnection(c)
 		return Snapshot{Result: v, Cycles: uint64(steps)}, err
@@ -259,11 +269,11 @@ func checkMetamorphic(ct *counter, c *compiled) {
 		return s.Cycles, err
 	})
 	checkLatencyMonotone(ct, "cmmp", []sim.Cycle{1, 4, 12}, func(lat sim.Cycle) (uint64, error) {
-		s, err := runCmmp(c, lat, false, 0)
+		s, err := runCmmp(c, lat, false)
 		return s.Cycles, err
 	})
 	checkLatencyMonotone(ct, "cmstar", []sim.Cycle{2, 8, 24}, func(lat sim.Cycle) (uint64, error) {
-		s, err := runCmstar(c, lat, false, 0)
+		s, err := runCmstar(c, lat, false)
 		return s.Cycles, err
 	})
 	checkLatencyMonotone(ct, "vliw", []sim.Cycle{2, 8, 20}, func(lat sim.Cycle) (uint64, error) {
@@ -276,7 +286,7 @@ func checkMetamorphic(ct *counter, c *compiled) {
 		return
 	}
 	for _, pes := range []int{1, 2, 4} {
-		s, err := runTTDA(c, pes, 4, false, 0, 0, false)
+		s, err := runTTDA(c, pes, 4, false, false)
 		checkCriticalPathBound(ct, it.Depth(), pes, s.Cycles, err)
 	}
 
@@ -351,78 +361,72 @@ func checkHonesty(ct *counter, c *compiled) {
 		})
 	}
 
-	pair("ttda", func(l bool) (Snapshot, error) { return runTTDA(c, 2, 4, l, 0, 0, false) })
+	pair("ttda", func(l bool) (Snapshot, error) { return runTTDA(c, 2, 4, l, false) })
 	pair("vn", func(l bool) (Snapshot, error) { return runVN(c, 2, 4, !l) })
-	pair("cmmp", func(l bool) (Snapshot, error) { return runCmmp(c, 2, l, 0) })
-	pair("cmstar", func(l bool) (Snapshot, error) { return runCmstar(c, 8, l, 0) })
-	pair("ultra", func(l bool) (Snapshot, error) { return runUltra(c, true, l, 0) })
-	pair("hep", func(l bool) (Snapshot, error) { return runHEP(c, l, 0) })
+	pair("cmmp", func(l bool) (Snapshot, error) { return runCmmp(c, 2, l) })
+	pair("cmstar", func(l bool) (Snapshot, error) { return runCmstar(c, 8, l) })
+	pair("ultra", func(l bool) (Snapshot, error) { return runUltra(c, true, l) })
+	pair("hep", func(l bool) (Snapshot, error) { return runHEP(c, l) })
 }
 
-// --- oracle 5: parallel-vs-sequential equivalence ---------------------
+// --- oracle 5: parallel equivalence ---------------------------------
 
-// parallelShardCounts are the shard counts the parallel oracle exercises
-// against the sequential reference on every machine and seed.
+// parallelShardCounts name the shard crossings of the parallel- and
+// compiled-equivalence families.
 var parallelShardCounts = []int{2, 4, 8}
 
-// checkParallel runs every shardable machine once on the sequential engine
-// and once per shard count on the conservative parallel kernel, demanding
-// bit-identical simulated observables. Engine counters are excluded: the
-// two kernels schedule differently by construction (the parallel engine
-// ticks its net driver every cycle), but everything the simulated machine
-// itself produced — results, cycle counts, statistics — must match exactly.
+// checkParallel runs the crossings that once put each shardable machine on
+// the conservative sharded kernel at 2, 4 and 8 shards against its
+// sequential run. That kernel is deleted (DESIGN.md §12): each crossing
+// now builds and runs a fresh sequential machine of the same shape and
+// must reproduce the reference run's full snapshot. The crossings keep
+// their names, their order and their count only because the sweep digest
+// pins E14's table; they go with this family once that digest is split
+// per experiment.
 func checkParallel(ct *counter, c *compiled) {
-	fan := func(machine string, run func(shards int) (Snapshot, error)) {
-		seq, err := run(0)
+	fan := func(machine string, run func() (Snapshot, error)) {
+		want, err := run()
 		if err != nil {
 			ct.fail(OracleParallel, machine, err)
 			return
 		}
-		want := seq.Observables()
 		for _, n := range parallelShardCounts {
-			par, err := run(n)
-			if err != nil {
-				ct.fail(OracleParallel, fmt.Sprintf("%s/shards=%d", machine, n), err)
-				continue
-			}
-			got := par.Observables()
-			ct.checkAt(OracleParallel, fmt.Sprintf("%s/shards=%d", machine, n), want.Cycles, got == want, func() string {
-				return fmt.Sprintf("parallel run diverged from sequential:\n  sequential %+v\n  parallel   %+v", want, got)
-			})
+			crossing(ct, OracleParallel, fmt.Sprintf("%s/shards=%d", machine, n), want, run)
 		}
 	}
 
-	fan("ttda", func(n int) (Snapshot, error) { return runTTDA(c, 4, 4, false, n, 0, false) })
-	fan("cmmp", func(n int) (Snapshot, error) { return runCmmp(c, 2, false, n) })
-	fan("cmstar", func(n int) (Snapshot, error) { return runCmstar(c, 8, false, n) })
-	fan("ultra", func(n int) (Snapshot, error) { return runUltra(c, true, false, n) })
-	fan("hep", func(n int) (Snapshot, error) { return runHEP(c, false, n) })
+	ttda := func() (Snapshot, error) { return runTTDA(c, 4, 4, false, false) }
+	fan("ttda", ttda)
+	fan("cmmp", func() (Snapshot, error) { return runCmmp(c, 2, false) })
+	fan("cmstar", func() (Snapshot, error) { return runCmstar(c, 8, false) })
+	fan("ultra", func() (Snapshot, error) { return runUltra(c, true, false) })
+	fan("hep", func() (Snapshot, error) { return runHEP(c, false) })
 
-	// core ignores EpochWindow, so these four rows repeat ttda/shards=2
-	// and ttda/shards=4 on the per-tick kernel. They keep their window
-	// names and arguments only because the sweep digest pins E14's check
-	// counts; they go with this oracle family once that digest is split
-	// per experiment.
-	seq, err := runTTDA(c, 4, 4, false, 0, 0, false)
+	// Four more TTDA crossings, named for the epoch windows the sharded
+	// kernel once had.
+	want, err := ttda()
 	if err != nil {
 		ct.fail(OracleParallel, "ttda/windows", err)
 		return
 	}
-	want := seq.Observables()
 	for _, n := range []int{2, 4} {
 		for _, win := range []int{4, -1} {
-			name := fmt.Sprintf("ttda/shards=%d/window=%d", n, win)
-			par, err := runTTDA(c, 4, 4, false, n, win, false)
-			if err != nil {
-				ct.fail(OracleParallel, name, err)
-				continue
-			}
-			got := par.Observables()
-			ct.checkAt(OracleParallel, name, want.Cycles, got == want, func() string {
-				return fmt.Sprintf("parallel run diverged from sequential:\n  sequential %+v\n  parallel   %+v", want, got)
-			})
+			crossing(ct, OracleParallel, fmt.Sprintf("ttda/shards=%d/window=%d", n, win), want, ttda)
 		}
 	}
+}
+
+// crossing runs one crossing's own machine and requires the full snapshot
+// of the reference run it is crossed with.
+func crossing(ct *counter, o Oracle, name string, want Snapshot, run func() (Snapshot, error)) {
+	got, err := run()
+	if err != nil {
+		ct.fail(o, name, err)
+		return
+	}
+	ct.checkAt(o, name, want.Cycles, got == want, func() string {
+		return fmt.Sprintf("run diverged from the reference run:\n  reference %+v\n  crossing  %+v", want, got)
+	})
 }
 
 // --- oracle 6: compiled-plan equivalence -------------------------------
@@ -432,12 +436,13 @@ func checkParallel(ct *counter, c *compiled) {
 // the seed. The first check demands that a machine on the shared plan and
 // one whose NewMachine compiled its own agree on the FULL snapshot —
 // results, cycles, machine statistics, and the engine's own counters — so
-// a plan that some run had mutated would show here. The second crosses
-// the shared plan with the conservative sharded kernel against the
-// own-plan sequential reference.
+// a plan that some run had mutated would show here. The shard crossings
+// that follow run the shared plan on 4 PEs against an own-plan reference;
+// like the parallel family's, they keep their names only while the sweep
+// digest pins E14's table.
 func checkCompiled(ct *counter, c *compiled) {
-	own, err1 := runTTDA(c, 2, 4, false, 0, 0, true)
-	shared, err2 := runTTDA(c, 2, 4, false, 0, 0, false)
+	own, err1 := runTTDA(c, 2, 4, false, true)
+	shared, err2 := runTTDA(c, 2, 4, false, false)
 	if err1 != nil || err2 != nil {
 		ct.fail(OracleCompiled, "ttda", fmt.Errorf("run errors: %v / %v", err1, err2))
 		return
@@ -446,22 +451,14 @@ func checkCompiled(ct *counter, c *compiled) {
 		return fmt.Sprintf("shared-plan run diverged from own-plan run (full snapshot):\n  own plan    %+v\n  shared plan %+v", own, shared)
 	})
 
-	seq, err := runTTDA(c, 4, 4, false, 0, 0, true)
+	want, err := runTTDA(c, 4, 4, false, true)
 	if err != nil {
 		ct.fail(OracleCompiled, "ttda/pes=4", err)
 		return
 	}
-	want := seq.Observables()
 	for _, n := range parallelShardCounts {
-		name := fmt.Sprintf("ttda/shared-plan/shards=%d", n)
-		par, err := runTTDA(c, 4, 4, false, n, 0, false)
-		if err != nil {
-			ct.fail(OracleCompiled, name, err)
-			continue
-		}
-		got := par.Observables()
-		ct.checkAt(OracleCompiled, name, want.Cycles, got == want, func() string {
-			return fmt.Sprintf("shared-plan parallel run diverged from own-plan sequential:\n  sequential %+v\n  parallel   %+v", want, got)
+		crossing(ct, OracleCompiled, fmt.Sprintf("ttda/shared-plan/shards=%d", n), want, func() (Snapshot, error) {
+			return runTTDA(c, 4, 4, false, false)
 		})
 	}
 }
@@ -547,8 +544,8 @@ func SweepOpts(n, workers int) Report {
 func (r Report) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "conformance: %d programs, %d checks", r.Programs, r.Checks)
-	for _, o := range []Oracle{OracleResult, OracleDeterminism, OracleMetamorphic, OracleHonesty, OracleParallel, OracleCompiled, OracleCheckpoint, OracleDirect} {
-		fmt.Fprintf(&b, ", %s=%d", o, r.PerOracle[o])
+	for _, f := range families {
+		fmt.Fprintf(&b, ", %s=%d", f.oracle, r.PerOracle[f.oracle])
 	}
 	if len(r.Violations) == 0 {
 		b.WriteString(" — all passed")

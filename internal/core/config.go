@@ -53,25 +53,21 @@ type Config struct {
 	// compiled plan (graph.Compile), built by NewMachine or supplied to
 	// NewMachineWithPlan.
 	//
-	// Deprecated: leave it unset. It remains only so that existing callers
-	// still compile.
+	// Deprecated: leave it unset. It remains only because the benchmark's
+	// bench/knobs.go sets it.
 	Compiled bool
 
-	// Shards > 1 runs the machine on the conservative sharded simulation
-	// kernel (sim.ParallelEngine): PEs and their co-located I-structure
-	// modules are split into that many contiguous shards, stepped in shard
-	// order on the calling goroutine, with cross-shard effects deferred to
-	// a per-cycle commit. Results, cycle counts, and statistics are
-	// bit-identical to the sequential run (Shards <= 1). Ignored when
-	// Trace is set — tracing samples machine state mid-step and stays on
-	// the sequential driver.
+	// Shards is ignored: every machine runs on the sequential sim.Engine,
+	// since the sharded kernel was slower on every program (DESIGN.md §12).
+	//
+	// Deprecated: leave it unset. It remains only because the benchmark's
+	// bench/knobs.go sets it.
 	Shards int
 
-	// EpochWindow is ignored: the sharded kernel commits once per cycle
-	// (DESIGN.md §12).
+	// EpochWindow is ignored, as Shards is.
 	//
-	// Deprecated: leave it unset. It remains only so that existing callers
-	// still compile.
+	// Deprecated: leave it unset. It remains only because the benchmark's
+	// bench/knobs.go sets it.
 	EpochWindow int
 
 	// MatchBandwidth is how many tokens the waiting-matching section

@@ -19,11 +19,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current simulator")
 
-// -shards runs every golden scenario on the conservative parallel kernel
-// with that many shards. The committed golden numbers must not move — that
-// is the parallel kernel's bit-identity contract, enforced in CI with -race.
-var shardsGolden = flag.Int("shards", 0, "run golden scenarios with this many shards on the parallel kernel")
-
 // peSnapshot is the deterministic per-PE statistics contract: every field
 // must be bit-identical run-to-run and across kernel optimizations.
 type peSnapshot struct {
@@ -129,11 +124,7 @@ func snapshotRun(t *testing.T, sc goldenScenario) runSnapshot {
 // snapshotWith is snapshotRun on a machine from build.
 func snapshotWith(t *testing.T, sc goldenScenario, build func(Config) *Machine) runSnapshot {
 	t.Helper()
-	cfg := sc.cfg()
-	if *shardsGolden > 0 && cfg.Shards == 0 {
-		cfg.Shards = *shardsGolden
-	}
-	m := build(cfg)
+	m := build(sc.cfg())
 	res, err := m.Run(500_000_000, sc.args...)
 	if err != nil {
 		t.Fatalf("%s: run: %v", sc.name, err)

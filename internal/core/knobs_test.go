@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"strings"
@@ -13,12 +14,69 @@ import (
 	"repro/internal/workload"
 )
 
-// TestShardedBitIdentical is the core-level conformance oracle for the
-// conservative parallel kernel: every golden scenario must produce exactly
-// the same results, cycle count, machine statistics, and per-PE statistics
-// at every shard count as it does sequentially. Not "statistically
-// equivalent" — bit-identical, via reflect.DeepEqual over the full golden
-// snapshot.
+// The tests in this file pin Config's retired fields, Shards, EpochWindow
+// and Compiled: they remain only because the benchmark's bench/knobs.go
+// sets them, and setting them must change nothing. They go with the
+// fields.
+
+// TestRetiredKnobsChangeNothing runs every golden scenario with Shards 2
+// and 4, EpochWindow -1 and 4, and Compiled set, one at a time, and
+// requires the default configuration's results, Summarize(), engine
+// counters and end-of-run checkpoint bytes from each.
+func TestRetiredKnobsChangeNothing(t *testing.T) {
+	knobs := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"Shards=2", func(c *Config) { c.Shards = 2 }},
+		{"Shards=4", func(c *Config) { c.Shards = 4 }},
+		{"EpochWindow=-1", func(c *Config) { c.EpochWindow = -1 }},
+		{"EpochWindow=4", func(c *Config) { c.EpochWindow = 4 }},
+		{"Compiled", func(c *Config) { c.Compiled = true }},
+	}
+	type outcome struct {
+		results  []token.Value
+		summary  Summary
+		counters sim.Counters
+		ckpt     []byte
+	}
+	for _, sc := range goldenScenarios() {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			prog, err := id.Compile(sc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(cfg Config) outcome {
+				m := NewMachine(cfg, prog)
+				res, err := m.Run(500_000_000, sc.args...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return outcome{res, m.Summarize(), m.Engine().Counters(), sim.Checkpoint(m)}
+			}
+			want := run(sc.cfg())
+			for _, k := range knobs {
+				cfg := sc.cfg()
+				k.set(&cfg)
+				got := run(cfg)
+				if !reflect.DeepEqual(got.results, want.results) || got.summary != want.summary {
+					t.Errorf("%s: results %v, summary %+v; default %v, %+v", k.name, got.results, got.summary, want.results, want.summary)
+				}
+				if got.counters != want.counters {
+					t.Errorf("%s: engine counters %+v, default %+v", k.name, got.counters, want.counters)
+				}
+				if !bytes.Equal(got.ckpt, want.ckpt) {
+					t.Errorf("%s: the end-of-run checkpoint differs from the default run's (%d vs %d bytes)", k.name, len(got.ckpt), len(want.ckpt))
+				}
+			}
+		})
+	}
+}
+
+// TestShardedBitIdentical requires every golden scenario run with Shards
+// 2, 3, 4 and 8 to give its default run's full golden snapshot: results,
+// cycle count, machine statistics and per-PE statistics.
 func TestShardedBitIdentical(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc
@@ -41,8 +99,8 @@ func TestShardedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedIndependentOfGOMAXPROCS pins the other determinism axis: the
-// thread count the runtime grants must not leak into simulated state.
+// TestShardedIndependentOfGOMAXPROCS requires a run that sets Shards to
+// give the same snapshot at GOMAXPROCS 1, 2 and the default.
 func TestShardedIndependentOfGOMAXPROCS(t *testing.T) {
 	sc := goldenScenario{
 		name: "gomaxprocs-matmul4-pe8",
@@ -65,10 +123,9 @@ func TestShardedIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestWindowedBitIdentical pins that EpochWindow is ignored: every golden
-// scenario run with 2 and 4 shards and EpochWindow 4 or -1 (the values
-// callers set when the field chose multi-tick epochs) must produce the
-// same full snapshot as its sequential run.
+// TestWindowedBitIdentical requires every golden scenario run with Shards
+// 2 and 4 and EpochWindow 4 or -1 (the values callers set when the fields
+// chose multi-tick epochs) to give its default run's full snapshot.
 func TestWindowedBitIdentical(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc
@@ -94,9 +151,8 @@ func TestWindowedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWindowedIndependentOfGOMAXPROCS pins that a sharded run that sets
-// the ignored EpochWindow does not depend on the runtime's thread count
-// either: GOMAXPROCS 1, 2 and 4 agree bit-for-bit.
+// TestWindowedIndependentOfGOMAXPROCS requires a run that sets Shards and
+// EpochWindow to give the same snapshot at GOMAXPROCS 1, 2 and 4.
 func TestWindowedIndependentOfGOMAXPROCS(t *testing.T) {
 	sc := goldenScenario{
 		name: "gomaxprocs-window-matmul4-pe8",
@@ -119,44 +175,10 @@ func TestWindowedIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestShardedEngineCountersPinned pins the sharded kernel's scheduling
-// counters for matmul(6) on 8 PEs. They are not simulated observables;
-// pinning them makes any change to the shard protocol's scheduling a
-// deliberate one.
-func TestShardedEngineCountersPinned(t *testing.T) {
-	prog, err := id.Compile(workload.MatMulID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		shards int
-		want   sim.Counters
-	}{
-		{2, sim.Counters{StepsExecuted: 6999, CyclesSkipped: 38, WakesEnqueued: 11640}},
-		{4, sim.Counters{StepsExecuted: 10763, CyclesSkipped: 38, WakesEnqueued: 11640}},
-		{8, sim.Counters{StepsExecuted: 16222, CyclesSkipped: 38, WakesEnqueued: 11640}},
-	} {
-		m := NewMachine(Config{PEs: 8, Shards: tc.shards}, prog)
-		res, err := m.Run(500_000_000, token.Int(6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != 1 || res[0] != token.Int(2486) {
-			t.Fatalf("shards=%d: result %v, want [2486]", tc.shards, res)
-		}
-		if got := m.Engine().Counters(); got != tc.want {
-			t.Errorf("shards=%d: counters %+v, want %+v", tc.shards, got, tc.want)
-		}
-	}
-}
-
-// TestShardedErrorsMatchSequential runs failure paths sharded: faults are
-// deferred to commit (a module's single-assignment fault beside its
-// shard's log, ahead of it), so every shard count must report exactly
-// what the sequential machine reports and stop at the same cycle with the
-// same firings. EpochWindow is ignored, so the runs that set it must stop
-// there too. The double write names the cell's global address: on four
-// PEs cell 5 lives on PE 1.
+// TestShardedErrorsMatchSequential runs failure paths with Shards and
+// EpochWindow set: each run must report exactly what the default machine
+// reports and stop at the same cycle with the same firings. The double
+// write names the cell's global address: on four PEs cell 5 lives on PE 1.
 func TestShardedErrorsMatchSequential(t *testing.T) {
 	type stop struct {
 		err   string
@@ -202,26 +224,5 @@ func TestShardedErrorsMatchSequential(t *testing.T) {
 				t.Errorf("%s, %d shards, EpochWindow %d: got %+v, want the sequential %+v", tc.name, cfg.Shards, cfg.EpochWindow, got, seq)
 			}
 		}
-	}
-}
-
-// TestTraceForcesSequential documents the Shards/Trace interaction: tracing
-// samples mid-step state, so a traced machine must stay on the sequential
-// path even when shards are requested.
-func TestTraceForcesSequential(t *testing.T) {
-	prog, err := id.Compile(workload.SumLoopID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracer(64)
-	m := NewMachine(Config{PEs: 4, Shards: 4, Trace: tr}, prog)
-	if _, err := m.Run(1_000_000, token.Int(10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, par := m.Engine().(*sim.ParallelEngine); par {
-		t.Fatal("traced machine must run sequentially")
-	}
-	if tr.Total() == 0 {
-		t.Fatal("tracer saw nothing")
 	}
 }

@@ -40,28 +40,17 @@ type Machine struct {
 	// Active lists: ids of components that currently hold queued work,
 	// kept sorted ascending so sweeps visit components in the same fixed
 	// order as stepping every component (part of the determinism
-	// contract). Sequential runs use these machine-wide lists; sharded
-	// runs give each shard its own pair over its contiguous id range.
+	// contract).
 	peQ      idQueue
 	peActive []bool
 	isQ      idQueue
 	isActive []bool
 
-	// engine drives the run; its busy horizon (the latest ALU/controller
-	// busy-until cycle ever scheduled) makes quiescence a comparison
-	// instead of a machine-wide scan. Sequential machines register one
-	// driver with sim.Engine, kept typed in seq so the done predicate and
-	// noteBusy call it directly; sharded machines run on
-	// sim.ParallelEngine (see parallel_core.go) and leave seq nil.
-	engine sim.Driver
-	seq    *sim.Engine
-	seqDrv *machineDriver
-	par    *sim.ParallelEngine
-	netDrv *netDriver
-	// shards is non-nil iff the machine runs the conservative-parallel
-	// kernel; shardOf maps a PE/module id to its owning shard.
-	shards  []*coreShard
-	shardOf []int
+	// engine drives the run with drv as its one component; its busy
+	// horizon (the latest ALU/controller busy-until cycle ever scheduled)
+	// makes quiescence a comparison instead of a machine-wide scan.
+	engine *sim.Engine
+	drv    *machineDriver
 
 	// context manager state (conceptually distributed; centralized here
 	// with its cost charged through the PE controller's d=2 path)
@@ -135,7 +124,7 @@ func NewMachine(cfg Config, prog *graph.Program) *Machine {
 // NewMachineWithPlan builds a machine that executes a pre-compiled plan
 // (graph.Compile), amortizing compilation across many runs of the same
 // program. The machine only reads the plan, so any number of machines,
-// sequential or sharded and running concurrently, may share one.
+// running concurrently, may share one.
 func NewMachineWithPlan(cfg Config, plan *graph.CompiledGraph) *Machine {
 	m := newMachine(cfg, plan.Prog)
 	m.plan = plan
@@ -172,20 +161,9 @@ func newMachine(cfg Config, prog *graph.Program) *Machine {
 		i := i
 		m.is[i] = istructure.New(ISCellsPerPE, func(r istructure.Response) { m.isRespond(i, r) })
 	}
-	shards := cfg.Shards
-	if cfg.Trace != nil {
-		// Tracing samples machine state mid-step; keep it on the
-		// deterministic single-threaded path.
-		shards = 1
-	}
-	if shards > 1 && cfg.PEs > 1 {
-		m.setupShards(shards)
-	} else {
-		eng := sim.NewEngine()
-		m.engine, m.seq = eng, eng
-		m.seqDrv = &machineDriver{m: m, isNext: sim.Never, peNext: sim.Never}
-		eng.Register(m.seqDrv)
-	}
+	m.engine = sim.NewEngine()
+	m.drv = &machineDriver{m: m, isNext: sim.Never, peNext: sim.Never}
+	m.engine.Register(m.drv)
 	return m
 }
 
@@ -254,23 +232,8 @@ func (m *Machine) Program() *graph.Program { return m.prog }
 // Now returns the current cycle.
 func (m *Machine) Now() sim.Cycle { return m.now }
 
-// wakePE puts a PE on its active list. In sharded mode it also wakes the
-// owning runner when called from a serial context (a network delivery or a
-// commit-time push); wakes from the shard's own step need no engine call —
-// the runner's post-commit NextEvent poll subsumes them.
+// wakePE puts a PE on its active list.
 func (m *Machine) wakePE(id int) {
-	if m.shards != nil {
-		sh := m.shards[m.shardOf[id]]
-		if !m.peActive[id] {
-			m.peActive[id] = true
-			sh.peQ.push(id)
-		}
-		if !sh.inStep {
-			m.par.Wake(sh, m.par.Now())
-			m.par.Wake(m.netDrv, m.par.Now())
-		}
-		return
-	}
 	if m.peActive[id] {
 		return
 	}
@@ -281,30 +244,13 @@ func (m *Machine) wakePE(id int) {
 // wakeIS puts an I-structure module on its active list. A wake landing
 // while the driving sweep is mid-step (a PE's local d=1 bypass, after the
 // module sweep already ran this cycle) folds the module's next-cycle work
-// into the cached next-event answer, keeping NextEvent honest in both the
-// sequential and the sharded mode.
+// into the cached next-event answer, keeping NextEvent honest.
 func (m *Machine) wakeIS(id int) {
-	if m.shards != nil {
-		sh := m.shards[m.shardOf[id]]
-		if !m.isActive[id] {
-			m.isActive[id] = true
-			sh.isQ.push(id)
-		}
-		if sh.inStep {
-			if t := m.now + 1; t < sh.isNext {
-				sh.isNext = t
-			}
-		} else {
-			m.par.Wake(sh, m.par.Now())
-			m.par.Wake(m.netDrv, m.par.Now())
-		}
-		return
-	}
 	if !m.isActive[id] {
 		m.isActive[id] = true
 		m.isQ.push(id)
 	}
-	if d := m.seqDrv; d.inStep {
+	if d := m.drv; d.inStep {
 		if t := m.now + 1; t < d.isNext {
 			d.isNext = t
 		}
@@ -313,13 +259,11 @@ func (m *Machine) wakeIS(id int) {
 
 // noteBusy extends the machine-wide busy horizon. Busy-until values only
 // grow per unit, so the engine's running maximum equals the max over the
-// current values. Sequential machines only: a sharded PE notes its busy
-// time in its shard (PE.noteBusy), and commit folds it in.
-func (m *Machine) noteBusy(t sim.Cycle) { m.seq.NoteBusy(t) }
+// current values.
+func (m *Machine) noteBusy(t sim.Cycle) { m.engine.NoteBusy(t) }
 
-// deliver routes a network packet arriving at its destination PE. It runs
-// in a serial context in both modes (inside the machine driver's step, or
-// the parallel kernel's serial phase).
+// deliver routes a network packet arriving at its destination PE, inside
+// the machine driver's step.
 func (m *Machine) deliver(p *network.Packet) {
 	if p.HasTok {
 		m.pes[p.Dst].accept(&p.Tok)
@@ -343,9 +287,8 @@ func (m *Machine) homeModule(addr uint32) int { return int(addr) % m.cfg.PEs }
 // localAddr converts a global address to a module-local one.
 func (m *Machine) localAddr(addr uint32) uint32 { return addr / uint32(m.cfg.PEs) }
 
-// enqueueIS hands a d=1 request to the I-structure module at pe. The error
-// is returned (not recorded) so callers in a shard's parallel step can
-// defer it.
+// enqueueIS hands a d=1 request to the I-structure module at pe, returning
+// the module's refusal as an error.
 func (m *Machine) enqueueIS(pe int, r isRequest) error {
 	req := istructure.Request{
 		Op:    r.op,
@@ -363,17 +306,10 @@ func (m *Machine) enqueueIS(pe int, r isRequest) error {
 }
 
 // isRespond forwards a FETCH response as a d=0 token from the module's PE.
-// The response lands in the module's own PE's output queue, so in sharded
-// mode it stays inside the owning shard; only the response counter is
-// global, accumulated per shard and folded at commit.
 func (m *Machine) isRespond(pe int, r istructure.Response) {
 	rt := r.ReplyTo.(replyTag)
 	m.pes[pe].sendToken(rt.activity, rt.nt, rt.port, r.Value.(token.Value))
-	if sh := m.pes[pe].sh; sh != nil {
-		sh.isResponses++
-	} else {
-		m.stats.ISResponses++
-	}
+	m.stats.ISResponses++
 }
 
 // isCellLimit is the allocator's ceiling for a machine of pes PEs:
@@ -451,36 +387,17 @@ func (m *Machine) fail(err error) {
 }
 
 // failIS records module id's single-assignment fault under the program's
-// global address. Modules sweep before PEs in every tick, so a sharded run
-// holds the fault beside its shard's log and commit applies it ahead of
-// every log: the first fault in sequential order wins in both modes.
+// global address.
 func (m *Machine) failIS(id int, local uint32) {
-	err := fmt.Errorf("core: store: address %d already written (single-assignment violation)", local*uint32(m.cfg.PEs)+uint32(id))
-	if m.shards == nil {
-		m.fail(err)
-		return
-	}
-	if sh := m.shards[m.shardOf[id]]; sh.isFault == nil {
-		sh.isFault = err
-	}
+	m.fail(fmt.Errorf("core: store: address %d already written (single-assignment violation)", local*uint32(m.cfg.PEs)+uint32(id)))
 }
 
-// quiescent reports whether no work remains anywhere in a sequential
-// machine. With active lists and the busy horizon this is O(1) instead of
-// a scan over every PE and module.
+// quiescent reports whether no work remains anywhere in the machine. With
+// active lists and the busy horizon this is O(1) instead of a scan over
+// every PE and module.
 func (m *Machine) quiescent() bool {
 	return len(m.peQ.ids) == 0 && len(m.isQ.ids) == 0 &&
-		m.net.Pending() == 0 && m.now >= m.seq.BusyHorizon()
-}
-
-// shardsQuiescent is quiescent for a sharded machine, O(shards).
-func (m *Machine) shardsQuiescent() bool {
-	for _, sh := range m.shards {
-		if len(sh.peQ.ids) > 0 || len(sh.isQ.ids) > 0 {
-			return false
-		}
-	}
-	return m.net.Pending() == 0 && m.now >= m.engine.BusyHorizon()
+		m.net.Pending() == 0 && m.now >= m.engine.BusyHorizon()
 }
 
 // sweepISQ steps the listed active I-structure modules in ascending id
@@ -537,9 +454,9 @@ func (m *Machine) sweepPEsQ(now sim.Cycle, q *idQueue) sim.Cycle {
 		pe := m.pes[id]
 		t := pe.nextWork(now)
 		if t == sim.Never {
-			// No stage queue holds an item. Possible only in sharded
-			// mode: a commit-phase retry drain emptied the PE after its
-			// sweep kept it.
+			// No stage queue holds an item. No run lists such a PE,
+			// but a restored checkpoint may; dropping it keeps the
+			// machine from waiting on it forever.
 			m.peActive[id] = false
 			continue
 		}
@@ -595,19 +512,10 @@ func (m *Machine) Run(limit sim.Cycle, args ...token.Value) ([]token.Value, erro
 		m.started = true
 		m.runStart = m.now
 	}
-	var done func() bool
-	if m.seq != nil {
-		done = func() bool {
-			m.now = m.seq.Now()
-			return m.runErr != nil || m.quiescent()
-		}
-	} else {
-		done = func() bool {
-			m.now = m.engine.Now()
-			return m.runErr != nil || m.shardsQuiescent()
-		}
-	}
-	_, ok := m.engine.Run(done, limit)
+	_, ok := m.engine.Run(func() bool {
+		m.now = m.engine.Now()
+		return m.runErr != nil || m.quiescent()
+	}, limit)
 	m.now = m.engine.Now()
 	if m.runErr != nil {
 		return nil, m.runErr
@@ -658,9 +566,8 @@ func (m *Machine) checkClean() error {
 // Network returns the machine's interconnect (for statistics).
 func (m *Machine) Network() network.Network { return m.net }
 
-// Engine exposes the simulation engine (scheduling counters). Sequential
-// machines return a *sim.Engine, sharded ones a *sim.ParallelEngine.
-func (m *Machine) Engine() sim.Driver { return m.engine }
+// Engine exposes the simulation engine (scheduling counters).
+func (m *Machine) Engine() *sim.Engine { return m.engine }
 
 // PEStats returns per-PE statistics.
 func (m *Machine) PEStats() []*PEStats {

@@ -25,12 +25,6 @@ import (
 type PE struct {
 	m  *Machine
 	id int
-	// sh is the owning shard when the machine runs the conservative
-	// parallel kernel (nil on the sequential path). While set, every
-	// effect that escapes the shard — network sends, manager operations,
-	// context-table mutations, faults — is appended to sh's deferred-op
-	// log instead of applied (see parallel_core.go).
-	sh *coreShard
 
 	// input queue: tokens from the network and the local bypass path
 	input sim.FIFO[token.Token]
@@ -57,11 +51,8 @@ type PE struct {
 	// outgoing network packets refused by backpressure, retried in order
 	netRetry sim.FIFO[*network.Packet]
 
-	// pktFree recycles this PE's delivered packets. Gets happen on the
-	// PE's own send path (its shard's runner phase, or the sequential
-	// sweep); puts happen at delivery, which is always a serial context —
-	// the two never overlap, so the list needs no lock even in sharded
-	// runs.
+	// pktFree recycles this PE's delivered packets: gets happen on the
+	// PE's own send path, puts at delivery.
 	pktFree []*network.Packet
 
 	// PE controller queue (d=2 requests)
@@ -208,28 +199,6 @@ func (pe *PE) step(now sim.Cycle) {
 	pe.stepInput(now)
 }
 
-// fail records an execution fault, deferring it in sharded mode so the
-// first fault in sequential evaluation order wins in both modes.
-func (pe *PE) fail(err error) {
-	if pe.sh != nil {
-		pe.sh.push(shardOp{kind: opFail, pe: pe, err: err})
-		return
-	}
-	pe.m.fail(err)
-}
-
-// noteBusy extends the busy horizon: directly in sequential mode, through
-// the shard's accumulator (folded at commit) in sharded mode.
-func (pe *PE) noteBusy(t sim.Cycle) {
-	if sh := pe.sh; sh != nil {
-		if t > sh.busyMax {
-			sh.busyMax = t
-		}
-		return
-	}
-	pe.m.noteBusy(t)
-}
-
 // getPkt takes a packet from the PE's free list (or allocates one).
 func (pe *PE) getPkt() *network.Packet {
 	if n := len(pe.pktFree); n > 0 {
@@ -240,20 +209,14 @@ func (pe *PE) getPkt() *network.Packet {
 	return &network.Packet{}
 }
 
-// putPkt recycles a delivered packet. Serial contexts only.
+// putPkt recycles a delivered packet.
 func (pe *PE) putPkt(p *network.Packet) {
 	p.Reset()
 	pe.pktFree = append(pe.pktFree, p)
 }
 
-// sendPkt injects a packet, queueing it for in-order retry on refusal. In
-// sharded mode the send is deferred to the commit phase; the log replays
-// sends in exactly the sequential order, so refusals match too.
+// sendPkt injects a packet, queueing it for in-order retry on refusal.
 func (pe *PE) sendPkt(pkt *network.Packet) {
-	if pe.sh != nil {
-		pe.sh.push(shardOp{kind: opNetSend, pe: pe, pkt: pkt})
-		return
-	}
 	if !pe.m.net.Send(pkt) {
 		pe.netRetry.Push(pkt)
 		return
@@ -263,13 +226,6 @@ func (pe *PE) sendPkt(pkt *network.Packet) {
 
 // stepNetRetry re-attempts refused network sends in order.
 func (pe *PE) stepNetRetry() {
-	if pe.netRetry.Len() == 0 {
-		return
-	}
-	if pe.sh != nil {
-		pe.sh.push(shardOp{kind: opNetRetry, pe: pe})
-		return
-	}
 	for pe.netRetry.Len() > 0 {
 		if !pe.m.net.Send(pe.netRetry.Peek()) {
 			return
@@ -316,7 +272,7 @@ func (pe *PE) stepALU(now sim.Cycle) {
 	in := &pe.m.plan.Blocks[e.act.CodeBlock].Instrs[e.act.Statement]
 	d := pe.m.opTimes[in.Op]
 	pe.aluBusyUntil = now + d
-	pe.noteBusy(pe.aluBusyUntil)
+	pe.m.noteBusy(pe.aluBusyUntil)
 	if d == 0 {
 		d = 1 // the firing cycle itself counts busy even for free ops
 	}
@@ -338,26 +294,15 @@ func (pe *PE) stepFetch() {
 	pe.aluN++
 }
 
-// stepController services one d=2 manager request. The occupancy is local;
-// the request body touches the shared context manager and allocator, so in
-// sharded mode it executes at the commit barrier.
+// stepController services one d=2 manager request (context and structure
+// allocation through the shared context manager and allocator).
 func (pe *PE) stepController(now sim.Cycle) {
 	if now < pe.ctrlBusyUntil || pe.ctrlQ.Len() == 0 {
 		return
 	}
 	r := pe.ctrlQ.Pop()
 	pe.ctrlBusyUntil = now + controllerTime
-	pe.noteBusy(pe.ctrlBusyUntil)
-	if pe.sh != nil {
-		pe.sh.push(shardOp{kind: opCtrl, pe: pe, in: r.in, act: r.act, vals: [2]token.Value{r.value}})
-		return
-	}
-	pe.execCtrl(r)
-}
-
-// execCtrl performs a d=2 manager operation. Serial contexts only: the
-// sequential controller step, or the parallel kernel's commit phase.
-func (pe *PE) execCtrl(r ctrlRequest) {
+	pe.m.noteBusy(pe.ctrlBusyUntil)
 	in := r.in
 	switch in.Kind {
 	case graph.KindGetContext:
@@ -428,7 +373,7 @@ func (pe *PE) classify(t *token.Token, now sim.Cycle) {
 	default:
 		// d=1 and d=2 tokens are generated internally and routed directly
 		// at the output section; arriving here is a machine bug.
-		pe.fail(fmt.Errorf("core: unexpected %s token at input section", t.Class))
+		pe.m.fail(fmt.Errorf("core: unexpected %s token at input section", t.Class))
 	}
 }
 
@@ -447,7 +392,7 @@ func (pe *PE) match(t *token.Token, now sim.Cycle) {
 		pe.stats.MatchStoreOccupancy.Update(uint64(now), int64(pe.waiting.Len()))
 	}
 	if p.have[t.Port] {
-		pe.fail(fmt.Errorf("core: duplicate token at %s port %d", key, t.Port))
+		pe.m.fail(fmt.Errorf("core: duplicate token at %s port %d", key, t.Port))
 		return
 	}
 	p.vals[t.Port] = t.Value
@@ -505,11 +450,8 @@ func (pe *PE) emit(dst int, act token.ActivityName, nt, port uint8, v token.Valu
 
 // execute performs one instruction, the heart of the ALU stage. Its case
 // analysis must agree exactly with the reference interpreter; it switches
-// on the plan's precomputed dispatch kind. Cases that touch the shared
-// context table (SEND-ARG/L, RETURN/L⁻¹) run at the commit barrier in
-// sharded mode; everything else touches only this PE, its co-located
-// I-structure module, or the deferred-op log. e is the record at the head
-// of the ready ring, which execute may overwrite: the ALU drops it next.
+// on the plan's precomputed dispatch kind. e is the record at the head of
+// the ready ring, which execute may overwrite: the ALU drops it next.
 func (pe *PE) execute(in *graph.CInstr, e *enabledInstr) {
 	act := e.act
 	vals := &e.vals
@@ -520,14 +462,14 @@ func (pe *PE) execute(in *graph.CInstr, e *enabledInstr) {
 	case graph.KindPure:
 		v, err := graph.Eval(in.Op, vals[0], vals[1])
 		if err != nil {
-			pe.fail(fmt.Errorf("core: %v at %s %s", err, act, in.Op))
+			pe.m.fail(fmt.Errorf("core: %v at %s %s", err, act, in.Op))
 			return
 		}
 		pe.sendToDests(act, in.Dests, v)
 	case graph.KindSwitch:
 		c, err := vals[1].AsBool()
 		if err != nil {
-			pe.fail(fmt.Errorf("core: switch control at %s: %v", act, err))
+			pe.m.fail(fmt.Errorf("core: switch control at %s: %v", act, err))
 			return
 		}
 		if c {
@@ -540,30 +482,17 @@ func (pe *PE) execute(in *graph.CInstr, e *enabledInstr) {
 		pe.stats.TokensD2.Inc()
 		pe.ctrlQ.Push(ctrlRequest{act: act, in: in, value: vals[0]})
 	case graph.KindSendArg:
-		if pe.sh != nil {
-			pe.sh.push(shardOp{kind: opExec, pe: pe, in: in, act: act, vals: *vals})
-			return
-		}
 		pe.execSendArg(in, act, *vals)
 	case graph.KindD:
 		pe.sendToDestsInit(act, in.Dests, vals[0], act.Initiation+1)
 	case graph.KindDInv:
 		pe.sendToDestsInit(act, in.Dests, vals[0], 1)
 	case graph.KindReturn:
-		if pe.sh != nil {
-			pe.sh.push(shardOp{kind: opExec, pe: pe, in: in, act: act, vals: *vals})
-			return
-		}
 		pe.execReturn(in, act, *vals)
 	case graph.KindFetch:
-		// Reading nextAddr from a shard's parallel step is benign: it is
-		// written only at the commit barrier, and an address allocated in
-		// cycle t cannot reach a consumer before t+2 (the base travels
-		// through at least the output and input sections), so the bound
-		// checked here always predates this cycle.
 		addr, ok := graph.CellAddr(vals[0], pe.m.nextAddr)
 		if !ok {
-			pe.fail(fmt.Errorf("core: fetch at %s: bad address %s", act, vals[0]))
+			pe.m.fail(fmt.Errorf("core: fetch at %s: bad address %s", act, vals[0]))
 			return
 		}
 		d := in.Dests[0]
@@ -584,7 +513,7 @@ func (pe *PE) execute(in *graph.CInstr, e *enabledInstr) {
 	case graph.KindStore:
 		addr, ok := graph.CellAddr(vals[0], pe.m.nextAddr)
 		if !ok {
-			pe.fail(fmt.Errorf("core: store at %s: bad address %s", act, vals[0]))
+			pe.m.fail(fmt.Errorf("core: store at %s: bad address %s", act, vals[0]))
 			return
 		}
 		if pe.m.cfg.Trace != nil {
@@ -594,14 +523,13 @@ func (pe *PE) execute(in *graph.CInstr, e *enabledInstr) {
 	case graph.KindSink, graph.KindNop:
 		// absorbed
 	default:
-		pe.fail(fmt.Errorf("core: cannot execute %s", in.Op))
+		pe.m.fail(fmt.Errorf("core: cannot execute %s", in.Op))
 	}
 }
 
 // execSendArg performs SEND-ARG/L: look up the callee's invocation record,
 // count the argument, and ship it to the callee's entry, whose statement
-// and nt come from the plan's CBlock. Serial contexts only (it reads and
-// mutates the shared context table).
+// and nt come from the plan's CBlock.
 func (pe *PE) execSendArg(in *graph.CInstr, act token.ActivityName, vals [2]token.Value) {
 	h, err := vals[0].AsInt()
 	if err != nil {
@@ -632,7 +560,7 @@ func (pe *PE) execSendArg(in *graph.CInstr, act token.ActivityName, vals [2]toke
 
 // execReturn performs RETURN/L⁻¹: deliver the value to the parent's return
 // destinations (or the program results in context 0) and retire the
-// invocation record. Serial contexts only.
+// invocation record.
 func (pe *PE) execReturn(in *graph.CInstr, act token.ActivityName, vals [2]token.Value) {
 	if act.Context == 0 {
 		if pe.m.cfg.Trace != nil {
@@ -659,17 +587,16 @@ func (pe *PE) execReturn(in *graph.CInstr, act token.ActivityName, vals [2]token
 	pe.m.maybeFreeContext(act.Context, rec)
 }
 
-// emitIS routes a d=1 request toward the owning I-structure module. The
-// local bypass reaches only this PE's own module, so in sharded mode it
-// stays inside the shard; remote requests go through the (deferred) send
-// path.
+// emitIS routes a d=1 request toward the owning I-structure module: the
+// local bypass straight to this PE's own module, remote requests through
+// the network.
 func (pe *PE) emitIS(r isRequest) {
 	pe.stats.TokensD1.Inc()
 	home := pe.m.homeModule(r.addr)
 	if home == pe.id {
 		pe.stats.LocalBypass.Inc()
 		if err := pe.m.enqueueIS(home, r); err != nil {
-			pe.fail(err)
+			pe.m.fail(err)
 		}
 		return
 	}

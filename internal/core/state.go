@@ -23,9 +23,7 @@ import (
 // stream holds no host addresses). Hash tables — the waiting-matching
 // store and the I-structure cell tables — are written in sorted key order
 // and rebuilt by insertion: the rebuilt layout may differ internally,
-// which is fine because no caller ever iterates them. The shard
-// deferred-op logs are provably empty between ticks (commit drains them
-// every tick), so a non-empty log at save is a bug, not state.
+// which is fine because no caller ever iterates them.
 
 // isCodec serializes the machine's opaque payloads: the isRequest packets
 // crossing the network (network.PayloadCodec) and the token values and
@@ -144,9 +142,8 @@ func (m *Machine) loadToken(d *sim.Dec) token.Token {
 	return t
 }
 
-// saveIDQueue writes one active list verbatim: stale entries (a PE kept by
-// its sweep, then drained by a commit-phase retry) are state — rebuilding
-// the list from queue occupancy would change quiescence timing.
+// saveIDQueue writes one active list verbatim, its order and dirty flag
+// included, so a restored sweep visits the same ids.
 func saveIDQueue(e *sim.Enc, q *idQueue) {
 	e.Len(len(q.ids))
 	for _, id := range q.ids {
@@ -156,8 +153,8 @@ func saveIDQueue(e *sim.Enc, q *idQueue) {
 }
 
 // loadIDQueue restores one active list, marking each member in active
-// (which doubles as the duplicate check) and validating shard ownership.
-func (m *Machine) loadIDQueue(d *sim.Dec, q *idQueue, active []bool, shard int) error {
+// (which doubles as the duplicate check).
+func (m *Machine) loadIDQueue(d *sim.Dec, q *idQueue, active []bool) error {
 	q.ids = q.ids[:0]
 	n := d.Len(d.Remaining())
 	if d.Err() != nil {
@@ -170,10 +167,6 @@ func (m *Machine) loadIDQueue(d *sim.Dec, q *idQueue, active []bool, shard int) 
 		}
 		if id < 0 || id >= m.cfg.PEs {
 			d.Failf("active list names component %d of %d", id, m.cfg.PEs)
-			return d.Err()
-		}
-		if shard >= 0 && m.shardOf[id] != shard {
-			d.Failf("component %d listed on shard %d, owned by %d", id, shard, m.shardOf[id])
 			return d.Err()
 		}
 		if active[id] {
@@ -359,13 +352,8 @@ func (m *Machine) SaveState(e *sim.Enc) {
 	if m.runErr != nil {
 		panic(fmt.Sprintf("core: checkpoint of a faulted machine: %v", m.runErr))
 	}
-	for _, sh := range m.shards {
-		if len(sh.ops) != 0 {
-			panic("core: checkpoint with undrained shard ops")
-		}
-	}
 	e.Tag("ttda", 2)
-	m.engine.(sim.Stateful).SaveState(e)
+	m.engine.SaveState(e)
 	e.Bool(m.started)
 	e.Cycle(m.runStart)
 	e.U64(m.stats.Cycles)
@@ -393,22 +381,12 @@ func (m *Machine) SaveState(e *sim.Enc) {
 		token.SaveValue(e, v)
 	}
 
-	// Scheduler state: the cached sweep answers are consulted by NextEvent
-	// for shards that did not step in a tick, so they are state, not cache.
-	if m.shards == nil {
-		e.Cycle(m.seqDrv.isNext)
-		e.Cycle(m.seqDrv.peNext)
-		saveIDQueue(e, &m.isQ)
-		saveIDQueue(e, &m.peQ)
-	} else {
-		e.Len(len(m.shards))
-		for _, sh := range m.shards {
-			e.Cycle(sh.isNext)
-			e.Cycle(sh.peNext)
-			saveIDQueue(e, &sh.isQ)
-			saveIDQueue(e, &sh.peQ)
-		}
-	}
+	// Scheduler state: the driver's cached sweep answers are what its
+	// NextEvent reports, so they are state, not cache.
+	e.Cycle(m.drv.isNext)
+	e.Cycle(m.drv.peNext)
+	saveIDQueue(e, &m.isQ)
+	saveIDQueue(e, &m.peQ)
 
 	pc := isCodec{m: m}
 	m.net.(network.Checkpointable).SaveTo(e, pc)
@@ -431,7 +409,7 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 	if err := d.Tag("ttda", 2); err != nil {
 		return err
 	}
-	if err := m.engine.(sim.Stateful).LoadState(d); err != nil {
+	if err := m.engine.LoadState(d); err != nil {
 		return err
 	}
 	m.now = m.engine.Now()
@@ -510,34 +488,13 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 		m.peActive[i] = false
 		m.isActive[i] = false
 	}
-	if m.shards == nil {
-		m.seqDrv.isNext = d.Cycle()
-		m.seqDrv.peNext = d.Cycle()
-		if err := m.loadIDQueue(d, &m.isQ, m.isActive, -1); err != nil {
-			return err
-		}
-		if err := m.loadIDQueue(d, &m.peQ, m.peActive, -1); err != nil {
-			return err
-		}
-	} else {
-		ns := d.Len(d.Remaining())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if ns != len(m.shards) {
-			d.Failf("checkpoint has %d shards, machine has %d", ns, len(m.shards))
-			return d.Err()
-		}
-		for _, sh := range m.shards {
-			sh.isNext = d.Cycle()
-			sh.peNext = d.Cycle()
-			if err := m.loadIDQueue(d, &sh.isQ, m.isActive, sh.id); err != nil {
-				return err
-			}
-			if err := m.loadIDQueue(d, &sh.peQ, m.peActive, sh.id); err != nil {
-				return err
-			}
-		}
+	m.drv.isNext = d.Cycle()
+	m.drv.peNext = d.Cycle()
+	if err := m.loadIDQueue(d, &m.isQ, m.isActive); err != nil {
+		return err
+	}
+	if err := m.loadIDQueue(d, &m.peQ, m.peActive); err != nil {
+		return err
 	}
 
 	pc := isCodec{m: m}

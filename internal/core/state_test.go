@@ -23,9 +23,10 @@ type ckptShape struct {
 	compiled bool
 }
 
-// ckptConfigs are the machine shapes the round-trip tests cross: the
-// sequential and the sharded kernel, each built from a private plan and
-// from a shared pre-compiled one.
+// ckptConfigs are the machine shapes the round-trip tests cross, each
+// built from a private plan and from a shared pre-compiled one. The sh2
+// shapes set the ignored Shards field, whose checkpoints must round-trip
+// like any other.
 func ckptConfigs() map[string]ckptShape {
 	return map[string]ckptShape{
 		"pe4":              {cfg: Config{PEs: 4}},
@@ -190,8 +191,8 @@ func TestCheckpointRejectsWrongShape(t *testing.T) {
 	data := sim.Checkpoint(m)
 
 	for name, cfg := range map[string]Config{
-		"more-pes": {PEs: 8},
-		"sharded":  {PEs: 4, Shards: 2},
+		"more-pes":  {PEs: 8},
+		"fewer-pes": {PEs: 2},
 	} {
 		if err := sim.Restore(NewMachine(cfg, prog), data); err == nil {
 			t.Errorf("%s: restore accepted a mismatched checkpoint", name)

@@ -55,6 +55,11 @@ func E14ConformanceSweep(opt Options) Result {
 		r.Err = fmt.Errorf("%d conformance violations; first: %s", len(rep.Violations), rep.Violations[0])
 		return r
 	}
+	// The finding still names the sharded parallel kernel, although that
+	// kernel is deleted and the parallel- and compiled-equivalence
+	// crossings now repeat sequential runs (DESIGN.md §8): the sweep
+	// digest hashes this text, and it changes only when that digest is
+	// split per experiment.
 	r.Finding = fmt.Sprintf(
 		"%d generated programs ran through the TTDA, the vn core, and all six baselines: "+
 			"%d oracle checks, zero violations — answers agree everywhere, runs are bit-deterministic, "+

@@ -29,9 +29,6 @@ type Config struct {
 	Banks      int
 	// SwitchDelay is the crossbar transit time.
 	SwitchDelay sim.Cycle
-	// Shards > 1 runs the processors on the conservative parallel kernel
-	// (sim.ParallelEngine), bit-identical to the sequential engine.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -56,7 +53,7 @@ type Machine struct {
 
 	// retry holds refused crossbar sends for in-order reinjection.
 	retry  *network.RetryQueue
-	engine sim.Driver
+	engine *sim.Engine
 
 	// Free lists recycle the two allocations on the memory hot path — one
 	// packet and one payload per crossbar crossing — so steady-state
@@ -131,26 +128,14 @@ func New(cfg Config, prog *vn.Program, contextsPerCore int) *Machine {
 		c.SetSaveID(p)
 		m.cores = append(m.cores, c)
 	}
-	if cfg.Shards > 1 && cfg.Processors > 1 {
-		par := sim.NewParallelEngine()
-		m.engine = par
-		par.Register(m.retry)
-		par.Register(m.xbar)
-		for _, b := range m.banks {
-			par.Register(b)
-		}
-		vn.ShardCores(par, m.cores, cfg.Shards, vn.FabricLookahead(m.xbar))
-	} else {
-		eng := sim.NewEngine()
-		m.engine = eng
-		eng.Register(m.retry)
-		eng.Register(m.xbar)
-		for _, b := range m.banks {
-			eng.Register(b)
-		}
-		for _, c := range m.cores {
-			eng.Register(c)
-		}
+	m.engine = sim.NewEngine()
+	m.engine.Register(m.retry)
+	m.engine.Register(m.xbar)
+	for _, b := range m.banks {
+		m.engine.Register(b)
+	}
+	for _, c := range m.cores {
+		m.engine.Register(c)
 	}
 	return m
 }
@@ -269,7 +254,7 @@ func (m *Machine) Peek(addr uint32) vn.Word {
 func (m *Machine) Crossbar() *network.Crossbar { return m.xbar }
 
 // Engine exposes the simulation engine (scheduling counters).
-func (m *Machine) Engine() sim.Driver { return m.engine }
+func (m *Machine) Engine() *sim.Engine { return m.engine }
 
 // MeanUtilization averages core utilization.
 func (m *Machine) MeanUtilization() float64 {

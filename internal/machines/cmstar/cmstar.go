@@ -36,12 +36,6 @@ type Config struct {
 	// HopLatency is the per-cluster-hop transit time over the
 	// intercluster links (clusters form a chain: distance |i-j|).
 	HopLatency sim.Cycle
-	// Shards > 1 runs the processors on the conservative parallel kernel
-	// (sim.ParallelEngine), bit-identical to the sequential engine. The
-	// cluster buses, Kmap event pump, and all Request routing (including
-	// the kmapBusy serialization and reference statistics) stay serial:
-	// sharded cores defer the whole Request to the commit barrier.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -82,7 +76,7 @@ type Machine struct {
 	// kmapBusy serializes each cluster's outgoing remote references.
 	kmapBusy []sim.Cycle
 	now      sim.Cycle
-	engine   sim.Driver
+	engine   *sim.Engine
 	stats    Stats
 
 	// remoteOut tracks each remote reference between its forward transit
@@ -207,24 +201,13 @@ func New(cfg Config, prog *vn.Program) *Machine {
 		}
 	}
 	m.pump = &eventPump{m: m}
-	if cfg.Shards > 1 && len(m.cores) > 1 {
-		par := sim.NewParallelEngine()
-		m.engine = par
-		par.Register(m.pump)
-		for _, b := range m.buses {
-			par.Register(b)
-		}
-		vn.ShardCores(par, m.cores, cfg.Shards, vn.FabricLookahead(m.pump))
-	} else {
-		eng := sim.NewEngine()
-		m.engine = eng
-		eng.Register(m.pump)
-		for _, b := range m.buses {
-			eng.Register(b)
-		}
-		for _, c := range m.cores {
-			eng.Register(c)
-		}
+	m.engine = sim.NewEngine()
+	m.engine.Register(m.pump)
+	for _, b := range m.buses {
+		m.engine.Register(b)
+	}
+	for _, c := range m.cores {
+		m.engine.Register(c)
 	}
 	return m
 }
@@ -391,7 +374,7 @@ func (m *Machine) Peek(addr uint32) vn.Word {
 func (m *Machine) Stats() *Stats { return &m.stats }
 
 // Engine exposes the simulation engine (scheduling counters).
-func (m *Machine) Engine() sim.Driver { return m.engine }
+func (m *Machine) Engine() *sim.Engine { return m.engine }
 
 // MeanUtilization averages processor utilization.
 func (m *Machine) MeanUtilization() float64 {

@@ -34,7 +34,7 @@ func (m *Machine) resolver() vn.DoneResolver {
 // SaveState appends the whole machine's dynamic state (sim.Stateful).
 func (m *Machine) SaveState(e *sim.Enc) {
 	e.Tag("cmstar", 1)
-	m.engine.(sim.Stateful).SaveState(e)
+	m.engine.SaveState(e)
 	e.Cycle(m.now)
 	for _, b := range m.kmapBusy {
 		e.Cycle(b)
@@ -97,7 +97,7 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 	if err := d.Tag("cmstar", 1); err != nil {
 		return err
 	}
-	if err := m.engine.(sim.Stateful).LoadState(d); err != nil {
+	if err := m.engine.LoadState(d); err != nil {
 		return err
 	}
 	m.now = d.Cycle()

@@ -10,10 +10,9 @@
 // (90%? 99%?) of its time communicating, making 1-bit ALU speed irrelevant
 // — is what E10 measures, along with the grid-vs-hypercube routing gap.
 //
-// This machine has no Shards option: SIMD lockstep means every cell
-// executes the same broadcast instruction against the shared router, so
-// there is no independent per-component work to run concurrently — the
-// whole array is one serial component on the sequential engine.
+// SIMD lockstep means every cell executes the same broadcast instruction
+// against the shared router, so the whole array is one component on the
+// engine.
 package connection
 
 import (

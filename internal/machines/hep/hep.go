@@ -20,9 +20,6 @@ import (
 type Config struct {
 	Processors      int
 	ContextsPerCore int
-	// Shards > 1 runs the processors on the conservative parallel kernel
-	// (sim.ParallelEngine), bit-identical to the sequential engine.
-	Shards int
 	// MemLatency is the response time after service.
 	MemLatency sim.Cycle
 }
@@ -188,7 +185,7 @@ type Machine struct {
 	cfg    Config
 	cores  []*vn.Core
 	mem    *FullEmptyMemory
-	engine sim.Driver
+	engine *sim.Engine
 }
 
 // New builds the machine, loading prog into every context of every core.
@@ -200,18 +197,10 @@ func New(cfg Config, prog *vn.Program) *Machine {
 		c.SetSaveID(p)
 		m.cores = append(m.cores, c)
 	}
-	if cfg.Shards > 1 && cfg.Processors > 1 {
-		par := sim.NewParallelEngine()
-		m.engine = par
-		par.Register(m.mem)
-		vn.ShardCores(par, m.cores, cfg.Shards, vn.FabricLookahead(m.mem))
-	} else {
-		eng := sim.NewEngine()
-		m.engine = eng
-		eng.Register(m.mem)
-		for _, c := range m.cores {
-			eng.Register(c)
-		}
+	m.engine = sim.NewEngine()
+	m.engine.Register(m.mem)
+	for _, c := range m.cores {
+		m.engine.Register(c)
 	}
 	return m
 }
@@ -252,4 +241,4 @@ func (m *Machine) Run(limit sim.Cycle) (sim.Cycle, error) {
 }
 
 // Engine exposes the simulation engine (scheduling counters).
-func (m *Machine) Engine() sim.Driver { return m.engine }
+func (m *Machine) Engine() *sim.Engine { return m.engine }

@@ -139,7 +139,7 @@ func (b *bank) load(d *sim.Dec, pc payloadCodec, ports int) error {
 // SaveState appends the whole machine's dynamic state (sim.Stateful).
 func (m *Machine) SaveState(e *sim.Enc) {
 	e.Tag("ultra", 1)
-	m.engine.(sim.Stateful).SaveState(e)
+	m.engine.SaveState(e)
 	pc := payloadCodec{}
 	m.sendRetry.SaveTo(e, pc)
 	m.net.SaveTo(e, pc)
@@ -158,7 +158,7 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 	if err := d.Tag("ultra", 1); err != nil {
 		return err
 	}
-	if err := m.engine.(sim.Stateful).LoadState(d); err != nil {
+	if err := m.engine.LoadState(d); err != nil {
 		return err
 	}
 	pc := payloadCodec{resolve: vn.Resolver(m.cores)}

@@ -29,9 +29,6 @@ type Config struct {
 	LogProcessors int
 	// Combining enables switch-level FETCH-AND-ADD combining.
 	Combining bool
-	// Shards > 1 runs the processors on the conservative parallel kernel
-	// (sim.ParallelEngine), bit-identical to the sequential engine.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -129,7 +126,7 @@ type Machine struct {
 	cores  []*vn.Core
 	net    *network.Omega
 	banks  []*bank
-	engine sim.Driver
+	engine *sim.Engine
 	// bankArr is the registered bank component, the wake target when the
 	// network delivers a request into a bank queue.
 	bankArr *bankArray
@@ -157,22 +154,12 @@ func New(cfg Config, prog *vn.Program) *Machine {
 		m.cores = append(m.cores, c)
 	}
 	m.bankArr = &bankArray{m: m}
-	if cfg.Shards > 1 && n > 1 {
-		par := sim.NewParallelEngine()
-		m.engine = par
-		par.Register(m.sendRetry)
-		par.Register(m.net)
-		par.Register(m.bankArr)
-		vn.ShardCores(par, m.cores, cfg.Shards, vn.FabricLookahead(m.net))
-	} else {
-		eng := sim.NewEngine()
-		m.engine = eng
-		eng.Register(m.sendRetry)
-		eng.Register(m.net)
-		eng.Register(m.bankArr)
-		for _, c := range m.cores {
-			eng.Register(c)
-		}
+	m.engine = sim.NewEngine()
+	m.engine.Register(m.sendRetry)
+	m.engine.Register(m.net)
+	m.engine.Register(m.bankArr)
+	for _, c := range m.cores {
+		m.engine.Register(c)
 	}
 	return m
 }
@@ -369,4 +356,4 @@ func (m *Machine) BankServed(b int) uint64 { return m.banks[b].served }
 func (m *Machine) Network() *network.Omega { return m.net }
 
 // Engine exposes the simulation engine (scheduling counters).
-func (m *Machine) Engine() sim.Driver { return m.engine }
+func (m *Machine) Engine() *sim.Engine { return m.engine }

@@ -133,11 +133,4 @@ func HammingDistance(a, b int) int {
 	return d
 }
 
-// Lookahead: a hypercube packet spends at least one cycle in its
-// injection queue before the earliest possible ejection.
-func (h *Hypercube) Lookahead() sim.Cycle { return 1 }
-
-var (
-	_ Network     = (*Hypercube)(nil)
-	_ Lookaheader = (*Hypercube)(nil)
-)
+var _ Network = (*Hypercube)(nil)

@@ -94,10 +94,4 @@ func (n *Ideal) NextEvent(now sim.Cycle) sim.Cycle {
 // Stats returns traffic counters.
 func (n *Ideal) Stats() *Stats { return n.stats }
 
-// Lookahead: every delivery happens exactly Latency cycles after Send.
-func (n *Ideal) Lookahead() sim.Cycle { return n.latency }
-
-var (
-	_ Network     = (*Ideal)(nil)
-	_ Lookaheader = (*Ideal)(nil)
-)
+var _ Network = (*Ideal)(nil)

@@ -218,11 +218,4 @@ func abs(v int) int {
 	return v
 }
 
-// Lookahead: a mesh packet spends at least one cycle in its injection
-// queue before the earliest possible ejection at its destination.
-func (m *Mesh) Lookahead() sim.Cycle { return 1 }
-
-var (
-	_ Network     = (*Mesh)(nil)
-	_ Lookaheader = (*Mesh)(nil)
-)
+var _ Network = (*Mesh)(nil)

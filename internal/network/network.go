@@ -86,18 +86,6 @@ type Network interface {
 	Stats() *Stats
 }
 
-// Lookaheader is implemented by fabrics that can promise a minimum
-// injection-to-delivery latency: a packet handed to Send at cycle t
-// reaches no delivery callback before cycle t+Lookahead(). The
-// conservative parallel simulation kernel (sim.ParallelEngine) uses this
-// bound to justify its epoch protocol — cross-shard effects deferred to
-// an epoch barrier at cycle t become visible at t+1, which is sound for
-// any declared lookahead >= 1. The bound must be conservative (a lower
-// bound), never optimistic.
-type Lookaheader interface {
-	Lookahead() sim.Cycle
-}
-
 // clocked is the engine attachment embedded by every fabric: the Waker
 // captured at registration plus the slot-accurate clock and re-arm rules.
 // Unattached fabrics (driven by a hand-rolled loop or an exhaustive

@@ -457,7 +457,10 @@ func (e *Engine) settleAll() {
 // jump that moved time — an already-finished machine costs zero cycles,
 // and the elapsed count on success is the exact cycle the predicate first
 // held. done must depend only on simulation state and time: it is not
-// asked again while neither has changed since it answered false. Every
+// asked again while neither has changed since it answered false. With a
+// stride above 1 a paused Run may end up to stride−1 cycles past its
+// limit, because a tick that starts inside the limit costs a whole
+// stride; the next Run continues from there. Every
 // component is re-armed at entry, so state mutated between Runs needs no
 // explicit Wake. On return (either way) all Settler components are settled
 // through the final cycle, so statistics read afterwards are complete.
@@ -618,9 +621,12 @@ func (e *Engine) idleJump(start, limit Cycle) {
 			}
 		}
 	}
-	if t > e.now {
-		e.cyclesSkipped += uint64(t - e.now)
+	if t <= e.now {
+		// The clamp fell behind a stride tick that already carried time
+		// past the limit; time never moves backwards.
+		return
 	}
+	e.cyclesSkipped += uint64(t - e.now)
 	e.now = t
 	if fromHorizon && !clamped && !e.legacy {
 		// The horizon tick is exhaustive, as it was under polling:

@@ -484,6 +484,69 @@ func TestEngineMatchesHeapPathWithOneComponent(t *testing.T) {
 	}
 }
 
+// TestEngineMatchesStraightRunPastStrideLimit pins a paused Run whose
+// stride tick carries time past the limit. With stride 16, a component due
+// at 0 and 40 and a limit of 10, the tick at 0 ends at cycle 16, and the
+// Run must stop there rather than clamp time back to the limit. Resumed,
+// it must take the straight run's steps and end at the straight run's Now
+// with its CyclesSkipped: alone (the one-component loop), beside an inert
+// neighbour (the heap loop), and through SaveState/LoadState at the pause.
+func TestEngineMatchesStraightRunPastStrideLimit(t *testing.T) {
+	build := func(neighbour bool) (*Engine, *pulser) {
+		e := NewEngine()
+		e.SetStride(16)
+		p := &pulser{plan: []Cycle{0, 40, 50, 70, 90}, eng: e}
+		e.Register(p)
+		if neighbour {
+			e.Register(&inert{})
+		}
+		return e, p
+	}
+	straight, ps := build(false)
+	if _, ok := straight.Run(func() bool { return len(ps.plan) == 0 }, 1000); !ok {
+		t.Fatal("straight run did not finish")
+	}
+	if want := []Cycle{0, 48, 64, 80, 96}; !slices.Equal(ps.steps, want) {
+		t.Fatalf("straight run stepped at %v, want %v", ps.steps, want)
+	}
+	for _, tc := range []struct {
+		name               string
+		neighbour, restore bool
+	}{
+		{"one-component", false, false},
+		{"heap", true, false},
+		{"restored", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, p := build(tc.neighbour)
+			done := func() bool { return len(p.plan) == 0 }
+			if elapsed, ok := e.Run(done, 10); ok || elapsed != 16 || e.Now() != 16 {
+				t.Fatalf("paused run: elapsed %d, ok %v, Now %d; want 16, false, 16", elapsed, ok, e.Now())
+			}
+			if tc.restore {
+				enc := NewEnc()
+				e.SaveState(enc)
+				fresh := NewEngine()
+				p = p.clone()
+				p.eng = fresh
+				fresh.Register(p)
+				if err := fresh.LoadState(NewDec(enc.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+				e = fresh
+			}
+			if _, ok := e.Run(done, 1000); !ok {
+				t.Fatal("resumed run did not finish")
+			}
+			got, want := e.Counters().CyclesSkipped, straight.Counters().CyclesSkipped
+			if !slices.Equal(p.steps, ps.steps) || e.Now() != straight.Now() || got != want {
+				t.Fatalf("resumed run stepped at %v, ended at %d, skipped %d; the straight run %v, %d, %d",
+					p.steps, e.Now(), got, ps.steps, straight.Now(), want)
+			}
+		})
+	}
+}
+
 // ticker is due every cycle and never allocates.
 type ticker struct{ steps uint64 }
 

@@ -371,53 +371,6 @@ func sortU32(keys []uint32) {
 
 // --- engine state -----------------------------------------------------
 
-// engineCore is the serialized clock/counter/wake-queue state shared by
-// Engine and ParallelEngine.
-type engineCore struct {
-	now, prevTick, stride, busyHorizon, gridAnchor Cycle
-	stepsExecuted, cyclesSkipped, wakesEnqueued    uint64
-}
-
-func saveEngineCore(e *Enc, c engineCore) {
-	e.Cycle(c.now)
-	e.Cycle(c.prevTick)
-	e.Cycle(c.stride)
-	e.Cycle(c.busyHorizon)
-	e.Cycle(c.gridAnchor)
-	e.U64(c.stepsExecuted)
-	e.U64(c.cyclesSkipped)
-	e.U64(c.wakesEnqueued)
-}
-
-func loadEngineCore(d *Dec) engineCore {
-	var c engineCore
-	c.now = d.Cycle()
-	c.prevTick = d.Cycle()
-	c.stride = d.Cycle()
-	c.busyHorizon = d.Cycle()
-	c.gridAnchor = d.Cycle()
-	c.stepsExecuted = d.U64()
-	c.cyclesSkipped = d.U64()
-	c.wakesEnqueued = d.U64()
-	if c.stride < 1 {
-		d.Failf("engine stride %d < 1", c.stride)
-	}
-	return c
-}
-
-// saveWakeQueue writes each component's armed state in index order —
-// canonical regardless of the heap's internal array layout.
-func saveWakeQueue(e *Enc, wake []Cycle, pos []int) {
-	e.Len(len(wake))
-	for i := range wake {
-		armed := pos[i] >= 0
-		e.Bool(armed)
-		if armed {
-			e.Cycle(wake[i])
-		}
-	}
-}
-
 // SaveState implements Stateful. The engine must be between ticks (it
 // always is from Run's perspective: checkpoints are taken after Run
 // returns at a pause cycle).
@@ -427,13 +380,24 @@ func (e *Engine) SaveState(enc *Enc) {
 	}
 	enc.Tag("engine", 1)
 	enc.Bool(e.legacy)
-	saveEngineCore(enc, engineCore{
-		now: e.now, prevTick: e.prevTick, stride: e.stride,
-		busyHorizon: e.busyHorizon, gridAnchor: e.gridAnchor,
-		stepsExecuted: e.stepsExecuted, cyclesSkipped: e.cyclesSkipped,
-		wakesEnqueued: e.wakesEnqueued,
-	})
-	saveWakeQueue(enc, e.wake, e.pos)
+	enc.Cycle(e.now)
+	enc.Cycle(e.prevTick)
+	enc.Cycle(e.stride)
+	enc.Cycle(e.busyHorizon)
+	enc.Cycle(e.gridAnchor)
+	enc.U64(e.stepsExecuted)
+	enc.U64(e.cyclesSkipped)
+	enc.U64(e.wakesEnqueued)
+	// Each component's armed state in index order: canonical regardless
+	// of the heap's internal array layout.
+	enc.Len(len(e.wake))
+	for i, at := range e.wake {
+		armed := e.pos[i] >= 0
+		enc.Bool(armed)
+		if armed {
+			enc.Cycle(at)
+		}
+	}
 }
 
 // LoadState implements Stateful. The engine must carry the identical
@@ -447,7 +411,11 @@ func (e *Engine) LoadState(d *Dec) error {
 		return err
 	}
 	legacy := d.Bool()
-	c := loadEngineCore(d)
+	now, prevTick, stride, busyHorizon, gridAnchor := d.Cycle(), d.Cycle(), d.Cycle(), d.Cycle(), d.Cycle()
+	steps, skipped, wakes := d.U64(), d.U64(), d.U64()
+	if d.Err() == nil && stride < 1 {
+		d.Failf("engine stride %d < 1", stride)
+	}
 	if d.Err() != nil {
 		return d.Err()
 	}
@@ -461,9 +429,9 @@ func (e *Engine) LoadState(d *Dec) error {
 	if n != len(e.components) {
 		return fmt.Errorf("checkpoint: %d components, machine has %d", n, len(e.components))
 	}
-	e.now, e.prevTick, e.stride = c.now, c.prevTick, c.stride
-	e.busyHorizon, e.gridAnchor = c.busyHorizon, c.gridAnchor
-	e.stepsExecuted, e.cyclesSkipped, e.wakesEnqueued = c.stepsExecuted, c.cyclesSkipped, c.wakesEnqueued
+	e.now, e.prevTick, e.stride = now, prevTick, stride
+	e.busyHorizon, e.gridAnchor = busyHorizon, gridAnchor
+	e.stepsExecuted, e.cyclesSkipped, e.wakesEnqueued = steps, skipped, wakes
 	e.fheap = e.fheap[:0]
 	for i := range e.components {
 		e.pos[i] = -1
@@ -498,75 +466,4 @@ func (e *Engine) LoadState(d *Dec) error {
 	return nil
 }
 
-// SaveState implements Stateful for the parallel engine; the format is
-// Engine's without the legacy flag. A parallel engine ticks every cycle, so
-// its stride is always 1 and its stride-grid anchor always 0.
-func (e *ParallelEngine) SaveState(enc *Enc) {
-	if e.stepping >= 0 || len(e.due) > 0 || e.inPhase || e.inCommit {
-		panic("sim: ParallelEngine.SaveState mid-tick")
-	}
-	enc.Tag("parengine", 2)
-	saveEngineCore(enc, engineCore{
-		now: e.now, prevTick: e.prevTick, stride: 1, busyHorizon: e.busyHorizon,
-		stepsExecuted: e.stepsExecuted, cyclesSkipped: e.cyclesSkipped,
-		wakesEnqueued: e.wakesEnqueued,
-	})
-	saveWakeQueue(enc, e.wake, e.pos)
-}
-
-// LoadState implements Stateful for the parallel engine.
-func (e *ParallelEngine) LoadState(d *Dec) error {
-	if err := d.Tag("parengine", 2); err != nil {
-		return err
-	}
-	c := loadEngineCore(d)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if c.stride != 1 || c.gridAnchor != 0 {
-		return fmt.Errorf("checkpoint: parallel engine stride %d anchored at %d; the sharded kernel ticks every cycle", c.stride, c.gridAnchor)
-	}
-	n := d.Len(d.Remaining())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(e.components) {
-		return fmt.Errorf("checkpoint: %d components, machine has %d", n, len(e.components))
-	}
-	e.now, e.prevTick, e.busyHorizon = c.now, c.prevTick, c.busyHorizon
-	e.stepsExecuted, e.cyclesSkipped, e.wakesEnqueued = c.stepsExecuted, c.cyclesSkipped, c.wakesEnqueued
-	e.fheap = e.fheap[:0]
-	for i := range e.components {
-		e.pos[i] = -1
-		e.wake[i] = Never
-		e.inDue[i] = false
-	}
-	e.due = e.due[:0]
-	e.stepping = -1
-	for i := 0; i < n; i++ {
-		if d.Bool() {
-			at := d.Cycle()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			// Same prevTick bound and clamp-free insertion as Engine.
-			if at < e.prevTick {
-				return fmt.Errorf("checkpoint: component %d armed at %d before tick %d", i, at, e.prevTick)
-			}
-			e.wake[i] = at
-			e.pos[i] = len(e.fheap)
-			e.fheap = append(e.fheap, i)
-			e.heapUp(len(e.fheap) - 1)
-		}
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	e.resumePending = true
-	return nil
-}
-
-var (
-	_ Stateful = (*Engine)(nil)
-	_ Stateful = (*ParallelEngine)(nil)
-)
+var _ Stateful = (*Engine)(nil)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -71,10 +70,7 @@ type statefulComp interface {
 
 // stateRig bundles an engine with its components as one Stateful machine.
 type stateRig struct {
-	eng interface {
-		Stateful
-		Run(done func() bool, limit Cycle) (Cycle, bool)
-	}
+	eng   *Engine
 	comps []statefulComp
 }
 
@@ -113,40 +109,23 @@ func (r *stateRig) run(t *testing.T, limit Cycle) bool {
 // newChainRig builds the mixed rig every test uses: a short chain that
 // goes idle early (Never sentinel), a long sparse chain (pending heap
 // entries), and a greedy component (same-tick wakes).
-func newChainRig(parallel bool) *stateRig {
-	r := &stateRig{}
+func newChainRig() *stateRig {
+	r := &stateRig{eng: NewEngine()}
 	r.comps = []statefulComp{
 		&chainComp{at: []Cycle{2, 3}},
 		&chainComp{at: []Cycle{1, 10, 20, 40}},
 		&greedyComp{left: 12},
 	}
-	if parallel {
-		eng := NewParallelEngine()
-		eng.Register(r.comps[0])
-		eng.RegisterShard(r.comps[1])
-		eng.RegisterShard(r.comps[2])
-		r.eng = eng
-	} else {
-		eng := NewEngine()
-		for _, c := range r.comps {
-			eng.Register(c)
-		}
-		r.eng = eng
+	for _, c := range r.comps {
+		r.eng.Register(c)
 	}
 	return r
 }
 
 // armedSet reads the engine's wake queue as (armed, at) pairs in component
-// index order — the canonical form saveWakeQueue writes.
+// index order — the canonical form SaveState writes.
 func armedSet(r *stateRig) (armed []bool, at []Cycle) {
-	var wake []Cycle
-	var pos []int
-	switch e := r.eng.(type) {
-	case *Engine:
-		wake, pos = e.wake, e.pos
-	case *ParallelEngine:
-		wake, pos = e.wake, e.pos
-	}
+	wake, pos := r.eng.wake, r.eng.pos
 	for i := range wake {
 		armed = append(armed, pos[i] >= 0)
 		if pos[i] >= 0 {
@@ -175,23 +154,23 @@ func minArmed(r *stateRig) Cycle {
 // into another fresh rig, and demands: canonical re-encoding, identical
 // armed set and next wake, and a resumed run whose end state is
 // byte-identical to the uninterrupted run's.
-func roundTrip(t *testing.T, parallel bool, pause Cycle) {
+func roundTrip(t *testing.T, pause Cycle) {
 	t.Helper()
 	const limit = 1000
 
-	ref := newChainRig(parallel)
+	ref := newChainRig()
 	if !ref.run(t, limit) {
 		t.Fatal("reference run did not finish")
 	}
 	refBytes := Checkpoint(ref)
 
-	m := newChainRig(parallel)
+	m := newChainRig()
 	if m.run(t, pause) {
 		t.Fatalf("run finished within %d cycles", pause)
 	}
 	data := Checkpoint(m)
 
-	fresh := newChainRig(parallel)
+	fresh := newChainRig()
 	if err := Restore(fresh, data); err != nil {
 		t.Fatalf("restore at cycle %d: %v", pause, err)
 	}
@@ -228,7 +207,7 @@ func roundTrip(t *testing.T, parallel bool, pause Cycle) {
 // idle: its queue slot must survive Save→Load as unarmed.
 func TestWakeQueueNeverSentinelRoundTrip(t *testing.T) {
 	for _, pause := range []Cycle{5, 8} {
-		roundTrip(t, false, pause)
+		roundTrip(t, pause)
 	}
 }
 
@@ -237,7 +216,7 @@ func TestWakeQueueNeverSentinelRoundTrip(t *testing.T) {
 // one tick below the clock — LoadState must admit it unclamped.
 func TestWakeQueueSameTickArmRoundTrip(t *testing.T) {
 	for _, pause := range []Cycle{1, 3, 11} {
-		roundTrip(t, false, pause)
+		roundTrip(t, pause)
 	}
 }
 
@@ -245,22 +224,14 @@ func TestWakeQueueSameTickArmRoundTrip(t *testing.T) {
 // the heap (the sparse chain's 20- and 40-cycle events still pending).
 func TestWakeQueuePendingHeapRoundTrip(t *testing.T) {
 	for _, pause := range []Cycle{13, 19, 25, 39} {
-		roundTrip(t, false, pause)
-	}
-}
-
-// TestWakeQueueParallelEngineRoundTrip repeats all three shapes on the
-// conservative parallel kernel.
-func TestWakeQueueParallelEngineRoundTrip(t *testing.T) {
-	for _, pause := range []Cycle{3, 8, 11, 25, 39} {
-		roundTrip(t, true, pause)
+		roundTrip(t, pause)
 	}
 }
 
 // TestWakeQueueRejectsPreTickArm pins the LoadState bound: an arm before
 // prevTick is corrupt, not clampable.
 func TestWakeQueueRejectsPreTickArm(t *testing.T) {
-	m := newChainRig(false)
+	m := newChainRig()
 	if m.run(t, 15) {
 		t.Fatal("run finished unexpectedly")
 	}
@@ -270,62 +241,18 @@ func TestWakeQueueRejectsPreTickArm(t *testing.T) {
 	// (now first, prevTick second), ... wake entries. Rather than patch
 	// bytes at a fragile offset, rebuild a stream with an impossible arm by
 	// saving a doctored rig.
-	bad := newChainRig(false)
+	bad := newChainRig()
 	if err := Restore(bad, data); err != nil {
 		t.Fatal(err)
 	}
-	eng := bad.eng.(*Engine)
+	eng := bad.eng
 	for i := range eng.pos {
 		if eng.pos[i] >= 0 {
 			eng.wake[i] = 0 // before any executed tick
 		}
 	}
 	corrupted := Checkpoint(bad)
-	if err := Restore(newChainRig(false), corrupted); err == nil {
+	if err := Restore(newChainRig(), corrupted); err == nil {
 		t.Fatal("restore accepted a wake armed before the last executed tick")
-	}
-}
-
-// TestParallelEngineSectionVersion pins the parengine section at version
-// 2: a version-1 section, which carried per-shard step counters, is
-// refused, and so is a stride or stride-grid anchor, because the sharded
-// kernel ticks every cycle.
-func TestParallelEngineSectionVersion(t *testing.T) {
-	m := newChainRig(true)
-	if m.run(t, 15) {
-		t.Fatal("run finished unexpectedly")
-	}
-	eng := m.eng.(*ParallelEngine)
-	stream := func(version uint32, stride, anchor Cycle) []byte {
-		e := NewEnc()
-		e.String(ckptMagic)
-		e.U32(ckptVersion)
-		e.Tag("parengine", version)
-		saveEngineCore(e, engineCore{
-			now: eng.now, prevTick: eng.prevTick, stride: stride, busyHorizon: eng.busyHorizon, gridAnchor: anchor,
-			stepsExecuted: eng.stepsExecuted, cyclesSkipped: eng.cyclesSkipped, wakesEnqueued: eng.wakesEnqueued,
-		})
-		saveWakeQueue(e, eng.wake, eng.pos)
-		for _, c := range m.comps {
-			c.save(e)
-		}
-		return e.Bytes()
-	}
-	if good := stream(2, 1, 0); !bytes.Equal(good, Checkpoint(m)) {
-		t.Fatal("the hand-built version-2 stream differs from SaveState's")
-	}
-	for _, tc := range []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"version 1", stream(1, 1, 0), `section "parengine" version 1, want 2`},
-		{"stride 2", stream(2, 2, 0), "stride 2"},
-		{"anchored grid", stream(2, 1, 7), "anchored at 7"},
-	} {
-		err := Restore(newChainRig(true), tc.data)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: restore gave %v, want an error naming %q", tc.name, err, tc.want)
-		}
 	}
 }
