@@ -62,21 +62,42 @@ func BenchmarkCompiler(b *testing.B) {
 }
 
 // BenchmarkInterpreter measures reference-interpreter instruction
-// throughput on sum(1..1000).
+// throughput and allocation per run on each of the six kernel program
+// shapes: loops (sumloop, trapezoid), recursion (fib), nested loops over
+// I-structures (matmul, wavefront) and recursion over I-structures
+// (mergesort). They differ in how many half-matched activities the
+// waiting store holds at once.
 func BenchmarkInterpreter(b *testing.B) {
-	prog, err := id.Compile(workload.SumLoopID)
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name string
+		src  string
+		args []token.Value
+	}{
+		{"sumloop", workload.SumLoopID, []token.Value{token.Int(1000)}},
+		{"matmul", workload.MatMulID, []token.Value{token.Int(8)}},
+		{"fib", workload.FibID, []token.Value{token.Int(15)}},
+		{"wavefront", workload.WavefrontID, []token.Value{token.Int(16)}},
+		{"mergesort", workload.MergeSortID, []token.Value{token.Int(64)}},
+		{"trapezoid", workload.TrapezoidID, []token.Value{token.Float(0), token.Float(1), token.Float(1000)}},
 	}
-	var fired uint64
-	for i := 0; i < b.N; i++ {
-		it := graph.NewInterp(prog)
-		if _, err := it.Run(token.Int(1000)); err != nil {
+	for _, c := range cases {
+		prog, err := id.Compile(c.src)
+		if err != nil {
 			b.Fatal(err)
 		}
-		fired = it.Fired()
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var fired uint64
+			for i := 0; i < b.N; i++ {
+				it := graph.NewInterp(prog)
+				if _, err := it.Run(c.args...); err != nil {
+					b.Fatal(err)
+				}
+				fired = it.Fired()
+			}
+			b.ReportMetric(float64(fired)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+		})
 	}
-	b.ReportMetric(float64(fired)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // BenchmarkDirectVsInterp runs the direct-execution oracle backend and
@@ -172,6 +193,7 @@ func BenchmarkEmulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	var fired uint64
 	for i := 0; i < b.N; i++ {
 		f := emulator.New(emulator.Config{Dim: 5}, prog)

@@ -226,9 +226,6 @@ func (d *machineDriver) NextEvent(now sim.Cycle) sim.Cycle {
 	return next
 }
 
-// Program returns the loaded program.
-func (m *Machine) Program() *graph.Program { return m.prog }
-
 // Now returns the current cycle.
 func (m *Machine) Now() sim.Cycle { return m.now }
 

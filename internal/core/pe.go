@@ -29,9 +29,9 @@ type PE struct {
 	// input queue: tokens from the network and the local bypass path
 	input sim.FIFO[token.Token]
 
-	// waiting-matching section: an open-addressed table over a slab of
-	// partial-match records (see matchtable.go).
-	waiting matchTable
+	// waiting-matching section: the associative store every
+	// token-matching executor shares (graph.MatchTable).
+	waiting graph.MatchTable
 
 	// ready holds enabled instructions in pipeline order: the first aluN
 	// entries have passed instruction fetch (the ALU operand queue), the
@@ -67,12 +67,6 @@ type PE struct {
 	lastStep sim.Cycle
 
 	stats PEStats
-}
-
-// partial is a half-matched activity in the waiting-matching store.
-type partial struct {
-	vals [2]token.Value
-	have [2]bool
 }
 
 // enabledInstr is a fully-operand-ed instruction instance.
@@ -387,22 +381,17 @@ func (pe *PE) match(t *token.Token, now sim.Cycle) {
 		return
 	}
 	key := t.Tag.Activity
-	b, p, inserted := pe.waiting.lookupOrInsert(key)
-	if inserted {
+	vals, out := pe.waiting.Match(key, t.Port, t.Value)
+	switch out {
+	case graph.Parked:
 		pe.stats.MatchStoreOccupancy.Update(uint64(now), int64(pe.waiting.Len()))
-	}
-	if p.have[t.Port] {
-		pe.m.fail(fmt.Errorf("core: duplicate token at %s port %d", key, t.Port))
-		return
-	}
-	p.vals[t.Port] = t.Value
-	p.have[t.Port] = true
-	if p.have[0] && p.have[1] {
+	case graph.Matched:
 		e := pe.ready.Slot()
-		e.act, e.vals = key, p.vals
-		pe.waiting.removeAt(b)
+		e.act, e.vals = key, vals
 		pe.stats.MatchStoreOccupancy.Update(uint64(now), int64(pe.waiting.Len()))
 		pe.stats.Matches.Inc()
+	case graph.Duplicate:
+		pe.m.fail(fmt.Errorf("core: duplicate token at %s port %d", key, t.Port))
 	}
 }
 

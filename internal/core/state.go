@@ -23,7 +23,7 @@ import (
 // stream holds no host addresses). Hash tables — the waiting-matching
 // store and the I-structure cell tables — are written in sorted key order
 // and rebuilt by insertion: the rebuilt layout may differ internally,
-// which is fine because no caller ever iterates them.
+// which is fine because no simulation step iterates them.
 
 // isCodec serializes the machine's opaque payloads: the isRequest packets
 // crossing the network (network.PayloadCodec) and the token values and
@@ -198,29 +198,24 @@ func (m *Machine) ctrlInstr(d *sim.Dec, act token.ActivityName) *graph.CInstr {
 func (pe *PE) savePE(e *sim.Enc, pc isCodec) {
 	sim.SaveFIFO(e, &pe.input, token.SaveToken)
 
-	// Waiting-matching store in activity-name order. Exactly one operand
-	// is present per resident record (zero → never inserted, two →
-	// removed on match), so only that value is written.
+	// Waiting-matching store in activity-name order. Each resident
+	// activity holds exactly one operand, so only whether it arrived on
+	// port 0, and its value, are written.
 	type waitEnt struct {
-		k token.ActivityName
-		p *partial
+		k    token.ActivityName
+		port uint8
+		v    token.Value
 	}
-	ents := make([]waitEnt, 0, pe.waiting.n)
-	for b, s := range pe.waiting.idx {
-		if s != matchEmpty {
-			ents = append(ents, waitEnt{pe.waiting.keys[b], &pe.waiting.slab[s]})
-		}
-	}
+	ents := make([]waitEnt, 0, pe.waiting.Len())
+	pe.waiting.Each(func(k token.ActivityName, port uint8, v token.Value) {
+		ents = append(ents, waitEnt{k, port, v})
+	})
 	sort.Slice(ents, func(i, j int) bool { return activityLess(ents[i].k, ents[j].k) })
 	e.Len(len(ents))
 	for _, en := range ents {
 		token.SaveActivity(e, en.k)
-		e.Bool(en.p.have[0])
-		if en.p.have[0] {
-			token.SaveValue(e, en.p.vals[0])
-		} else {
-			token.SaveValue(e, en.p.vals[1])
-		}
+		e.Bool(en.port == 0)
+		token.SaveValue(e, en.v)
 	}
 
 	sim.SaveFIFO(e, &pe.ready, func(e *sim.Enc, en enabledInstr) {
@@ -262,7 +257,7 @@ func (pe *PE) loadPE(d *sim.Dec, pc isCodec) error {
 		return err
 	}
 
-	pe.waiting = matchTable{}
+	pe.waiting = graph.MatchTable{}
 	n := d.Len(d.Remaining())
 	if d.Err() != nil {
 		return d.Err()
@@ -283,12 +278,12 @@ func (pe *PE) loadPE(d *sim.Dec, pc isCodec) error {
 		if !m.checkActivity(d, k) {
 			return d.Err()
 		}
-		p := pe.waiting.insert(k)
+		// Strictly ascending keys are distinct, so every entry parks.
+		port := uint8(1)
 		if port0 {
-			p.vals[0], p.have[0] = v, true
-		} else {
-			p.vals[1], p.have[1] = v, true
+			port = 0
 		}
+		pe.waiting.Match(k, port, v)
 	}
 
 	if err := sim.LoadFIFO(d, &pe.ready, d.Remaining(), func(d *sim.Dec) enabledInstr {

@@ -318,8 +318,8 @@ func (x *Exec) deliver(d delivery) error {
 		fr.occupied--
 		x.parked--
 		// A drained loop-iteration frame is garbage the moment it empties
-		// (re-touching the same initiation re-creates it, exactly as the
-		// interpreter's frame table re-admits a released key). Its slot
+		// (re-touching the same initiation re-creates it, exactly as a
+		// graph.MatchTable re-admits a matched activity). Its slot
 		// array — fully zeroed by the completing matches — is recycled for
 		// the next iteration.
 		if fr.occupied == 0 && d.init != 1 {

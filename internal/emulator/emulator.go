@@ -142,16 +142,13 @@ type node struct {
 	queue sim.FIFO[message] // switch queue: a ring, refilled in place as it drains
 	stop  bool
 
-	// dataflow interpretation state (touched only by this node's goroutine)
-	waiting map[token.ActivityName]*partial
+	// dataflow interpretation state (touched only by this node's
+	// goroutine): the waiting-matching store and the I-structure cells
+	// this node owns
+	waiting graph.MatchTable
 	cells   map[uint32]*cell
 
 	processed uint64
-}
-
-type partial struct {
-	vals [2]token.Value
-	have [2]bool
 }
 
 type cell struct {
@@ -192,7 +189,7 @@ func Build(cfg Config, prog *graph.Program) (*Facility, error) {
 		for k := range f.alive[i] {
 			f.alive[i][k] = true
 		}
-		nd := &node{f: f, id: i, waiting: map[token.ActivityName]*partial{}, cells: map[uint32]*cell{}}
+		nd := &node{f: f, id: i, cells: map[uint32]*cell{}}
 		nd.cond = sync.NewCond(&nd.mu)
 		f.nodes = append(f.nodes, nd)
 	}

@@ -106,20 +106,12 @@ func (nd *node) deliverToken(t token.Token) {
 		return
 	}
 	key := t.Tag.Activity
-	p, ok := nd.waiting[key]
-	if !ok {
-		p = &partial{}
-		nd.waiting[key] = p
-	}
-	if p.have[t.Port] {
+	vals, out := nd.waiting.Match(key, t.Port, t.Value)
+	switch out {
+	case graph.Matched:
+		nd.fire(key, vals)
+	case graph.Duplicate:
 		nd.f.fail(fmt.Errorf("emulator: duplicate token at %s port %d", key, t.Port))
-		return
-	}
-	p.vals[t.Port] = t.Value
-	p.have[t.Port] = true
-	if p.have[0] && p.have[1] {
-		delete(nd.waiting, key)
-		nd.fire(key, p.vals)
 	}
 }
 

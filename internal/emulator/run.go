@@ -91,7 +91,7 @@ func (f *Facility) RunPartition(pid int, args ...token.Value) ([]token.Value, er
 func (f *Facility) checkClean() error {
 	stranded, deferred := 0, 0
 	for _, nd := range f.nodes {
-		stranded += len(nd.waiting)
+		stranded += nd.waiting.Len()
 		for _, c := range nd.cells {
 			deferred += len(c.waiters)
 		}

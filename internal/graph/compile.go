@@ -13,10 +13,10 @@ import "repro/internal/token"
 //   - flattened destination arrays whose entries carry the destination's
 //     nt field, so emitting a token no longer fetches the destination
 //     instruction;
-//   - a static match-slot index per two-operand statement, so a
-//     waiting-matching store can be an activation-frame slot array instead
-//     of a per-activity hash map (the dense-table idea of
-//     internal/core/matchtable.go pushed to compile time).
+//   - a static match-slot index per two-operand statement, with which
+//     internal/direct keeps each activation's operands in a slot array
+//     (the token-matching executors pair operands in a MatchTable
+//     instead, keyed by activity name).
 //
 // Plans are pure accelerations: executing a plan is observably identical —
 // results, firing counts, cycle counts, statistics — to interpreting the

@@ -54,11 +54,8 @@ const ContextBudget = 1 << 18
 //
 // The interpreter executes a CompiledGraph plan: instruction dispatch is a
 // dense kind switch, the context table is a flat array indexed by context
-// number, and the waiting-matching store is a table of per-activation
-// frames whose slots were assigned statically at compile time — no
-// per-activity map operations and no per-record allocations on the hot
-// path (frames and context records are recycled storage, the free-list
-// discipline internal/core already uses).
+// number, and operands pair in a MatchTable, the waiting-matching store
+// the TTDA and the emulator use too.
 type Interp struct {
 	cg         *CompiledGraph
 	compileErr error
@@ -69,14 +66,9 @@ type Interp struct {
 	// allocation — and freeing is a liveness flip.
 	nextCtx token.Context
 	ctxs    []ctxRecord
-	ctxLive int
 
-	// waiting-matching store: per-activation frames of statically-assigned
-	// match slots (see frameTable), replacing the per-activity hash map.
-	frames frameTable
-	// parked counts slots currently holding exactly one operand — the
-	// unmatched-token population a clean termination requires to be zero.
-	parked int
+	// waiting-matching store; a clean termination leaves it empty
+	waiting MatchTable
 
 	// I-structure storage
 	store *idealIStore
@@ -87,10 +79,6 @@ type Interp struct {
 
 	// results returned on context 0
 	results []token.Value
-
-	// context reclamation accounting
-	ctxFreed uint64
-	ctxPeak  int
 
 	// statistics
 	fired    uint64
@@ -103,11 +91,6 @@ type tok struct {
 	act   token.ActivityName
 	port  uint8
 	value token.Value
-}
-
-type partial struct {
-	vals [2]token.Value
-	have [2]bool
 }
 
 type ctxRecord struct {
@@ -198,8 +181,8 @@ func (it *Interp) Run(args ...token.Value) ([]token.Value, error) {
 			return nil, fmt.Errorf("graph: program %q exceeded %d firings", it.cg.Prog.Name, it.maxSteps)
 		}
 	}
-	if it.parked != 0 {
-		return nil, fmt.Errorf("graph: program %q finished with %d unmatched tokens in the waiting store", it.cg.Prog.Name, it.parked)
+	if n := it.waiting.Len(); n != 0 {
+		return nil, fmt.Errorf("graph: program %q finished with %d unmatched tokens in the waiting store", it.cg.Prog.Name, n)
 	}
 	if it.store.deferred != 0 {
 		return nil, fmt.Errorf("graph: program %q deadlocked: %d deferred reads were never satisfied", it.cg.Prog.Name, it.store.deferred)
@@ -254,17 +237,7 @@ func (it *Interp) ctx(u token.Context) *ctxRecord {
 func (it *Interp) maybeFreeCtx(rec *ctxRecord) {
 	if rec.returned && rec.argsSent >= len(it.cg.Block(rec.block).Entries) {
 		rec.live = false
-		it.ctxLive--
-		it.ctxFreed++
 	}
-}
-
-// Contexts reports context-manager accounting: how many invocation records
-// were allocated in total, how many were reclaimed at their RETURN/L-1, and
-// the peak number live at once — the finite resource a real manager must
-// provide.
-func (it *Interp) Contexts() (allocated uint64, freed uint64, peak int) {
-	return uint64(it.nextCtx - 1), it.ctxFreed, it.ctxPeak
 }
 
 // Structure returns the element values of an I-structure after execution.
@@ -288,35 +261,21 @@ func (it *Interp) inject(act token.ActivityName, port uint8, v token.Value) {
 	it.next = append(it.next, tok{act: act, port: port, value: v})
 }
 
-// deliver routes one token: either fires its instruction or parks it in
-// its activation frame's statically-assigned match slot.
+// deliver routes one token: either fires its instruction or matches it
+// in the waiting store.
 func (it *Interp) deliver(t tok) error {
-	cb := &it.cg.Blocks[t.act.CodeBlock]
-	in := &cb.Instrs[t.act.Statement]
+	in := &it.cg.Blocks[t.act.CodeBlock].Instrs[t.act.Statement]
 	if in.NT <= 1 {
 		var vals [2]token.Value
 		vals[t.port] = t.value
 		return it.fire(in, t.act, vals)
 	}
-	fr, p := it.frames.slot(t.act, cb, in.MatchSlot)
-	if p.have[t.port] {
-		return fmt.Errorf("graph: duplicate token at %s port %d", t.act, t.port)
-	}
-	if !p.have[0] && !p.have[1] {
-		fr.occupied++
-		it.parked++
-	}
-	p.vals[t.port] = t.value
-	p.have[t.port] = true
-	if p.have[0] && p.have[1] {
-		vals := p.vals
-		*p = partial{}
-		fr.occupied--
-		it.parked--
-		if fr.occupied == 0 {
-			it.frames.release(fr)
-		}
+	vals, out := it.waiting.Match(t.act, t.port, t.value)
+	switch out {
+	case Matched:
 		return it.fire(in, t.act, vals)
+	case Duplicate:
+		return fmt.Errorf("graph: duplicate token at %s port %d", t.act, t.port)
 	}
 	return nil
 }
@@ -378,10 +337,6 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 			parentBlock: BlockID(act.CodeBlock),
 			returnDests: in.RetDests,
 			live:        true,
-		}
-		it.ctxLive++
-		if it.ctxLive > it.ctxPeak {
-			it.ctxPeak = it.ctxLive
 		}
 		emit(in.Dests, token.Int(int64(u)))
 	case KindSendArg:

@@ -100,11 +100,11 @@ type Stats struct {
 
 // cellTable stores the module's touched cells: an open-addressed hash
 // table keyed by module-relative cell index over a slab of cell records
-// (the matchtable idiom from internal/core). Modules are routinely
-// configured with tens of thousands of cells of which a run touches a
-// handful; hashing makes construction allocation-free and run cost
-// proportional to the cells actually used, where the earlier page array
-// paid a headers slice sized for the whole address space per module.
+// (graph.MatchTable's idiom). Modules are routinely configured with tens
+// of thousands of cells of which a run touches a handful; hashing makes
+// construction allocation-free and run cost proportional to the cells
+// actually used, where the earlier page array paid a headers slice sized
+// for the whole address space per module.
 // Cells are never deleted, so the table needs no tombstones or
 // backward-shift machinery.
 type cellTable struct {

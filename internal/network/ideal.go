@@ -2,10 +2,10 @@ package network
 
 import "repro/internal/sim"
 
-// Ideal is a contention-free fabric: every packet arrives exactly Latency
-// cycles after injection, regardless of load. It is the control case for
-// experiments (infinite bandwidth, fixed latency) and the memory-latency
-// knob for E1: raising Latency models a deeper machine.
+// Ideal is a contention-free fabric: every packet arrives exactly its
+// latency in cycles after injection, regardless of load. It is the control
+// case for experiments (infinite bandwidth, fixed latency) and the
+// memory-latency knob for E1: raising the latency models a deeper machine.
 //
 // Because the latency is fixed, due times are nondecreasing in injection
 // order, so in-flight packets live in one ring-buffer FIFO: Step pops the
@@ -47,10 +47,7 @@ func (n *Ideal) Ports() int { return n.ports }
 // SetDelivery registers the destination callback.
 func (n *Ideal) SetDelivery(d Delivery) { n.deliver = d }
 
-// Latency returns the configured delivery latency.
-func (n *Ideal) Latency() sim.Cycle { return n.latency }
-
-// Send schedules delivery Latency cycles after the current cycle. The
+// Send schedules delivery n.latency cycles after the current cycle. The
 // ideal network never refuses a packet.
 func (n *Ideal) Send(p *Packet) bool {
 	n.now = n.clock(n, n.now)
