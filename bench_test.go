@@ -101,11 +101,11 @@ func BenchmarkInterpreter(b *testing.B) {
 }
 
 // BenchmarkDirectVsInterp runs the direct-execution oracle backend and
-// the interpreted TTDA machine (8 PEs) on the same workload programs —
-// the per-workload pair behind BENCH's direct_speedup_vs_interpreted
-// ratio. Loop-heavy shapes (sumloop) collapse their circulation
-// firings into native Go loops; recursion-heavy shapes (fib) only shed
-// the cycle model.
+// the interpreted TTDA machine (8 PEs) on the same workload programs.
+// Both run the program's instructions one firing at a time; direct has
+// no cycle model (no engine, no network, no pipeline stages), so the
+// ratio is what the cycle model costs per program shape. BENCH_PR10.json's direct rows
+// predate the deletion of direct's loop accelerator (DESIGN.md §14).
 func BenchmarkDirectVsInterp(b *testing.B) {
 	cases := []struct {
 		name string

@@ -1,13 +1,13 @@
 // Command critique-bench runs the full reproduction suite: experiments
-// E1-E12, one per figure or quantitative claim of the paper (see DESIGN.md
-// for the index), and prints their tables and findings. The recorded
-// output lives in EXPERIMENTS.md.
+// E1-E14, one per figure or quantitative claim of the paper (see DESIGN.md
+// for the index), and the A-series ablations, and prints their tables and
+// findings. The recorded output lives in EXPERIMENTS.md.
 //
 // Usage:
 //
 //	critique-bench             # full sweeps (a few minutes)
 //	critique-bench -quick      # reduced sweeps (seconds)
-//	critique-bench -only E4,E9
+//	critique-bench -only E4,E9  # run only these (an unknown ID exits 2)
 //	critique-bench -markdown   # emit the EXPERIMENTS.md body
 //	critique-bench -conformance 25     # cross-machine conformance smoke run
 package main
@@ -31,7 +31,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E9,A2)")
 	markdown := flag.Bool("markdown", false, "emit EXPERIMENTS.md-formatted output")
 	jsonOut := flag.Bool("json", false, "emit results as JSON")
-	ablations := flag.Bool("ablations", true, "include the A-series design ablations")
+	ablations := flag.Bool("ablations", true, "include the A-series design ablations when -only is not set")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	confSmoke := flag.Int("conformance", 0, "run N seeds of the cross-machine conformance harness and exit (nonzero exit on any violation)")
@@ -74,24 +74,32 @@ func main() {
 		}()
 	}
 
+	// -only names entries of experiments.List; only those run.
 	want := map[string]bool{}
 	for _, s := range strings.Split(*only, ",") {
 		s = strings.TrimSpace(strings.ToUpper(s))
-		if s != "" {
-			want[s] = true
-		}
-	}
-
-	results := experiments.All(experiments.Options{Quick: *quick, SweepWorkers: *sweepWorkers})
-	if *ablations {
-		results = append(results, experiments.Ablations(experiments.Options{Quick: *quick, SweepWorkers: *sweepWorkers})...)
-	}
-	failed := 0
-	var selected []experiments.Result
-	for _, r := range results {
-		if len(want) > 0 && !want[r.ID] {
+		if s == "" {
 			continue
 		}
+		if _, ok := experiments.Lookup(s); !ok {
+			fmt.Fprintf(os.Stderr, "critique-bench: -only: unknown experiment %q\n", s)
+			os.Exit(2)
+		}
+		want[s] = true
+	}
+
+	opt := experiments.Options{Quick: *quick, SweepWorkers: *sweepWorkers}
+	failed := 0
+	var selected []experiments.Result
+	for _, e := range experiments.List {
+		run := want[e.ID]
+		if len(want) == 0 {
+			run = *ablations || !e.Ablation()
+		}
+		if !run {
+			continue
+		}
+		r := e.Run(opt)
 		selected = append(selected, r)
 		if r.Err != nil {
 			failed++

@@ -410,12 +410,3 @@ func (s *DirectorySystem) CheckInvariant() error {
 	}
 	return nil
 }
-
-// TotalInvalidations sums invalidations observed by caches.
-func (s *DirectorySystem) TotalInvalidations() uint64 {
-	var t uint64
-	for i := range s.stats {
-		t += s.stats[i].Invalidations.Value()
-	}
-	return t
-}

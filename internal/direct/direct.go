@@ -84,24 +84,15 @@ type ctxState struct {
 	returned    bool
 	live        bool
 
-	// lp is the block's loop-acceleration plan (nil when the block is not
-	// an accelerable loop). Entry arguments of an accelerable activation
-	// are buffered in argBuf instead of delivered, and the whole loop runs
-	// natively once the last one arrives.
-	lp     *loopPlan
-	argBuf []token.Value
-	argSet []bool
-	argGot int
-
 	// frame1 serves initiation 1 — every non-loop activation and the
 	// first loop iteration — without a map access. iterFrame caches the
 	// single live iteration of the common sequential loop; iters carries
-	// the overflow, and spare recycles the drained slot array so steady
-	// loops allocate nothing per iteration.
+	// the overflow, and spare recycles the drained frame so steady loops
+	// allocate nothing per iteration.
 	frame1    frame
 	iterInit  uint32
 	iterFrame *frame
-	spare     []pair
+	spare     *frame
 	iters     map[uint32]*frame
 }
 
@@ -149,11 +140,6 @@ type Exec struct {
 	results  []token.Value
 	fired    uint64
 	maxSteps uint64
-
-	// lps caches the per-block loop-acceleration plans (nil = the block is
-	// not an accelerable loop and runs on the delivery engine).
-	lps    []*loopPlan
-	lpDone []bool
 }
 
 // New compiles prog and returns a direct executor for it. A compile
@@ -200,32 +186,27 @@ func (x *Exec) Run(args ...token.Value) ([]token.Value, error) {
 	for j := len(args) - 1; j >= 0; j-- {
 		x.push(0, 1, entry.Entries[j], 0, args[j])
 	}
-	for {
-		for len(x.stack) > 0 || x.qhead < len(x.queue) {
-			var d delivery
-			if n := len(x.stack); n > 0 {
-				d = x.stack[n-1]
-				x.stack = x.stack[:n-1]
-			} else {
-				d = x.queue[x.qhead]
-				x.qhead++
-				if x.qhead == len(x.queue) {
-					x.queue, x.qhead = x.queue[:0], 0
-				}
-			}
-			if err := x.deliver(d); err != nil {
-				return nil, err
-			}
-			if x.fired > x.maxSteps {
-				return nil, fmt.Errorf("direct: program %q exceeded %d firings", x.cg.Prog.Name, x.maxSteps)
+	for len(x.stack) > 0 || x.qhead < len(x.queue) {
+		var d delivery
+		if n := len(x.stack); n > 0 {
+			d = x.stack[n-1]
+			x.stack = x.stack[:n-1]
+		} else {
+			d = x.queue[x.qhead]
+			x.qhead++
+			// A loop's next D outputs usually arrive before the lane
+			// empties, so reclaim the consumed front whenever it is half
+			// the lane; otherwise the lane grows by every iteration.
+			if 2*x.qhead >= len(x.queue) {
+				n := copy(x.queue, x.queue[x.qhead:])
+				x.queue, x.qhead = x.queue[:n], 0
 			}
 		}
-		// A malformed caller that never sent an accelerated loop its full
-		// argument set leaves a partial buffer; flush it into the engine so
-		// the run ends exactly like the unaccelerated one (typically with
-		// the unmatched-operand diagnostic).
-		if !x.flushStranded() {
-			break
+		if err := x.deliver(d); err != nil {
+			return nil, err
+		}
+		if x.fired > x.maxSteps {
+			return nil, fmt.Errorf("direct: program %q exceeded %d firings", x.cg.Prog.Name, x.maxSteps)
 		}
 	}
 	if x.parked != 0 {
@@ -257,7 +238,7 @@ func (x *Exec) push(ctx, init uint32, stmt uint16, port uint8, v token.Value) {
 
 // slot returns the match slot for a two-operand statement of activation
 // (cs, init), allocating the activation's frame on first touch. The
-// single-iteration cache plus the spare slot array make the sequential
+// single-iteration cache plus the spare frame make the sequential
 // steady state (one live iteration at a time, the common case under the
 // FIFO D lane) allocation- and map-free.
 func (cs *ctxState) slot(init uint32, ms int32) (*frame, *pair) {
@@ -268,12 +249,11 @@ func (cs *ctxState) slot(init uint32, ms int32) (*frame, *pair) {
 		} else if f, ok := cs.iters[init]; ok {
 			fr = f
 		} else {
-			slots := cs.spare
-			if slots == nil {
-				slots = make([]pair, cs.cb.Slots)
+			f = cs.spare
+			if f == nil {
+				f = &frame{slots: make([]pair, cs.cb.Slots)}
 			}
 			cs.spare = nil
-			f = &frame{slots: slots}
 			if cs.iterFrame == nil {
 				cs.iterFrame, cs.iterInit = f, init
 			} else {
@@ -319,13 +299,13 @@ func (x *Exec) deliver(d delivery) error {
 		x.parked--
 		// A drained loop-iteration frame is garbage the moment it empties
 		// (re-touching the same initiation re-creates it, exactly as a
-		// graph.MatchTable re-admits a matched activity). Its slot
-		// array — fully zeroed by the completing matches — is recycled for
+		// graph.MatchTable re-admits a matched activity). The frame, its
+		// slots fully zeroed by the completing matches, is recycled for
 		// the next iteration.
 		if fr.occupied == 0 && d.init != 1 {
 			if fr == cs.iterFrame {
 				cs.iterFrame = nil
-				cs.spare = fr.slots
+				cs.spare = fr
 			} else {
 				delete(cs.iters, d.init)
 			}
@@ -374,7 +354,6 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 			parentInit:  d.init,
 			returnDests: in.RetDests,
 			live:        true,
-			lp:          x.loopPlanFor(in.Target),
 		})
 		for _, dst := range in.Dests {
 			x.push(d.ctx, d.init, dst.Stmt, dst.Port, token.Int(int64(u)))
@@ -393,27 +372,6 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 		}
 		callee.argsSent++
 		x.maybeFree(callee)
-		if callee.lp != nil {
-			// Accelerated loop: buffer the argument; the last one starts
-			// the native run. A duplicated argument falls back to the
-			// engine path (which fires the extra head like the
-			// unaccelerated schedule would).
-			if callee.argBuf == nil {
-				callee.argBuf = make([]token.Value, len(callee.cb.Entries))
-				callee.argSet = make([]bool, len(callee.cb.Entries))
-			}
-			if !callee.argSet[in.ArgIndex] {
-				callee.argSet[in.ArgIndex] = true
-				callee.argBuf[in.ArgIndex] = vals[1]
-				callee.argGot++
-				if callee.argGot == len(callee.cb.Entries) {
-					lp, buf := callee.lp, callee.argBuf
-					callee.lp, callee.argBuf, callee.argSet = nil, nil, nil
-					x.runLoop(uint32(h), lp, buf)
-				}
-				return nil
-			}
-		}
 		x.push(uint32(h), 1, callee.cb.Entries[in.ArgIndex], 0, vals[1])
 	case graph.KindD:
 		for _, dst := range in.Dests {
@@ -499,29 +457,6 @@ func (x *Exec) ctx(h int64) *ctxState {
 		return nil
 	}
 	return cs
-}
-
-// flushStranded releases partially-buffered loop arguments into the
-// delivery engine. It only ever finds work when a caller sent an
-// accelerable loop fewer arguments than its entry list — a shape the
-// MiniID compiler never emits — and exists so that even then the run
-// terminates with exactly the unaccelerated run's disposition.
-func (x *Exec) flushStranded() bool {
-	flushed := false
-	for i, cs := range x.ctxs {
-		if cs.lp == nil || cs.argGot == 0 {
-			continue
-		}
-		buf, set := cs.argBuf, cs.argSet
-		cs.lp, cs.argBuf, cs.argSet = nil, nil, nil
-		for j := len(set) - 1; j >= 0; j-- {
-			if set[j] {
-				x.push(uint32(i), 1, cs.cb.Entries[j], 0, buf[j])
-			}
-		}
-		flushed = true
-	}
-	return flushed
 }
 
 // maybeFree retires a record once its return fired and every callee entry

@@ -1,6 +1,9 @@
 package direct
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -234,5 +237,134 @@ func TestDirectArityError(t *testing.T) {
 	}
 	if _, err := Run(prog, token.Int(1), token.Int(2)); err == nil {
 		t.Fatal("direct backend accepted the wrong argument count")
+	}
+}
+
+// TestIntLoopOpsMatchInterp runs one loop per integer op of graph.Eval,
+// plus the edge values where int64 arithmetic and Eval's float64
+// comparisons part ways, on the delivery engine and on the reference
+// interpreter. Each must give the interpreter's results and firing count,
+// or its fault text behind the backend's "direct: " prefix. (A faulting
+// run's firing count depends on the schedule: the interpreter finishes
+// the wave the fault is in.) graph's TestEvalIntEdges pins the edge values
+// themselves.
+func TestIntLoopOpsMatchInterp(t *testing.T) {
+	const tmpl = `
+def main(n, k, m) =
+  (initial s <- 0; i <- 0
+   while %s do
+     new s <- %s;
+     new i <- i + 1
+   return s);
+`
+	// Each predicate row puts its op where a wrong answer would stop the
+	// loop early or keep it running past its end, which the results
+	// expose.
+	const p53 = 1 << 53
+	cases := []struct {
+		name       string
+		pred, body string
+		n, k, m    int64
+	}{
+		{"add", "i < n", "s + i", 10, 3, -1},
+		{"sub", "i < n", "s - i", 10, 3, -1},
+		{"mul", "i < n", "s * 2 + i", 10, 3, -1},
+		{"div", "i < n", "s + (i * 7) / k", 10, 3, -1},
+		{"mod", "i < n", "s + i % k", 10, 3, -1},
+		{"min", "i < n", "s + min(i, k)", 10, 3, -1},
+		{"max", "i < n", "s + max(i, k)", 10, 3, -1},
+		{"lt", "i < n", "s + i", 10, 3, -1},
+		{"le", "i <= n", "s + i", 10, 3, -1},
+		{"gt", "n > i", "s + i", 10, 3, -1},
+		{"ge", "n >= i + 1", "s + i", 10, 3, -1},
+		{"int ==", "(i == n) == false", "s + i", 10, 3, -1},
+		{"int !=", "i != n", "s + i", 10, 3, -1},
+		{"bool ==", "i < n or ((i < n) == (k > 0))", "s + i", 10, 3, -1},
+		{"bool !=", "i < n or ((i < n) != (k < 0))", "s + i", 10, 3, -1},
+		{"and", "i < n and k > 0", "s + i", 10, 3, -1},
+		{"or", "i < n or k < 0", "s + i", 10, 3, -1},
+		{"not", "i < n or not (k > 0)", "s + i", 10, 3, -1},
+		{"neg", "i < n", "-s + i", 10, 3, -1},
+		{"abs", "i < n", "s + abs(i - k)", 10, 3, -1},
+		{"mov", "i < n", "s + floor(i)", 10, 3, -1},
+
+		{"div by zero mid-loop", "i < n", "s + 100 / (k - i)", 10, 3, -1},
+		{"mod by zero mid-loop", "i < n", "s + 100 % (k - i)", 10, 3, -1},
+		{"MinInt64 / -1", "i < n", "k / m", 3, math.MinInt64, -1},
+		{"MinInt64 % -1", "i < n", "k % m", 3, math.MinInt64, -1},
+		{"abs(MinInt64)", "i < n", "abs(k)", 3, math.MinInt64, -1},
+		{"-MinInt64", "i < n", "-k", 3, math.MinInt64, -1},
+		// float64(2^53+1) rounds to 2^53, so under graph.Eval's comparisons
+		// each predicate is false at once; an int64 comparison would keep
+		// the loop running.
+		{"2^53 < 2^53+1", "i < n and k < m", "s + i", 10, p53, p53 + 1},
+		{"2^53 >= 2^53+1", "i < n and not (k >= m)", "s + i", 10, p53, p53 + 1},
+		{"2^53 == 2^53+1", "i < n and not (k == m)", "s + i", 10, p53, p53 + 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			args := []token.Value{token.Int(tc.n), token.Int(tc.k), token.Int(tc.m)}
+			matchInterp(t, fmt.Sprintf(tmpl, tc.pred, tc.body), args...)
+		})
+	}
+	// A loop that types as int64 can still receive a float at run time.
+	t.Run("float entry value", func(t *testing.T) {
+		matchInterp(t, fmt.Sprintf(tmpl, "i < n", "s + k"), token.Int(10), token.Float(2.5), token.Int(-1))
+	})
+}
+
+// matchInterp compiles src and runs it on the direct backend and on the
+// reference interpreter with args.
+func matchInterp(t *testing.T, src string, args ...token.Value) {
+	t.Helper()
+	prog, err := id.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg, err := graph.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := graph.NewInterpPlan(cg)
+	want, werr := it.Run(args...)
+	x := NewFromPlan(cg)
+	got, gerr := x.Run(args...)
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != "direct: "+werr.Error() {
+		t.Fatalf("direct error %v, interp error %v", gerr, werr)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("direct %v, interp %v", got, want)
+	}
+	if werr == nil && x.Fired() != it.Fired() {
+		t.Fatalf("direct fired %d, interp %d", x.Fired(), it.Fired())
+	}
+}
+
+// TestDirectLoopAllocationIsFlat pins the delivery engine's steady state:
+// a sequential loop reuses its iteration frame and the consumed front of
+// the D lane, so what a run allocates does not grow with its iteration
+// count.
+func TestDirectLoopAllocationIsFlat(t *testing.T) {
+	for _, src := range []string{
+		workload.SumLoopID,
+		`def main(n) = (initial s <- 0 for i from 1 to n do new s <- if i % 2 == 0 then s + i else s - 1 return s);`,
+	} {
+		prog, err := id.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := func(n int64) uint64 {
+			var a, b runtime.MemStats
+			runtime.ReadMemStats(&a)
+			if _, err := New(prog).Run(token.Int(n)); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&b)
+			return b.TotalAlloc - a.TotalAlloc
+		}
+		small, large := alloc(100), alloc(100_000)
+		if large > small+64<<10 {
+			t.Fatalf("100 iterations allocate %d B, 100,000 allocate %d B\n%s", small, large, src)
+		}
 	}
 }

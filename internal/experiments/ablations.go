@@ -16,15 +16,7 @@ import (
 
 // Ablations runs the A-series: sensitivity studies of the design choices
 // in the TTDA model itself, complementing the paper-claim experiments.
-func Ablations(opt Options) []Result {
-	return runAll(opt,
-		A1Optimizer,
-		A2MatchCapacity,
-		A3PipelineBandwidth,
-		A4Topology,
-		A5OpTiming,
-	)
-}
+func Ablations(opt Options) []Result { return runList(opt, true) }
 
 // runMat compiles-and-runs matmul(n) on a machine and returns its summary.
 func runMat(cfg core.Config, prog *graph.Program, n int64) (core.Summary, error) {

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/metrics"
 )
@@ -48,31 +49,54 @@ func (r Result) String() string {
 	return s
 }
 
-// All runs every experiment in order.
-func All(opt Options) []Result {
-	return runAll(opt,
-		E1LatencyTolerance,
-		E2ContextCounts,
-		E3CacheCoherence,
-		E4ReadBeforeWrite,
-		E5Trapezoid,
-		E6PipelineAnatomy,
-		E7Cmmp,
-		E8Cmstar,
-		E9FetchAndAdd,
-		E10ConnectionMachine,
-		E11Emulator,
-		E12VLIW,
-		E13ParallelismGrail,
-		E14ConformanceSweep,
-	)
+// Experiment is one entry of the suite: its ID and the function that
+// runs it.
+type Experiment struct {
+	ID  string
+	Run func(Options) Result
 }
 
-// runAll runs each experiment in order.
-func runAll(opt Options, fns ...func(Options) Result) []Result {
-	out := make([]Result, 0, len(fns))
-	for _, fn := range fns {
-		out = append(out, fn(opt))
+// Ablation reports whether e is an A-series design ablation rather than
+// a paper experiment.
+func (e Experiment) Ablation() bool { return strings.HasPrefix(e.ID, "A") }
+
+// List is the whole suite in report order: the paper experiments E1–E14,
+// then the A-series ablations. critique-bench selects from it and serve
+// looks experiment jobs up in it.
+var List = []Experiment{
+	{"E1", E1LatencyTolerance}, {"E2", E2ContextCounts},
+	{"E3", E3CacheCoherence}, {"E4", E4ReadBeforeWrite},
+	{"E5", E5Trapezoid}, {"E6", E6PipelineAnatomy},
+	{"E7", E7Cmmp}, {"E8", E8Cmstar},
+	{"E9", E9FetchAndAdd}, {"E10", E10ConnectionMachine},
+	{"E11", E11Emulator}, {"E12", E12VLIW},
+	{"E13", E13ParallelismGrail}, {"E14", E14ConformanceSweep},
+	{"A1", A1Optimizer}, {"A2", A2MatchCapacity},
+	{"A3", A3PipelineBandwidth}, {"A4", A4Topology},
+	{"A5", A5OpTiming},
+}
+
+// Lookup returns the entry of List named id.
+func Lookup(id string) (Experiment, bool) {
+	for _, e := range List {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// All runs every paper experiment in order.
+func All(opt Options) []Result { return runList(opt, false) }
+
+// runList runs, in order, the entries of List that are ablations (or
+// that are not).
+func runList(opt Options, ablations bool) []Result {
+	var out []Result
+	for _, e := range List {
+		if e.Ablation() == ablations {
+			out = append(out, e.Run(opt))
+		}
 	}
 	return out
 }

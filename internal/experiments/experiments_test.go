@@ -177,8 +177,11 @@ func TestAllRunsEverything(t *testing.T) {
 	if len(results) != 14 {
 		t.Fatalf("expected 14 experiments, got %d", len(results))
 	}
-	for _, r := range results {
+	for i, r := range results {
 		requireOK(t, r)
+		if r.ID != List[i].ID {
+			t.Fatalf("List entry %s reports ID %s", List[i].ID, r.ID)
+		}
 	}
 }
 
@@ -218,8 +221,15 @@ func TestAblationsAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	for _, r := range Ablations(quick) {
+	results := Ablations(quick)
+	if len(results) != len(List)-14 {
+		t.Fatalf("expected %d ablations, got %d", len(List)-14, len(results))
+	}
+	for i, r := range results {
 		requireOK(t, r)
+		if e := List[14+i]; r.ID != e.ID || !e.Ablation() {
+			t.Fatalf("List entry %s (ablation %v) reports ID %s", e.ID, e.Ablation(), r.ID)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -357,10 +358,10 @@ func TestInterpProfileSimple(t *testing.T) {
 		t.Fatal(err)
 	}
 	if it.Depth() != 4 {
-		t.Fatalf("depth = %d (profile %v), want 4", it.Depth(), it.Profile())
+		t.Fatalf("depth = %d (profile %v), want 4", it.Depth(), it.profile)
 	}
 	if it.MaxParallelism() != 2 {
-		t.Fatalf("max parallelism = %d (profile %v), want 2", it.MaxParallelism(), it.Profile())
+		t.Fatalf("max parallelism = %d (profile %v), want 2", it.MaxParallelism(), it.profile)
 	}
 }
 
@@ -499,5 +500,47 @@ func TestEvalNumericTower(t *testing.T) {
 	v, err = Eval(OpFloor, token.Float(2.9), token.Nil())
 	if err != nil || v.Kind != token.KindInt || v.I != 2 {
 		t.Fatalf("floor(2.9) = %s, %v", v, err)
+	}
+}
+
+// TestEvalIntEdges pins Eval at the int64 edges, where two's-complement
+// wraparound and the float64 comparisons part ways with exact integer
+// arithmetic. Every backend shares Eval, so these are every backend's
+// answers, on 32-bit hosts too.
+func TestEvalIntEdges(t *testing.T) {
+	const p53 = 1 << 53
+	minI, maxI := token.Int(math.MinInt64), token.Int(math.MaxInt64)
+	cases := []struct {
+		name string
+		op   Opcode
+		a, b token.Value
+		want token.Value
+		err  string // the error text, when Eval must fail
+	}{
+		{"MinInt64 / -1", OpDiv, minI, token.Int(-1), minI, ""},
+		{"MinInt64 % -1", OpMod, minI, token.Int(-1), token.Int(0), ""},
+		{"abs(MinInt64)", OpAbs, minI, token.Nil(), minI, ""},
+		{"-MinInt64", OpNeg, minI, token.Nil(), minI, ""},
+		{"MaxInt64 + 1", OpAdd, maxI, token.Int(1), minI, ""},
+		// float64(2^53+1) rounds to 2^53.
+		{"2^53 < 2^53+1", OpLT, token.Int(p53), token.Int(p53 + 1), token.Bool(false), ""},
+		{"2^53 >= 2^53+1", OpGE, token.Int(p53), token.Int(p53 + 1), token.Bool(true), ""},
+		{"2^53 == 2^53+1", OpEQ, token.Int(p53), token.Int(p53 + 1), token.Bool(true), ""},
+		{"7 / 0", OpDiv, token.Int(7), token.Int(0), token.Nil(), "graph: integer division by zero"},
+		{"7 % 0", OpMod, token.Int(7), token.Int(0), token.Nil(), "graph: modulo by zero"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := Eval(tc.op, tc.a, tc.b)
+			if tc.err != "" {
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("%s(%s, %s) = %s, %v; want error %q", tc.op, tc.a, tc.b, got, err, tc.err)
+				}
+				return
+			}
+			if err != nil || got != tc.want {
+				t.Fatalf("%s(%s, %s) = %s, %v; want %s", tc.op, tc.a, tc.b, got, err, tc.want)
+			}
+		})
 	}
 }

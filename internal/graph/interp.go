@@ -49,8 +49,8 @@ const ContextBudget = 1 << 18
 //   - a correctness oracle: the cycle-accurate machine and the emulator
 //     must compute the same results;
 //   - an ideal-parallelism profiler: the wave structure gives the critical
-//     path (Depth) and per-wave enabled-instruction counts (Profile) of
-//     the program, the upper bound any real machine is compared against.
+//     path (Depth) and the widest wave (MaxParallelism) of the program,
+//     the upper bound any real machine is compared against.
 //
 // The interpreter executes a CompiledGraph plan: instruction dispatch is a
 // dense kind switch, the context table is a flat array indexed by context
@@ -198,10 +198,6 @@ func (it *Interp) Tokens() uint64 { return it.tokens }
 
 // Depth returns the critical path length in unit-time waves.
 func (it *Interp) Depth() int { return len(it.profile) }
-
-// Profile returns the number of instruction firings per wave: the ideal
-// parallelism profile of the program.
-func (it *Interp) Profile() []int { return it.profile }
 
 // MaxParallelism returns the widest wave.
 func (it *Interp) MaxParallelism() int {

@@ -63,9 +63,6 @@ func (m *HEPModule) Enqueue(r Request) error {
 	return nil
 }
 
-// Idle reports whether the controller has no queued work.
-func (m *HEPModule) Idle() bool { return len(m.queue) == 0 }
-
 // Step advances one cycle, servicing at most one request.
 func (m *HEPModule) Step(now sim.Cycle) {
 	if now < m.busyUntil {

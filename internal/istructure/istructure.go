@@ -245,9 +245,6 @@ func New(size uint32, respond func(Response)) *Module {
 // Stats returns the controller's measurements.
 func (m *Module) Stats() *Stats { return &m.stats }
 
-// QueueLen returns the number of requests waiting for the controller.
-func (m *Module) QueueLen() int { return m.queue.Len() }
-
 // OutstandingDeferred returns the number of reads currently deferred.
 func (m *Module) OutstandingDeferred() int { return int(m.stats.Outstanding.Level()) }
 

@@ -14,7 +14,7 @@ func run(t *testing.T, m *Module, limit int) {
 		m.Step(sim.Cycle(c))
 	}
 	if !m.Idle() {
-		t.Fatalf("module not idle after %d cycles (%d queued)", limit, m.QueueLen())
+		t.Fatalf("module not idle after %d cycles (%d queued)", limit, m.queue.Len())
 	}
 }
 

@@ -99,12 +99,6 @@ func (m *FullEmptyMemory) Request(r vn.MemRequest) {
 // Pending reports queued plus in-flight requests.
 func (m *FullEmptyMemory) Pending() int { return m.pending }
 
-// Poke stores a value and marks the cell full.
-func (m *FullEmptyMemory) Poke(addr uint32, v vn.Word) {
-	m.words[addr] = v
-	m.full[addr] = true
-}
-
 // Peek reads a value regardless of state.
 func (m *FullEmptyMemory) Peek(addr uint32) vn.Word { return m.words[addr] }
 

@@ -171,9 +171,8 @@ type queue struct {
 
 func newQueue(capacity int) *queue { return &queue{cap: capacity} }
 
-func (q *queue) full() bool  { return len(q.buf) >= q.cap }
-func (q *queue) empty() bool { return len(q.buf) == 0 }
-func (q *queue) len() int    { return len(q.buf) }
+func (q *queue) full() bool { return len(q.buf) >= q.cap }
+func (q *queue) len() int   { return len(q.buf) }
 
 func (q *queue) push(p *Packet) bool {
 	if q.full() {

@@ -61,14 +61,6 @@ func (g *flightGroup) do(key string, cancel <-chan struct{}, cancelErr func() er
 	return c.body, c.err, true
 }
 
-// inFlight reports whether key currently has a running execution.
-func (g *flightGroup) inFlight(key string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.calls[key]
-	return ok
-}
-
 // followersOf reports how many callers have joined key's in-flight
 // call (0 when none is in flight).
 func (g *flightGroup) followersOf(key string) int {

@@ -57,20 +57,6 @@ type RunResult struct {
 	Tables  []string `json:"tables,omitempty"`
 }
 
-// experimentFns indexes the paper experiments by ID. Experiment jobs run
-// in quick mode; unlike program jobs they are not interruptible between
-// slices (the experiment drivers own their machines), so they rely on
-// quick-mode scale to stay bounded.
-var experimentFns = map[string]func(experiments.Options) experiments.Result{
-	"E1": experiments.E1LatencyTolerance, "E2": experiments.E2ContextCounts,
-	"E3": experiments.E3CacheCoherence, "E4": experiments.E4ReadBeforeWrite,
-	"E5": experiments.E5Trapezoid, "E6": experiments.E6PipelineAnatomy,
-	"E7": experiments.E7Cmmp, "E8": experiments.E8Cmstar,
-	"E9": experiments.E9FetchAndAdd, "E10": experiments.E10ConnectionMachine,
-	"E11": experiments.E11Emulator, "E12": experiments.E12VLIW,
-	"E13": experiments.E13ParallelismGrail, "E14": experiments.E14ConformanceSweep,
-}
-
 // runJob executes a normalized spec and returns its deterministic
 // result. Errors are *apiError (including context cancellation, mapped
 // by the caller) so every failure has exactly one HTTP status.
@@ -88,12 +74,16 @@ func runJob(ctx context.Context, spec *JobSpec) (*RunResult, error) {
 	}
 }
 
+// runExperiment runs a paper experiment in quick mode. Unlike program
+// jobs, experiment jobs are not interruptible between slices (the
+// experiment drivers own their machines), so they rely on quick-mode scale
+// to stay bounded.
 func runExperiment(expID string) (*RunResult, error) {
-	fn, ok := experimentFns[expID]
+	e, ok := experiments.Lookup(expID)
 	if !ok {
 		return nil, errf(http.StatusNotFound, "unknown experiment %q", expID)
 	}
-	r := fn(experiments.Options{Quick: true})
+	r := e.Run(experiments.Options{Quick: true})
 	if r.Err != nil {
 		return nil, errf(http.StatusInternalServerError, "experiment %s failed: %v", expID, r.Err)
 	}

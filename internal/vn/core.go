@@ -250,9 +250,6 @@ func (h *ContextHandle) Reg(r uint8) Word { return h.ctx.regs[r] }
 // SetPC sets the program counter.
 func (h *ContextHandle) SetPC(pc int) { h.ctx.pc = pc }
 
-// Halted reports whether the context executed HALT.
-func (h *ContextHandle) Halted() bool { return h.ctx.halted }
-
 // Halted reports whether every context has halted.
 func (c *Core) Halted() bool {
 	for _, ctx := range c.ctxs {

@@ -103,9 +103,6 @@ func (m *LatencyMemory) NextEvent(now sim.Cycle) sim.Cycle {
 // Pending reports outstanding requests.
 func (m *LatencyMemory) Pending() int { return m.pending }
 
-// Poke writes a word directly (test setup).
-func (m *LatencyMemory) Poke(addr uint32, v Word) { m.store.words[addr] = v }
-
 // Peek reads a word directly (test inspection).
 func (m *LatencyMemory) Peek(addr uint32) Word { return m.store.words[addr] }
 
