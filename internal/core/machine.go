@@ -60,9 +60,9 @@ type Machine struct {
 	// monotonically, so a dense slice replaces a map on the SEND-ARG/RETURN
 	// path. A freed context leaves a nil slot; records are recycled via
 	// ctxFree.
-	ctxs     []*ctxRecord
+	ctxs     []*graph.Invocation
 	ctxLive  int
-	ctxFree  []*ctxRecord // recycled invocation records
+	ctxFree  []*graph.Invocation // recycled invocation records
 	ctxFreed uint64
 	ctxPeak  int
 
@@ -81,19 +81,6 @@ type Machine struct {
 	// restarting. runStart anchors the Cycles statistic across the split.
 	started  bool
 	runStart sim.Cycle
-}
-
-type ctxRecord struct {
-	block       graph.BlockID
-	parent      token.ActivityName
-	parentBlock graph.BlockID
-	// returnDests names the caller-side receivers (the GET-CONTEXT's
-	// lowered return arcs in the plan).
-	returnDests []graph.CDest
-	// reclamation state (see graph.Interp: non-strict calls may return
-	// before all arguments arrive)
-	argsSent int
-	returned bool
 }
 
 // isRequest is the payload of a d=1 network packet.
@@ -138,7 +125,7 @@ func newMachine(cfg Config, prog *graph.Program) *Machine {
 		cfg:      cfg,
 		prog:     prog,
 		nextCtx:  1,
-		ctxs:     make([]*ctxRecord, 1, 64),
+		ctxs:     make([]*graph.Invocation, 1, 64),
 		isLimit:  isCellLimit(cfg.PEs),
 		peActive: make([]bool, cfg.PEs),
 		isActive: make([]bool, cfg.PEs),
@@ -328,16 +315,16 @@ func (m *Machine) allocate(n uint32) (uint32, error) {
 }
 
 // allocCtx reserves the next context number and a recycled record.
-func (m *Machine) allocCtx() (token.Context, *ctxRecord) {
+func (m *Machine) allocCtx() (token.Context, *graph.Invocation) {
 	u := m.nextCtx
 	m.nextCtx++
-	var rec *ctxRecord
+	var rec *graph.Invocation
 	if n := len(m.ctxFree); n > 0 {
 		rec = m.ctxFree[n-1]
 		m.ctxFree = m.ctxFree[:n-1]
-		*rec = ctxRecord{}
+		*rec = graph.Invocation{}
 	} else {
-		rec = &ctxRecord{}
+		rec = &graph.Invocation{}
 	}
 	m.ctxs = append(m.ctxs, rec) // index u == old len(m.ctxs)
 	m.ctxLive++
@@ -350,7 +337,7 @@ func (m *Machine) allocCtx() (token.Context, *ctxRecord) {
 // ctxLookup resolves a context number to its live invocation record, or nil
 // when the number was never allocated or already reclaimed. Handles arrive
 // in token values, so the bound check guards against corrupt programs.
-func (m *Machine) ctxLookup(u token.Context) *ctxRecord {
+func (m *Machine) ctxLookup(u token.Context) *graph.Invocation {
 	if uint64(u) >= uint64(len(m.ctxs)) {
 		return nil
 	}
@@ -358,17 +345,17 @@ func (m *Machine) ctxLookup(u token.Context) *ctxRecord {
 }
 
 // getContext allocates a fresh invocation context.
-func (m *Machine) getContext(target graph.BlockID, parent token.ActivityName, parentBlock graph.BlockID, returnDests []graph.CDest) token.Context {
+func (m *Machine) getContext(target graph.BlockID, parent token.ActivityName, returnDests []graph.CDest) token.Context {
 	u, rec := m.allocCtx()
-	rec.block, rec.parent, rec.parentBlock, rec.returnDests = target, parent, parentBlock, returnDests
+	rec.Block, rec.Parent, rec.ReturnDests = target, parent, returnDests
 	return u
 }
 
-// maybeFreeContext reclaims an invocation record once its return fired and
-// every callee entry received its argument. The record goes on a free list
-// for reuse; callers must not touch rec afterwards.
-func (m *Machine) maybeFreeContext(u token.Context, rec *ctxRecord) {
-	if rec.returned && rec.argsSent >= len(m.plan.Blocks[rec.block].Entries) {
+// maybeFreeContext reclaims an invocation record once it is Done. The
+// record goes on a free list for reuse; callers must not touch rec
+// afterwards.
+func (m *Machine) maybeFreeContext(u token.Context, rec *graph.Invocation) {
+	if rec.Done(m.plan) {
 		m.ctxs[u] = nil
 		m.ctxLive--
 		m.ctxFree = append(m.ctxFree, rec)

@@ -304,7 +304,7 @@ func (pe *PE) stepController(now sim.Cycle) {
 			pe.m.fail(fmt.Errorf("core: get-context at %s: context space exhausted (%d contexts, limit %d)", r.act, n, graph.ContextBudget))
 			return
 		}
-		u := pe.m.getContext(in.Target, r.act, graph.BlockID(r.act.CodeBlock), in.RetDests)
+		u := pe.m.getContext(in.Target, r.act, in.RetDests)
 		if pe.m.cfg.Trace != nil {
 			pe.trace(TraceGetCtx, "u=%d for block %d", u, in.Target)
 		}
@@ -530,15 +530,15 @@ func (pe *PE) execSendArg(in *graph.CInstr, act token.ActivityName, vals [2]toke
 		pe.m.fail(fmt.Errorf("core: %s at %s: unknown context %d", in.Op, act, h))
 		return
 	}
-	callee := pe.m.plan.Block(rec.block)
+	callee := pe.m.plan.Block(rec.Block)
 	if int(in.ArgIndex) >= len(callee.Entries) {
 		pe.m.fail(fmt.Errorf("core: %s at %s: arg %d out of range", in.Op, act, in.ArgIndex))
 		return
 	}
-	rec.argsSent++
+	rec.ArgsSent++
 	newAct := token.ActivityName{
 		Context:    token.Context(h),
-		CodeBlock:  uint16(rec.block),
+		CodeBlock:  uint16(rec.Block),
 		Statement:  callee.Entries[in.ArgIndex],
 		Initiation: 1,
 	}
@@ -563,13 +563,13 @@ func (pe *PE) execReturn(in *graph.CInstr, act token.ActivityName, vals [2]token
 		pe.m.fail(fmt.Errorf("core: %s at %s: unknown context", in.Op, act))
 		return
 	}
-	rec.returned = true
-	for _, d := range rec.returnDests {
+	rec.Returned = true
+	for _, d := range rec.ReturnDests {
 		newAct := token.ActivityName{
-			Context:    rec.parent.Context,
-			CodeBlock:  uint16(rec.parentBlock),
+			Context:    rec.Parent.Context,
+			CodeBlock:  rec.Parent.CodeBlock,
 			Statement:  d.Stmt,
-			Initiation: rec.parent.Initiation,
+			Initiation: rec.Parent.Initiation,
 		}
 		pe.sendToken(newAct, d.NT, d.Port, vals[0])
 	}

@@ -363,10 +363,10 @@ func (m *Machine) SaveState(e *sim.Enc) {
 		if rec == nil {
 			continue
 		}
-		e.U16(uint16(rec.block))
-		token.SaveActivity(e, rec.parent)
-		e.Int(rec.argsSent)
-		e.Bool(rec.returned)
+		e.U16(uint16(rec.Block))
+		token.SaveActivity(e, rec.Parent)
+		e.Int(rec.ArgsSent)
+		e.Bool(rec.Returned)
 	}
 	e.U64(m.ctxFreed)
 	e.Int(m.ctxPeak)
@@ -430,29 +430,28 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 			m.ctxs = append(m.ctxs, nil)
 			continue
 		}
-		rec := &ctxRecord{
-			block:  graph.BlockID(d.U16()),
-			parent: token.LoadActivity(d),
+		rec := &graph.Invocation{
+			Block:  graph.BlockID(d.U16()),
+			Parent: token.LoadActivity(d),
 		}
-		rec.argsSent = d.Int()
-		rec.returned = d.Bool()
+		rec.ArgsSent = d.Int()
+		rec.Returned = d.Bool()
 		if d.Err() != nil {
 			return d.Err()
 		}
-		if int(rec.block) >= len(m.prog.Blocks) {
-			d.Failf("context %d targets block %d of %d", u, rec.block, len(m.prog.Blocks))
+		if int(rec.Block) >= len(m.prog.Blocks) {
+			d.Failf("context %d targets block %d of %d", u, rec.Block, len(m.prog.Blocks))
 			return d.Err()
 		}
-		if !m.checkActivity(d, rec.parent) {
+		if !m.checkActivity(d, rec.Parent) {
 			return d.Err()
 		}
-		rec.parentBlock = graph.BlockID(rec.parent.CodeBlock)
-		in := &m.plan.Blocks[rec.parent.CodeBlock].Instrs[rec.parent.Statement]
+		in := &m.plan.Blocks[rec.Parent.CodeBlock].Instrs[rec.Parent.Statement]
 		if in.Kind != graph.KindGetContext {
-			d.Failf("context %d parent %s is %s, not GET-CONTEXT", u, rec.parent, in.Op)
+			d.Failf("context %d parent %s is %s, not GET-CONTEXT", u, rec.Parent, in.Op)
 			return d.Err()
 		}
-		rec.returnDests = in.RetDests
+		rec.ReturnDests = in.RetDests
 		m.ctxs = append(m.ctxs, rec)
 		m.ctxLive++
 	}

@@ -34,7 +34,6 @@ package direct
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/token"
@@ -68,21 +67,19 @@ type frame struct {
 	occupied int // slots currently holding exactly one operand
 }
 
-// ctxState is one invocation record. Records are never deallocated while
-// the run lives (context numbers are allocated monotonically and stale
-// handles must keep failing loudly, matching the interpreter), but loop
-// iteration frames are recycled as soon as they empty. Each record is
-// allocated on its own and never moves, so a pointer to one stays valid
-// while later calls create more.
+// ctxState is one invocation record with its activation frames. Records
+// are never deallocated while the run lives (context numbers are
+// allocated monotonically and stale handles must keep failing loudly,
+// matching the interpreter), but loop iteration frames are recycled as
+// soon as they empty. Each record is allocated on its own and never
+// moves, so a pointer to one stays valid while later calls create more.
 type ctxState struct {
-	cb          *graph.CBlock
-	parentCtx   uint32
-	parentBlock uint16
-	parentInit  uint32
-	returnDests []graph.CDest
-	argsSent    int
-	returned    bool
-	live        bool
+	graph.Invocation
+	cb *graph.CBlock // the plan's block Invocation.Block
+	// live turns false once Invocation.Done holds. Only the handle dies:
+	// frames stay until their operands drain, since stragglers inside the
+	// callee may still be on the stack.
+	live bool
 
 	// frame1 serves initiation 1 — every non-loop activation and the
 	// first loop iteration — without a map access. iterFrame caches the
@@ -348,12 +345,18 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 		}
 		u := uint32(len(x.ctxs))
 		x.ctxs = append(x.ctxs, &ctxState{
-			cb:          x.cg.Block(in.Target),
-			parentCtx:   d.ctx,
-			parentBlock: uint16(cs.cb.ID),
-			parentInit:  d.init,
-			returnDests: in.RetDests,
-			live:        true,
+			Invocation: graph.Invocation{
+				Block: in.Target,
+				Parent: token.ActivityName{
+					Context:    token.Context(d.ctx),
+					CodeBlock:  uint16(cs.cb.ID),
+					Statement:  d.stmt,
+					Initiation: d.init,
+				},
+				ReturnDests: in.RetDests,
+			},
+			cb:   x.cg.Block(in.Target),
+			live: true,
 		})
 		for _, dst := range in.Dests {
 			x.push(d.ctx, d.init, dst.Stmt, dst.Port, token.Int(int64(u)))
@@ -370,8 +373,8 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 		if int(in.ArgIndex) >= len(callee.cb.Entries) {
 			return fmt.Errorf("direct: %s: arg %d exceeds %q entries", in.Op, in.ArgIndex, callee.cb.Name)
 		}
-		callee.argsSent++
-		x.maybeFree(callee)
+		callee.ArgsSent++
+		callee.live = !callee.Done(x.cg)
 		x.push(uint32(h), 1, callee.cb.Entries[in.ArgIndex], 0, vals[1])
 	case graph.KindD:
 		for _, dst := range in.Dests {
@@ -389,22 +392,19 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 		if !cs.live {
 			return fmt.Errorf("direct: %s at (u=%d,c=%d,s=%d,i=%d): unknown context", in.Op, d.ctx, cs.cb.ID, d.stmt, d.init)
 		}
-		cs.returned = true
-		x.maybeFree(cs)
-		for _, dst := range cs.returnDests {
-			x.push(cs.parentCtx, cs.parentInit, dst.Stmt, dst.Port, vals[0])
+		cs.Returned = true
+		cs.live = !cs.Done(x.cg)
+		for _, dst := range cs.ReturnDests {
+			x.push(uint32(cs.Parent.Context), cs.Parent.Initiation, dst.Stmt, dst.Port, vals[0])
 		}
 	case graph.KindAllocate:
-		n, err := vals[0].AsInt()
-		if err != nil || n < 0 || n > math.MaxUint32 {
-			return fmt.Errorf("direct: allocate: bad size %s", vals[0])
-		}
-		base := len(x.cells)
-		if n > int64(graph.CellBudget-base) {
-			return fmt.Errorf("direct: allocate: I-structure space exhausted (%d cells, limit %d)", n, graph.CellBudget)
+		base := uint32(len(x.cells))
+		n, err := graph.AllocSize(vals[0], base)
+		if err != nil {
+			return fmt.Errorf("direct: allocate: %v", err)
 		}
 		x.cells = append(x.cells, make([]cell, n)...)
-		ref := token.NewRef(token.Ref{Base: uint32(base), Len: uint32(n)})
+		ref := token.NewRef(token.Ref{Base: base, Len: n})
 		for _, dst := range in.Dests {
 			x.push(d.ctx, d.init, dst.Stmt, dst.Port, ref)
 		}
@@ -457,17 +457,6 @@ func (x *Exec) ctx(h int64) *ctxState {
 		return nil
 	}
 	return cs
-}
-
-// maybeFree retires a record once its return fired and every callee entry
-// received its argument — the non-strict-call liveness rule the
-// interpreter's context manager uses. Only the handle dies; frames stay
-// until their operands drain (stragglers inside the callee may still be
-// on the stack).
-func (x *Exec) maybeFree(cs *ctxState) {
-	if cs.returned && cs.argsSent >= len(cs.cb.Entries) {
-		cs.live = false
-	}
 }
 
 // Run compiles prog once and executes it directly — the convenience used

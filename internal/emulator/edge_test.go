@@ -57,8 +57,8 @@ func TestOneNodeCube(t *testing.T) {
 			if len(got) != 1 || len(want) != 1 || got[0] != want[0] {
 				t.Fatalf("results %v, want %v", got, want)
 			}
-			if f.Forwarded.Load() != 0 {
-				t.Fatalf("a 1-node cube forwarded %d messages", f.Forwarded.Load())
+			if f.Hops.Load() != 0 {
+				t.Fatalf("a 1-node cube forwarded %d messages", f.Hops.Load())
 			}
 		})
 	}
@@ -85,8 +85,7 @@ func TestInvalidSizesErrorCleanly(t *testing.T) {
 
 // twoNodeGolden is the schedule-independent observable set of a 2-node
 // run: the answer and the dataflow firing/message totals are fixed by
-// the program, not by goroutine interleaving (Deferred, by contrast, is
-// timing-dependent and excluded).
+// the program, not by goroutine interleaving.
 type twoNodeGolden struct {
 	Result   int64  `json:"result"`
 	Nodes    int    `json:"nodes"`

@@ -16,8 +16,9 @@
 //     the hypercube network ... for fault tolerance");
 //   - static partitioning into independent sub-machines.
 //
-// It interprets the same compiled dataflow graphs as internal/core and the
-// reference interpreter, and must agree with both on every answer.
+// It executes the same compiled plan (graph.CompiledGraph) as the other
+// executors — internal/core, the reference interpreter and
+// internal/direct — and must agree with them on every answer.
 package emulator
 
 import (
@@ -51,7 +52,6 @@ type message struct {
 	// exactly one of tok / isReq is meaningful
 	tok   token.Token
 	isReq *isRequest
-	hops  int
 }
 
 type isRequest struct {
@@ -70,10 +70,11 @@ type replyTag struct {
 
 // Facility is the assembled emulation machine.
 type Facility struct {
-	dim   int
-	n     int
-	prog  *graph.Program
-	nodes []*node
+	dim        int
+	n          int
+	cg         *graph.CompiledGraph
+	compileErr error
+	nodes      []*node
 	// runNodes is the node subset the current run spreads work over (the
 	// selected partition; the whole cube by default).
 	runNodes []int
@@ -85,10 +86,9 @@ type Facility struct {
 	part    []int
 
 	// context manager (the facility's "microcode task")
-	ctxMu    sync.Mutex
-	nextCtx  token.Context
-	ctxs     map[token.Context]*ctxRecord
-	ctxFreed atomic.Uint64
+	ctxMu   sync.Mutex
+	nextCtx token.Context
+	ctxs    map[token.Context]graph.Invocation
 
 	// I-structure allocation
 	allocMu  sync.Mutex
@@ -105,30 +105,20 @@ type Facility struct {
 	results []token.Value
 	runErr  error
 
-	// statistics
-	Messages  atomic.Uint64
-	Hops      atomic.Uint64
-	Fired     atomic.Uint64
-	Deferred  atomic.Uint64
-	Forwarded atomic.Uint64
+	// statistics: Messages counts every message posted, Hops every
+	// forwarding step between switch modules
+	Messages atomic.Uint64
+	Hops     atomic.Uint64
+	Fired    atomic.Uint64
 }
 
-type ctxRecord struct {
-	block       graph.BlockID
-	parent      token.ActivityName
-	parentBlock graph.BlockID
-	returnDests []graph.Dest
-	// reclamation state, guarded by ctxMu (non-strict calls may return
-	// before all arguments arrive)
-	argsSent int
-	returned bool
-}
-
-// maybeFreeCtxLocked reclaims a record; the caller holds ctxMu.
-func (f *Facility) maybeFreeCtxLocked(u token.Context, rec *ctxRecord) {
-	if rec.returned && rec.argsSent >= len(f.prog.Block(rec.block).Entries) {
+// settleCtxLocked stores rec as context u's record, or reclaims it once
+// Done; the caller holds ctxMu.
+func (f *Facility) settleCtxLocked(u token.Context, rec graph.Invocation) {
+	if rec.Done(f.cg) {
 		delete(f.ctxs, u)
-		f.ctxFreed.Add(1)
+	} else {
+		f.ctxs[u] = rec
 	}
 }
 
@@ -167,22 +157,26 @@ func New(cfg Config, prog *graph.Program) *Facility {
 	return f
 }
 
-// Build validates cfg and assembles a facility for the program. A
-// dimension outside [0, maxDim] is reported as an error.
+// Build validates cfg and assembles a facility for the program, compiling
+// its execution plan once. A dimension outside [0, maxDim] is reported as
+// an error; a program that fails to compile still yields a facility, and
+// its Run reports the failure.
 func Build(cfg Config, prog *graph.Program) (*Facility, error) {
 	if cfg.Dim < 0 || cfg.Dim > maxDim {
 		return nil, fmt.Errorf("emulator: dimension %d outside [0, %d]", cfg.Dim, maxDim)
 	}
+	cg, err := graph.Compile(prog)
 	n := 1 << cfg.Dim
 	f := &Facility{
-		dim:     cfg.Dim,
-		n:       n,
-		prog:    prog,
-		nextCtx: 1,
-		ctxs:    map[token.Context]*ctxRecord{},
-		done:    make(chan struct{}),
-		alive:   make([][]bool, n),
-		part:    make([]int, n),
+		dim:        cfg.Dim,
+		n:          n,
+		cg:         cg,
+		compileErr: err,
+		nextCtx:    1,
+		ctxs:       map[token.Context]graph.Invocation{},
+		done:       make(chan struct{}),
+		alive:      make([][]bool, n),
+		part:       make([]int, n),
 	}
 	for i := 0; i < n; i++ {
 		f.alive[i] = make([]bool, cfg.Dim)

@@ -53,7 +53,7 @@ def main(n) = fib(n);
 	if got.I != 377 {
 		t.Fatalf("fib(14) = %s", got)
 	}
-	if f.Forwarded.Load() == 0 {
+	if f.Hops.Load() == 0 {
 		t.Fatal("no messages crossed switch modules — routing untested")
 	}
 }
@@ -136,6 +136,11 @@ def main(n) = fib(n);
 	}
 }
 
+// TestEmulatorSurvivesLinkFaults runs fib(13) on an intact cube and on
+// one with dead links, and pins what E11 reports that no goroutine
+// schedule can move: the answer, the firing count (the interpreter's),
+// and the originating messages, Messages − Hops, which are the same on
+// both cubes because re-routing adds forwarding hops only.
 func TestEmulatorSurvivesLinkFaults(t *testing.T) {
 	src := `
 def fib(n) = if n < 2 then n else fib(n - 1) + fib(n - 2);
@@ -145,17 +150,32 @@ def main(n) = fib(n);
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(Config{Dim: 4}, prog)
-	// Injure the cube before the run: several dead links, still connected.
-	f.KillLink(0, 0)
-	f.KillLink(5, 2)
-	f.KillLink(9, 3)
-	got, err := f.Run(token.Int(13))
-	if err != nil {
+	it := graph.NewInterp(prog)
+	if _, err := it.Run(token.Int(13)); err != nil {
 		t.Fatal(err)
 	}
-	if got[0].I != 233 {
-		t.Fatalf("fib(13) = %s after faults", got[0])
+	intact := New(Config{Dim: 4}, prog)
+	wounded := New(Config{Dim: 4}, prog)
+	// Injure the cube before the run: several dead links, still connected.
+	wounded.KillLink(0, 0)
+	wounded.KillLink(5, 2)
+	wounded.KillLink(9, 3)
+	originated := map[string]uint64{}
+	for name, f := range map[string]*Facility{"intact": intact, "damaged": wounded} {
+		got, err := f.Run(token.Int(13))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got[0].I != 233 {
+			t.Fatalf("%s: fib(13) = %s", name, got[0])
+		}
+		if f.Fired.Load() != it.Fired() {
+			t.Errorf("%s: fired %d, interpreter %d", name, f.Fired.Load(), it.Fired())
+		}
+		originated[name] = f.Messages.Load() - f.Hops.Load()
+	}
+	if originated["intact"] != originated["damaged"] {
+		t.Errorf("messages − hops: intact %d, damaged %d", originated["intact"], originated["damaged"])
 	}
 }
 

@@ -2,7 +2,6 @@ package emulator
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/token"
@@ -40,8 +39,6 @@ func (nd *node) handle(m message) {
 			nd.f.fail(fmt.Errorf("emulator: node %d cannot route to %d (partitioned or disconnected)", nd.id, m.dst))
 			return
 		}
-		m.hops++
-		nd.f.Forwarded.Add(1)
 		nd.f.Hops.Add(1)
 		nd.f.post(next, m)
 		return
@@ -71,110 +68,81 @@ func (nd *node) handleIS(r *isRequest) {
 		c.present = true
 		c.value = r.value
 		for _, w := range c.waiters {
-			nd.sendValue(w, r.value)
+			nd.emit(w.activity, w.nt, w.port, r.value)
 		}
 		c.waiters = nil
 		return
 	}
 	if c.present {
-		nd.sendValue(r.reply, c.value)
+		nd.emit(r.reply.activity, r.reply.nt, r.reply.port, c.value)
 		return
 	}
-	nd.f.Deferred.Add(1)
 	c.waiters = append(c.waiters, r.reply)
-}
-
-// sendValue routes a fetched value to its consumer.
-func (nd *node) sendValue(rt replyTag, v token.Value) {
-	t := token.Token{
-		Class: token.Normal,
-		Tag:   token.Tag{Activity: rt.activity},
-		NT:    rt.nt,
-		Port:  rt.port,
-		Value: v,
-	}
-	nd.emit(t)
 }
 
 // deliverToken runs the waiting-matching step and fires enabled
 // instructions.
 func (nd *node) deliverToken(t token.Token) {
+	act := t.Tag.Activity
+	in := &nd.f.cg.Blocks[act.CodeBlock].Instrs[act.Statement]
 	if t.NT <= 1 {
 		var vals [2]token.Value
 		vals[t.Port] = t.Value
-		nd.fire(t.Tag.Activity, vals)
+		nd.fire(in, act, vals)
 		return
 	}
-	key := t.Tag.Activity
-	vals, out := nd.waiting.Match(key, t.Port, t.Value)
+	vals, out := nd.waiting.Match(act, t.Port, t.Value)
 	switch out {
 	case graph.Matched:
-		nd.fire(key, vals)
+		nd.fire(in, act, vals)
 	case graph.Duplicate:
-		nd.f.fail(fmt.Errorf("emulator: duplicate token at %s port %d", key, t.Port))
+		nd.f.fail(fmt.Errorf("emulator: duplicate token at %s port %d", act, t.Port))
 	}
 }
 
 // emit injects a token into this node's switch module; it travels hop by
 // hop toward its home PE through the routing tables.
-func (nd *node) emit(t token.Token) {
+func (nd *node) emit(act token.ActivityName, nt, port uint8, v token.Value) {
+	t := token.Token{
+		Class: token.Normal,
+		Tag:   token.Tag{Activity: act},
+		NT:    nt,
+		Port:  port,
+		Value: v,
+	}
 	t.PE = nd.f.homePE(t.Tag)
 	nd.f.post(nd.id, message{dst: t.PE, tok: t})
 }
 
 // sendToDests applies the standard output-section tag transformation.
-func (nd *node) sendToDests(act token.ActivityName, dests []graph.Dest, v token.Value, initiation uint32) {
-	blk := nd.f.prog.Block(graph.BlockID(act.CodeBlock))
+func (nd *node) sendToDests(act token.ActivityName, dests []graph.CDest, v token.Value, initiation uint32) {
 	for _, d := range dests {
-		newAct := token.ActivityName{
+		nd.emit(token.ActivityName{
 			Context:    act.Context,
 			CodeBlock:  act.CodeBlock,
 			Statement:  d.Stmt,
 			Initiation: initiation,
-		}
-		nd.emit(token.Token{
-			Class: token.Normal,
-			Tag:   token.Tag{Activity: newAct},
-			NT:    blk.Instr(d.Stmt).NT,
-			Port:  d.Port,
-			Value: v,
-		})
+		}, d.NT, d.Port, v)
 	}
-}
-
-// sendTo emits a fully-addressed token (cross-block transfers).
-func (nd *node) sendTo(act token.ActivityName, blkID graph.BlockID, stmt uint16, port uint8, v token.Value) {
-	blk := nd.f.prog.Block(blkID)
-	nd.emit(token.Token{
-		Class: token.Normal,
-		Tag:   token.Tag{Activity: act},
-		NT:    blk.Instr(stmt).NT,
-		Port:  port,
-		Value: v,
-	})
 }
 
 // fire executes one enabled instruction; the case analysis matches the
 // reference interpreter exactly.
-func (nd *node) fire(act token.ActivityName, vals [2]token.Value) {
+func (nd *node) fire(in *graph.CInstr, act token.ActivityName, vals [2]token.Value) {
 	f := nd.f
 	f.Fired.Add(1)
-	blk := f.prog.Block(graph.BlockID(act.CodeBlock))
-	in := blk.Instr(act.Statement)
-	if in.HasLiteral {
-		vals[in.LiteralPort] = in.Literal
+	if in.HasLit {
+		vals[in.LitPort] = in.Lit
 	}
-	if in.Op.IsPure() {
+	switch in.Kind {
+	case graph.KindPure:
 		v, err := graph.Eval(in.Op, vals[0], vals[1])
 		if err != nil {
 			f.fail(fmt.Errorf("emulator: %v at %s %s", err, act, in.Op))
 			return
 		}
 		nd.sendToDests(act, in.Dests, v, act.Initiation)
-		return
-	}
-	switch in.Op {
-	case graph.OpSwitch:
+	case graph.KindSwitch:
 		c, err := vals[1].AsBool()
 		if err != nil {
 			f.fail(fmt.Errorf("emulator: switch control at %s: %v", act, err))
@@ -185,7 +153,7 @@ func (nd *node) fire(act token.ActivityName, vals [2]token.Value) {
 		} else {
 			nd.sendToDests(act, in.DestsFalse, vals[0], act.Initiation)
 		}
-	case graph.OpGetContext:
+	case graph.KindGetContext:
 		f.ctxMu.Lock()
 		u := f.nextCtx
 		if uint64(u) > graph.ContextBudget {
@@ -194,44 +162,44 @@ func (nd *node) fire(act token.ActivityName, vals [2]token.Value) {
 			return
 		}
 		f.nextCtx++
-		f.ctxs[u] = &ctxRecord{
-			block:       in.Target,
-			parent:      act,
-			parentBlock: graph.BlockID(act.CodeBlock),
-			returnDests: in.ReturnDests,
-		}
+		f.ctxs[u] = graph.Invocation{Block: in.Target, Parent: act, ReturnDests: in.RetDests}
 		f.ctxMu.Unlock()
 		nd.sendToDests(act, in.Dests, token.Int(int64(u)), act.Initiation)
-	case graph.OpSendArg, graph.OpL:
+	case graph.KindSendArg:
 		h, err := vals[0].AsInt()
 		if err != nil {
 			f.fail(fmt.Errorf("emulator: %s handle at %s: %v", in.Op, act, err))
 			return
 		}
+		u := token.Context(h)
 		f.ctxMu.Lock()
-		rec, ok := f.ctxs[token.Context(h)]
-		if ok {
-			rec.argsSent++
-			f.maybeFreeCtxLocked(token.Context(h), rec)
+		rec, ok := f.ctxs[u]
+		callee := f.cg.Block(rec.Block)
+		sent := ok && int(in.ArgIndex) < len(callee.Entries)
+		if sent {
+			rec.ArgsSent++
+			f.settleCtxLocked(u, rec)
 		}
 		f.ctxMu.Unlock()
-		if !ok {
+		switch {
+		case !ok:
 			f.fail(fmt.Errorf("emulator: %s at %s: unknown context %d", in.Op, act, h))
 			return
+		case !sent:
+			f.fail(fmt.Errorf("emulator: %s at %s: arg %d exceeds %q entries", in.Op, act, in.ArgIndex, callee.Name))
+			return
 		}
-		callee := f.prog.Block(rec.block)
-		newAct := token.ActivityName{
-			Context:    token.Context(h),
-			CodeBlock:  uint16(rec.block),
+		nd.emit(token.ActivityName{
+			Context:    u,
+			CodeBlock:  uint16(rec.Block),
 			Statement:  callee.Entries[in.ArgIndex],
 			Initiation: 1,
-		}
-		nd.sendTo(newAct, rec.block, newAct.Statement, 0, vals[1])
-	case graph.OpD:
+		}, callee.EntryNT[in.ArgIndex], 0, vals[1])
+	case graph.KindD:
 		nd.sendToDests(act, in.Dests, vals[0], act.Initiation+1)
-	case graph.OpDInv:
+	case graph.KindDInv:
 		nd.sendToDests(act, in.Dests, vals[0], 1)
-	case graph.OpReturn, graph.OpLInv:
+	case graph.KindReturn:
 		if act.Context == 0 {
 			f.resMu.Lock()
 			f.results = append(f.results, vals[0])
@@ -241,40 +209,36 @@ func (nd *node) fire(act token.ActivityName, vals [2]token.Value) {
 		f.ctxMu.Lock()
 		rec, ok := f.ctxs[act.Context]
 		if ok {
-			rec.returned = true
-			f.maybeFreeCtxLocked(act.Context, rec)
+			rec.Returned = true
+			f.settleCtxLocked(act.Context, rec)
 		}
 		f.ctxMu.Unlock()
 		if !ok {
 			f.fail(fmt.Errorf("emulator: %s at %s: unknown context", in.Op, act))
 			return
 		}
-		for _, d := range rec.returnDests {
-			newAct := token.ActivityName{
-				Context:    rec.parent.Context,
-				CodeBlock:  uint16(rec.parentBlock),
+		for _, d := range rec.ReturnDests {
+			nd.emit(token.ActivityName{
+				Context:    rec.Parent.Context,
+				CodeBlock:  rec.Parent.CodeBlock,
 				Statement:  d.Stmt,
-				Initiation: rec.parent.Initiation,
-			}
-			nd.sendTo(newAct, rec.parentBlock, d.Stmt, d.Port, vals[0])
+				Initiation: rec.Parent.Initiation,
+			}, d.NT, d.Port, vals[0])
 		}
-	case graph.OpAllocate:
-		n, err := vals[0].AsInt()
-		if err != nil || n < 0 || n > math.MaxUint32 {
-			f.fail(fmt.Errorf("emulator: allocate at %s: bad size %s", act, vals[0]))
-			return
-		}
+	case graph.KindAllocate:
 		f.allocMu.Lock()
 		base := f.nextAddr
-		if n > int64(graph.CellBudget-base) {
-			f.allocMu.Unlock()
-			f.fail(fmt.Errorf("emulator: allocate at %s: I-structure space exhausted (%d cells, limit %d)", act, n, graph.CellBudget))
+		n, err := graph.AllocSize(vals[0], base)
+		if err == nil {
+			f.nextAddr += n
+		}
+		f.allocMu.Unlock()
+		if err != nil {
+			f.fail(fmt.Errorf("emulator: allocate at %s: %v", act, err))
 			return
 		}
-		f.nextAddr += uint32(n)
-		f.allocMu.Unlock()
-		nd.sendToDests(act, in.Dests, token.NewRef(token.Ref{Base: base, Len: uint32(n)}), act.Initiation)
-	case graph.OpFetch:
+		nd.sendToDests(act, in.Dests, token.NewRef(token.Ref{Base: base, Len: n}), act.Initiation)
+	case graph.KindFetch:
 		addr, ok := graph.CellAddr(vals[0], f.allocTop())
 		if !ok {
 			f.fail(fmt.Errorf("emulator: fetch at %s: bad address %s", act, vals[0]))
@@ -289,17 +253,17 @@ func (nd *node) fire(act token.ActivityName, vals [2]token.Value) {
 				Initiation: act.Initiation,
 			},
 			port: d.Port,
-			nt:   blk.Instr(d.Stmt).NT,
+			nt:   d.NT,
 		}
 		f.post(nd.id, message{dst: f.homeModule(addr), isReq: &isRequest{addr: addr, reply: rt}})
-	case graph.OpStore:
+	case graph.KindStore:
 		addr, ok := graph.CellAddr(vals[0], f.allocTop())
 		if !ok {
 			f.fail(fmt.Errorf("emulator: store at %s: bad address %s", act, vals[0]))
 			return
 		}
 		f.post(nd.id, message{dst: f.homeModule(addr), isReq: &isRequest{write: true, addr: addr, value: vals[1]}})
-	case graph.OpSink, graph.OpNop:
+	case graph.KindSink, graph.KindNop:
 		// absorbed
 	default:
 		f.fail(fmt.Errorf("emulator: cannot execute %s", in.Op))

@@ -31,13 +31,13 @@ func (f *Facility) RunPartition(pid int, args ...token.Value) ([]token.Value, er
 	}
 	f.runNodes = runNodes
 
-	entry := f.prog.Entry()
+	if f.compileErr != nil {
+		return nil, f.compileErr
+	}
+	entry := f.cg.Block(0)
 	if len(args) != len(entry.Entries) {
 		return nil, fmt.Errorf("emulator: program %q wants %d arguments, got %d",
-			f.prog.Name, len(entry.Entries), len(args))
-	}
-	if err := f.prog.Validate(); err != nil {
-		return nil, err
+			f.cg.Prog.Name, len(entry.Entries), len(args))
 	}
 
 	// Inject the argument tokens before any node runs.
@@ -46,7 +46,7 @@ func (f *Facility) RunPartition(pid int, args ...token.Value) ([]token.Value, er
 		t := token.Token{
 			Class: token.Normal,
 			Tag:   token.Tag{Activity: act},
-			NT:    entry.Instr(entry.Entries[j]).NT,
+			NT:    entry.EntryNT[j],
 			Port:  0,
 			Value: v,
 		}

@@ -128,7 +128,7 @@ func E11Emulator(opt Options) Result {
 	speed := float64(f.Fired.Load()) / fmax(1e-3, float64(emuWall.Microseconds())) /
 		(float64(simSummary.Fired) / fmax(1e-3, float64(simWall.Microseconds())))
 	r.Finding = fmt.Sprintf(
-		"both prongs agree on every answer; the emulator interprets ~%.1fx more instructions per wall-second (no internal timings), and survives dead links with %d extra hops",
+		"both prongs agree on every answer; the emulator runs ~%.1fx the detailed simulator's instructions per wall-second (no internal timings), and survives dead links with %d extra hops",
 		speed, int64(wounded.Hops.Load())-int64(intact.Hops.Load()))
 	return r
 }

@@ -31,6 +31,23 @@ func CellAddr(v token.Value, top uint32) (addr uint32, ok bool) {
 	return uint32(a), err == nil && uint64(a) < uint64(top)
 }
 
+// AllocSize is the allocation rule of the host-side backends: this
+// interpreter, internal/direct and the emulator. An ALLOCATE size must be
+// an integer in [0, 2³²), since a structure reference holds a 32-bit
+// length, and must fit within CellBudget beside the top cells already
+// allocated. The fault has no prefix; each caller adds its own. The TTDA
+// checks its own limit, ISCellsPerPE × PEs.
+func AllocSize(v token.Value, top uint32) (uint32, error) {
+	n, err := v.AsInt()
+	if err != nil || n < 0 || n > math.MaxUint32 {
+		return 0, fmt.Errorf("bad size %s", v)
+	}
+	if n > int64(CellBudget-top) {
+		return 0, fmt.Errorf("I-structure space exhausted (%d cells, limit %d)", n, CellBudget)
+	}
+	return uint32(n), nil
+}
+
 // ContextBudget bounds the invocation contexts one run may create in total
 // on every backend that runs MiniID: the TTDA, this interpreter,
 // internal/direct and the emulator. A GET-CONTEXT past it faults with
@@ -40,6 +57,28 @@ func CellAddr(v token.Value, top uint32) (addr uint32, ok bool) {
 // knob: it is about 12 times the most any committed workload creates in
 // one run (21,891 contexts, fib(20)).
 const ContextBudget = 1 << 18
+
+// Invocation is the invocation record of Section 2.2.2's context manager,
+// one per GET-CONTEXT, and every backend that runs MiniID keeps it: the
+// TTDA, this interpreter, internal/direct and the emulator. Parent is the
+// GET-CONTEXT's activity, so a RETURN retags its value to Parent's
+// context, code block and initiation and sends it to ReturnDests.
+type Invocation struct {
+	Block       BlockID // the code block the context executes
+	Returned    bool    // the callee's RETURN has fired
+	Parent      token.ActivityName
+	ReturnDests []CDest
+	ArgsSent    int // arguments sent to the callee's entries so far
+}
+
+// Done is the reclamation rule: a record may be freed once its RETURN
+// fired and every entry of its block received an argument. Dataflow calls
+// are non-strict, so a callee may return before all its arguments arrive,
+// and the record must outlive that return until the last SEND-ARG has
+// looked it up.
+func (inv *Invocation) Done(cg *CompiledGraph) bool {
+	return inv.Returned && inv.ArgsSent >= len(cg.Blocks[inv.Block].Entries)
+}
 
 // Interp is the sequential reference interpreter for dataflow programs. It
 // executes graphs under idealized dataflow semantics: every enabled
@@ -93,18 +132,10 @@ type tok struct {
 	value token.Value
 }
 
+// ctxRecord is an invocation record and whether it is still live.
 type ctxRecord struct {
-	block       BlockID // code block this context executes
-	parent      token.ActivityName
-	parentBlock BlockID
-	returnDests []CDest
-	// reclamation state: the record's only consumers are one SendArg/L
-	// lookup per callee entry and one Return lookup. Dataflow calls are
-	// non-strict — a function may return before all its arguments arrive —
-	// so the record is freed only when both conditions hold.
-	argsSent int
-	returned bool
-	live     bool
+	Invocation
+	live bool
 }
 
 // idealIStore is the interpreter's untimed I-structure storage: presence
@@ -228,14 +259,6 @@ func (it *Interp) ctx(u token.Context) *ctxRecord {
 	return rec
 }
 
-// maybeFreeCtx reclaims a record once its return fired and all its callee
-// entries received their arguments.
-func (it *Interp) maybeFreeCtx(rec *ctxRecord) {
-	if rec.returned && rec.argsSent >= len(it.cg.Block(rec.block).Entries) {
-		rec.live = false
-	}
-}
-
 // Structure returns the element values of an I-structure after execution.
 // Cells never written report token.Nil().
 func (it *Interp) Structure(r token.Ref) []token.Value {
@@ -328,11 +351,8 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 			it.ctxs = append(it.ctxs, ctxRecord{})
 		}
 		it.ctxs[u] = ctxRecord{
-			block:       in.Target,
-			parent:      act,
-			parentBlock: BlockID(act.CodeBlock),
-			returnDests: in.RetDests,
-			live:        true,
+			Invocation: Invocation{Block: in.Target, Parent: act, ReturnDests: in.RetDests},
+			live:       true,
 		}
 		emit(in.Dests, token.Int(int64(u)))
 	case KindSendArg:
@@ -344,15 +364,15 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 		if rec == nil {
 			return fmt.Errorf("%s at %s: unknown context %d", in.Op, act, h)
 		}
-		callee := it.cg.Block(rec.block)
+		callee := it.cg.Block(rec.Block)
 		if int(in.ArgIndex) >= len(callee.Entries) {
 			return fmt.Errorf("%s at %s: arg %d exceeds %q entries", in.Op, act, in.ArgIndex, callee.Name)
 		}
-		rec.argsSent++
-		it.maybeFreeCtx(rec)
+		rec.ArgsSent++
+		rec.live = !rec.Done(it.cg)
 		it.inject(token.ActivityName{
 			Context:    token.Context(h),
-			CodeBlock:  uint16(rec.block),
+			CodeBlock:  uint16(rec.Block),
 			Statement:  callee.Entries[in.ArgIndex],
 			Initiation: 1,
 		}, 0, ops[1])
@@ -383,27 +403,24 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 		if rec == nil {
 			return fmt.Errorf("%s at %s: unknown context", in.Op, act)
 		}
-		rec.returned = true
-		it.maybeFreeCtx(rec)
-		for _, d := range rec.returnDests {
+		rec.Returned = true
+		rec.live = !rec.Done(it.cg)
+		for _, d := range rec.ReturnDests {
 			it.inject(token.ActivityName{
-				Context:    rec.parent.Context,
-				CodeBlock:  uint16(rec.parentBlock),
+				Context:    rec.Parent.Context,
+				CodeBlock:  rec.Parent.CodeBlock,
 				Statement:  d.Stmt,
-				Initiation: rec.parent.Initiation,
+				Initiation: rec.Parent.Initiation,
 			}, d.Port, ops[0])
 		}
 	case KindAllocate:
-		n, err := ops[0].AsInt()
-		if err != nil || n < 0 || n > math.MaxUint32 {
-			return fmt.Errorf("allocate at %s: bad size %s", act, ops[0])
-		}
-		base := len(it.store.cells)
-		if n > int64(CellBudget-base) {
-			return fmt.Errorf("allocate at %s: I-structure space exhausted (%d cells, limit %d)", act, n, CellBudget)
+		base := uint32(len(it.store.cells))
+		n, err := AllocSize(ops[0], base)
+		if err != nil {
+			return fmt.Errorf("allocate at %s: %v", act, err)
 		}
 		it.store.cells = append(it.store.cells, make([]idealCell, n)...)
-		emit(in.Dests, token.NewRef(token.Ref{Base: uint32(base), Len: uint32(n)}))
+		emit(in.Dests, token.NewRef(token.Ref{Base: base, Len: n}))
 	case KindFetch:
 		addr, ok := CellAddr(ops[0], uint32(len(it.store.cells)))
 		if !ok {

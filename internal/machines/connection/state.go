@@ -14,19 +14,10 @@ import (
 // SIMD program itself is host code and is not part of the state; resuming
 // a checkpoint means re-running the host program from the matching
 // instruction boundary against the restored array.
-
-// wordCodec serializes the only payload type the array routes: one word.
-type wordCodec struct{}
-
-func (wordCodec) Save(e *sim.Enc, v interface{}) {
-	w, ok := v.(int64)
-	if !ok {
-		panic(fmt.Sprintf("connection: unexpected payload %T", v))
-	}
-	e.I64(w)
-}
-
-func (wordCodec) Load(d *sim.Dec) interface{} { return d.I64() }
+//
+// A drained fabric holds no packet, so the fabric and the retry queue are
+// saved and loaded without a payload codec: a payload that reached a
+// checkpoint would make network.SavePacket panic and LoadPacket fail.
 
 // SaveState serializes the array between broadcast instructions
 // (sim.Stateful). It panics when called mid-Route: the delivery callback
@@ -54,8 +45,8 @@ func (m *Machine) SaveState(e *sim.Enc) {
 	m.RouteCycles.Save(e)
 	m.Routed.Save(e)
 	m.RouteSteps.Save(e)
-	m.net.(network.Checkpointable).SaveTo(e, wordCodec{})
-	m.retry.SaveTo(e, wordCodec{})
+	m.net.(network.Checkpointable).SaveTo(e, nil)
+	m.retry.SaveTo(e, nil)
 }
 
 // LoadState restores the array (sim.Stateful).
@@ -96,10 +87,10 @@ func (m *Machine) LoadState(d *sim.Dec) error {
 	m.RouteCycles.Load(d)
 	m.Routed.Load(d)
 	m.RouteSteps.Load(d)
-	if err := m.net.(network.Checkpointable).LoadFrom(d, wordCodec{}); err != nil {
+	if err := m.net.(network.Checkpointable).LoadFrom(d, nil); err != nil {
 		return err
 	}
-	if err := m.retry.LoadFrom(d, wordCodec{}, m.n); err != nil {
+	if err := m.retry.LoadFrom(d, nil, m.n); err != nil {
 		return err
 	}
 	m.pendingDeliver = m.pendingDeliver[:0]

@@ -152,6 +152,8 @@ func TestErrorContract(t *testing.T) {
 		{"empty spec", `{}`, http.StatusBadRequest},
 		{"program and experiment", `{"experiment":"E1","kind":"minid","machine":"ttda","program":"def main(n) = n;"}`, http.StatusBadRequest},
 		{"unknown experiment", `{"experiment":"E15"}`, http.StatusNotFound},
+		{"ablation as experiment", `{"experiment":"A1"}`, http.StatusNotFound},
+		{"lower-case experiment", `{"experiment":"e1"}`, http.StatusNotFound},
 		{"unknown machine", runBody(t, KindMiniID, "vax", doubleID, nil), http.StatusNotFound},
 		{"unknown kind", runBody(t, "fortran", "ttda", doubleID, nil), http.StatusBadRequest},
 		{"kind/machine mismatch", runBody(t, KindMiniID, "vn", doubleID, nil), http.StatusBadRequest},
@@ -181,6 +183,17 @@ func TestErrorContract(t *testing.T) {
 			}
 			assertHealthy(t, s)
 		})
+	}
+}
+
+// TestUnknownExperimentText pins the 404 text of an experiment job that
+// names no paper experiment: its range comes from experiments.List.
+func TestUnknownExperimentText(t *testing.T) {
+	for _, id := range []string{"E15", "A1", "e1"} {
+		want := fmt.Sprintf("unknown experiment %q (want E1..E14)", id)
+		if err := (&JobSpec{Experiment: id}).normalize(); err == nil || err.Error() != want {
+			t.Errorf("normalize(%q) = %v, want %q", id, err, want)
+		}
 	}
 }
 

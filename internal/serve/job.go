@@ -20,7 +20,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/http"
-	"regexp"
+
+	"repro/internal/experiments"
 )
 
 // Program kinds.
@@ -110,7 +111,20 @@ var machineKind = map[string]string{
 	"hep":    KindVNAsm,
 }
 
-var experimentID = regexp.MustCompile(`^E([1-9]|1[0-4])$`)
+// paperExperiments names the range of experiment jobs, the first and last
+// paper experiment of experiments.List; ablations are not served.
+func paperExperiments() string {
+	var first, last string
+	for _, e := range experiments.List {
+		if !e.Ablation() {
+			if first == "" {
+				first = e.ID
+			}
+			last = e.ID
+		}
+	}
+	return first + ".." + last
+}
 
 // normalize validates the spec, applies defaults, and zeroes
 // configuration fields the chosen machine ignores. It must be called
@@ -132,8 +146,8 @@ func (s *JobSpec) normalize() error {
 		if s.Program != "" || s.Kind != "" || s.Machine != "" || len(s.Args) != 0 {
 			return errf(http.StatusBadRequest, "experiment jobs take no program, kind, machine, or args")
 		}
-		if !experimentID.MatchString(s.Experiment) {
-			return errf(http.StatusNotFound, "unknown experiment %q (want E1..E14)", s.Experiment)
+		if e, ok := experiments.Lookup(s.Experiment); !ok || e.Ablation() {
+			return errf(http.StatusNotFound, "unknown experiment %q (want %s)", s.Experiment, paperExperiments())
 		}
 		*c = Config{MaxCycles: c.MaxCycles}
 		return nil
