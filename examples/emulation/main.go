@@ -1,8 +1,9 @@
 // The Section 3 emulation facility in action: a 32-node hypercube of
-// goroutine PEs runs a compiled dataflow program; we then injure the cube
-// (dead links), let table-based routing steer around the damage, and
-// finally split the facility into two independent sub-machines — the three
-// capabilities the paper designed the testbed around.
+// PE+switch modules, emulated on one host thread, runs a compiled dataflow
+// program; we then injure the cube (dead links), let table-based routing
+// steer around the damage, and finally split the facility into two
+// independent sub-machines — the three capabilities the paper designed the
+// testbed around.
 //
 //	go run ./examples/emulation
 package main
@@ -54,8 +55,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("same program with 4 dead links: %v — answer unchanged\n", res[0])
-	fmt.Printf("  %d forwarded hops (%+d vs healthy: the re-route detours)\n\n",
-		g.Hops.Load(), int64(g.Hops.Load())-int64(f.Hops.Load()))
+	fmt.Printf("  %d forwarded hops, %d of them detours beyond the shortest routes\n\n",
+		g.Hops.Load(), g.Detour())
 
 	// Static partitioning: two independent 16-node machines.
 	sum, err := id.Compile(workload.SumLoopID)

@@ -1,7 +1,7 @@
 // Quickstart: compile the paper's Figure 2-2 program (trapezoidal-rule
 // integration written in MiniID) and run it three ways — on the reference
 // interpreter, on the cycle-accurate tagged-token machine, and on the
-// goroutine-based emulation facility — then check that all three agree.
+// untimed hypercube emulation facility — then check that all three agree.
 //
 //	go run ./examples/quickstart
 package main

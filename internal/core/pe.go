@@ -525,8 +525,9 @@ func (pe *PE) execSendArg(in *graph.CInstr, act token.ActivityName, vals [2]toke
 		pe.m.fail(fmt.Errorf("core: %s handle at %s: %v", in.Op, act, err))
 		return
 	}
-	rec := pe.m.ctxLookup(token.Context(h))
-	if rec == nil {
+	u, ok := graph.ContextHandle(h)
+	rec := pe.m.ctxLookup(u)
+	if !ok || rec == nil {
 		pe.m.fail(fmt.Errorf("core: %s at %s: unknown context %d", in.Op, act, h))
 		return
 	}
@@ -537,13 +538,13 @@ func (pe *PE) execSendArg(in *graph.CInstr, act token.ActivityName, vals [2]toke
 	}
 	rec.ArgsSent++
 	newAct := token.ActivityName{
-		Context:    token.Context(h),
+		Context:    u,
 		CodeBlock:  uint16(rec.Block),
 		Statement:  callee.Entries[in.ArgIndex],
 		Initiation: 1,
 	}
 	nt := callee.EntryNT[in.ArgIndex]
-	pe.m.maybeFreeContext(token.Context(h), rec)
+	pe.m.maybeFreeContext(u, rec)
 	pe.sendToken(newAct, nt, 0, vals[1])
 }
 

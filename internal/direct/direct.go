@@ -366,8 +366,9 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 		if err != nil {
 			return fmt.Errorf("direct: %s handle: %v", in.Op, err)
 		}
-		callee := x.ctx(h)
-		if callee == nil {
+		u, ok := graph.ContextHandle(h)
+		callee := x.ctx(u)
+		if !ok || callee == nil {
 			return fmt.Errorf("direct: %s at (u=%d,c=%d,s=%d,i=%d): unknown context %d", in.Op, d.ctx, cs.cb.ID, d.stmt, d.init, h)
 		}
 		if int(in.ArgIndex) >= len(callee.cb.Entries) {
@@ -375,7 +376,7 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 		}
 		callee.ArgsSent++
 		callee.live = !callee.Done(x.cg)
-		x.push(uint32(h), 1, callee.cb.Entries[in.ArgIndex], 0, vals[1])
+		x.push(uint32(u), 1, callee.cb.Entries[in.ArgIndex], 0, vals[1])
 	case graph.KindD:
 		for _, dst := range in.Dests {
 			x.queue = append(x.queue, delivery{ctx: d.ctx, init: d.init + 1, stmt: dst.Stmt, port: dst.Port, val: vals[0]})
@@ -447,12 +448,12 @@ func (x *Exec) fire(in *graph.CInstr, cs *ctxState, d delivery, vals [2]token.Va
 	return nil
 }
 
-// ctx returns the live record for context handle h, or nil.
-func (x *Exec) ctx(h int64) *ctxState {
-	if h < 1 || h >= int64(len(x.ctxs)) {
+// ctx returns the live record for context u, or nil.
+func (x *Exec) ctx(u token.Context) *ctxState {
+	if u < 1 || uint64(u) >= uint64(len(x.ctxs)) {
 		return nil
 	}
-	cs := x.ctxs[h]
+	cs := x.ctxs[u]
 	if !cs.live {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -83,9 +84,7 @@ func TestInvalidSizesErrorCleanly(t *testing.T) {
 	}
 }
 
-// twoNodeGolden is the schedule-independent observable set of a 2-node
-// run: the answer and the dataflow firing/message totals are fixed by
-// the program, not by goroutine interleaving.
+// twoNodeGolden is the observable set of a 2-node run.
 type twoNodeGolden struct {
 	Result   int64  `json:"result"`
 	Nodes    int    `json:"nodes"`
@@ -118,5 +117,61 @@ func TestTwoNodeGolden(t *testing.T) {
 		Fired:    f.Fired.Load(),
 		Messages: f.Messages.Load(),
 		Hops:     f.Hops.Load(),
+	})
+}
+
+// cubeCounts is what E11 reports of one fib run on a 32-node cube.
+type cubeCounts struct {
+	Result   int64  `json:"result"`
+	Fired    uint64 `json:"fired"`
+	Messages uint64 `json:"messages"`
+	Hops     uint64 `json:"hops"`
+	Detour   uint64 `json:"detour"`
+}
+
+// runE11Fib runs E11's fib(n) on its 32-node cube, intact or with E11's
+// three dead links.
+func runE11Fib(t *testing.T, n int64, dead bool) cubeCounts {
+	t.Helper()
+	prog, args := buildFor(t, workload.FibID, token.Int(n))
+	f := New(Config{Dim: 5}, prog)
+	if dead {
+		f.KillLink(0, 0)
+		f.KillLink(7, 2)
+		f.KillLink(19, 4)
+	}
+	res, err := f.Run(args...)
+	if err != nil {
+		t.Fatalf("fib(%d): %v", n, err)
+	}
+	return cubeCounts{Result: res[0].I, Fired: f.Fired.Load(), Messages: f.Messages.Load(), Hops: f.Hops.Load(), Detour: f.Detour()}
+}
+
+// TestEmulatorCountsRepeat runs E11's full-mode fib(16), on the intact
+// cube and with the three dead links, twice at GOMAXPROCS 1 and twice at
+// 2. The facility handles every message in posting order on one host
+// thread, so every count repeats exactly.
+func TestEmulatorCountsRepeat(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, dead := range []bool{false, true} {
+		var first cubeCounts
+		for i, procs := range []int{1, 1, 2, 2} {
+			runtime.GOMAXPROCS(procs)
+			got := runE11Fib(t, 16, dead)
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Errorf("dead links %v, run %d at GOMAXPROCS %d: %+v, first run %+v", dead, i, procs, got, first)
+			}
+		}
+	}
+}
+
+// TestCube32Golden pins E11's quick-mode fib(12) on the intact 32-node
+// cube and with the three dead links, bit for bit.
+func TestCube32Golden(t *testing.T) {
+	simtest.Check(t, "testdata/cube32_fib12.json", map[string]cubeCounts{
+		"intact":     runE11Fib(t, 12, false),
+		"dead links": runE11Fib(t, 12, true),
 	})
 }

@@ -2,9 +2,11 @@
 // development plan: the multiprocessor emulation facility. Where
 // internal/core models the tagged-token machine with detailed timing, the
 // emulator gives up internal timings to run big programs fast — exactly
-// the trade the paper describes — by mapping each processing element (with
-// its integrated packet-switch module) onto a goroutine and each hypercube
-// link onto message passing between nodes.
+// the trade the paper describes. It interprets every processing element
+// (with its integrated packet-switch module) on the caller's goroutine:
+// each posted message waits in one facility queue, tagged with the node
+// whose switch holds it, and messages are handled in posting order, one
+// hop at a time, so every count a run reports repeats exactly.
 //
 // The facility reproduces the Section 3 mechanisms:
 //
@@ -39,8 +41,8 @@ type Config struct {
 	Dim int
 }
 
-// maxDim bounds the cube: beyond 2^20 nodes the goroutine-per-node model
-// is certainly a configuration mistake.
+// maxDim bounds the cube at 2^20 nodes, far past the paper's 128: a
+// larger cube is certainly a configuration mistake.
 const maxDim = 20
 
 // maxMessages bounds total message traffic as a runaway guard.
@@ -48,6 +50,7 @@ const maxMessages = 500_000_000
 
 // message is one packet between switch modules.
 type message struct {
+	at  int // the node whose switch the message waits at
 	dst int
 	// exactly one of tok / isReq is meaningful
 	tok   token.Token
@@ -79,42 +82,40 @@ type Facility struct {
 	// selected partition; the whole cube by default).
 	runNodes []int
 
-	// routing: next hop tables, guarded for mid-run fault injection
+	// routing: next hop tables, guarded because KillLink may re-route
+	// from another goroutine mid-run
 	routeMu sync.RWMutex
 	alive   [][]bool
 	table   [][]int16 // table[node][dst] = next node (or -1)
 	part    []int
 
+	// queue holds every posted message not yet handled, in posting order
+	queue sim.FIFO[message]
+
 	// context manager (the facility's "microcode task")
-	ctxMu   sync.Mutex
 	nextCtx token.Context
 	ctxs    map[token.Context]graph.Invocation
 
-	// I-structure allocation
-	allocMu  sync.Mutex
+	// nextAddr is the first I-structure address not yet allocated
 	nextAddr uint32
 
-	// termination detection: units = queued messages not yet fully
-	// processed; when it falls to zero the machine is quiescent
-	units    atomic.Int64
-	done     chan struct{}
-	doneOnce sync.Once
-
-	// results and faults
-	resMu   sync.Mutex
 	results []token.Value
 	runErr  error
 
+	// shortest sums each originated message's shortest route, the
+	// Hamming distance from its source node to its destination
+	shortest uint64
+
 	// statistics: Messages counts every message posted, Hops every
-	// forwarding step between switch modules
+	// forwarding step between switch modules; atomic so that another
+	// goroutine may watch a run's progress
 	Messages atomic.Uint64
 	Hops     atomic.Uint64
 	Fired    atomic.Uint64
 }
 
-// settleCtxLocked stores rec as context u's record, or reclaims it once
-// Done; the caller holds ctxMu.
-func (f *Facility) settleCtxLocked(u token.Context, rec graph.Invocation) {
+// settleCtx stores rec as context u's record, or reclaims it once Done.
+func (f *Facility) settleCtx(u token.Context, rec graph.Invocation) {
 	if rec.Done(f.cg) {
 		delete(f.ctxs, u)
 	} else {
@@ -122,19 +123,11 @@ func (f *Facility) settleCtxLocked(u token.Context, rec graph.Invocation) {
 	}
 }
 
-// node is one PE plus its integrated switch module.
+// node is one PE plus its integrated switch module: its waiting-matching
+// store and the I-structure cells it owns.
 type node struct {
-	f  *Facility
-	id int
-
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue sim.FIFO[message] // switch queue: a ring, refilled in place as it drains
-	stop  bool
-
-	// dataflow interpretation state (touched only by this node's
-	// goroutine): the waiting-matching store and the I-structure cells
-	// this node owns
+	f       *Facility
+	id      int
 	waiting graph.MatchTable
 	cells   map[uint32]*cell
 
@@ -174,7 +167,6 @@ func Build(cfg Config, prog *graph.Program) (*Facility, error) {
 		compileErr: err,
 		nextCtx:    1,
 		ctxs:       map[token.Context]graph.Invocation{},
-		done:       make(chan struct{}),
 		alive:      make([][]bool, n),
 		part:       make([]int, n),
 	}
@@ -183,9 +175,7 @@ func Build(cfg Config, prog *graph.Program) (*Facility, error) {
 		for k := range f.alive[i] {
 			f.alive[i][k] = true
 		}
-		nd := &node{f: f, id: i, cells: map[uint32]*cell{}}
-		nd.cond = sync.NewCond(&nd.mu)
-		f.nodes = append(f.nodes, nd)
+		f.nodes = append(f.nodes, &node{f: f, id: i, cells: map[uint32]*cell{}})
 	}
 	f.recomputeTablesLocked()
 	return f, nil
@@ -203,7 +193,7 @@ func (f *Facility) KillLink(nd, k int) {
 
 // Partition splits the facility; nil restores one machine. Programs run
 // within the partition of the node their tokens hash to, so partitioning
-// is meaningful for runs started with RunOnPartition.
+// is meaningful for runs started with RunPartition.
 func (f *Facility) Partition(assign []int) {
 	f.routeMu.Lock()
 	defer f.routeMu.Unlock()
@@ -264,46 +254,31 @@ func (f *Facility) nextHop(at, dst int) int {
 	return int(f.table[at][dst])
 }
 
-// fail records the first fault and wakes everyone up.
+// fail records the run's first fault; the run stops at the next message.
 func (f *Facility) fail(err error) {
-	f.resMu.Lock()
 	if f.runErr == nil {
 		f.runErr = err
 	}
-	f.resMu.Unlock()
-	f.finish()
 }
 
-func (f *Facility) finish() {
-	f.doneOnce.Do(func() { close(f.done) })
-}
-
-// post enqueues a message at a node's switch, accounting a unit of work.
+// post queues m at node at's switch.
 func (f *Facility) post(at int, m message) {
 	if f.Messages.Add(1) > maxMessages {
 		f.fail(fmt.Errorf("emulator: message budget exhausted"))
 		return
 	}
-	f.units.Add(1)
-	nd := f.nodes[at]
-	nd.mu.Lock()
-	nd.queue.Push(m)
-	nd.mu.Unlock()
-	nd.cond.Signal()
+	m.at = at
+	f.queue.Push(m)
 }
+
+// Detour returns the hops a completed run took beyond each message's
+// shortest route: zero on an intact cube, the re-routing cost on a
+// damaged one.
+func (f *Facility) Detour() uint64 { return f.Hops.Load() - f.shortest }
 
 // homePE maps a tag onto the current run's node set.
 func (f *Facility) homePE(t token.Tag) int {
 	return f.runNodes[t.HomePE(len(f.runNodes))]
-}
-
-// allocTop is the first structure address not yet allocated, read under
-// the allocator's lock: a node checking a FETCH or STORE address races
-// with allocations on other nodes.
-func (f *Facility) allocTop() uint32 {
-	f.allocMu.Lock()
-	defer f.allocMu.Unlock()
-	return f.nextAddr
 }
 
 // homeModule maps a structure address onto its owning node.

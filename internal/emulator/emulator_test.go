@@ -137,10 +137,11 @@ def main(n) = fib(n);
 }
 
 // TestEmulatorSurvivesLinkFaults runs fib(13) on an intact cube and on
-// one with dead links, and pins what E11 reports that no goroutine
-// schedule can move: the answer, the firing count (the interpreter's),
-// and the originating messages, Messages − Hops, which are the same on
-// both cubes because re-routing adds forwarding hops only.
+// one with dead links, and pins what E11 reports: the answer, the firing
+// count (the interpreter's), the originating messages, Messages − Hops,
+// which are the same on both cubes because re-routing adds forwarding
+// hops only, and the detour, which is zero on the intact cube and
+// positive on the damaged one.
 func TestEmulatorSurvivesLinkFaults(t *testing.T) {
 	src := `
 def fib(n) = if n < 2 then n else fib(n - 1) + fib(n - 2);
@@ -160,7 +161,7 @@ def main(n) = fib(n);
 	wounded.KillLink(0, 0)
 	wounded.KillLink(5, 2)
 	wounded.KillLink(9, 3)
-	originated := map[string]uint64{}
+	originated, detour := map[string]uint64{}, map[string]uint64{}
 	for name, f := range map[string]*Facility{"intact": intact, "damaged": wounded} {
 		got, err := f.Run(token.Int(13))
 		if err != nil {
@@ -173,9 +174,13 @@ def main(n) = fib(n);
 			t.Errorf("%s: fired %d, interpreter %d", name, f.Fired.Load(), it.Fired())
 		}
 		originated[name] = f.Messages.Load() - f.Hops.Load()
+		detour[name] = f.Detour()
 	}
 	if originated["intact"] != originated["damaged"] {
 		t.Errorf("messages − hops: intact %d, damaged %d", originated["intact"], originated["damaged"])
+	}
+	if detour["intact"] != 0 || detour["damaged"] == 0 {
+		t.Errorf("detour: intact %d (want 0), damaged %d (want > 0)", detour["intact"], detour["damaged"])
 	}
 }
 
@@ -274,8 +279,8 @@ def main(n) = fib(n);
 }
 
 func TestEmulatorConcurrentFacilities(t *testing.T) {
-	// Several independent facilities running at once (each with its own
-	// goroutine pool) must not interfere.
+	// Several independent facilities running at once, each on its own
+	// goroutine, must not interfere.
 	prog, err := id.Compile(`def main(n) = (initial s <- 0 for i from 1 to n do new s <- s + i return s);`)
 	if err != nil {
 		t.Fatal(err)

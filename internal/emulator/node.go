@@ -2,34 +2,11 @@ package emulator
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/token"
 )
-
-// loop is one PE+switch module's goroutine: take the next message off the
-// switch queue, forward it if it belongs elsewhere, interpret it locally
-// otherwise. Exits when the facility finishes.
-func (nd *node) loop() {
-	for {
-		nd.mu.Lock()
-		for nd.queue.Empty() && !nd.stop {
-			nd.cond.Wait()
-		}
-		if nd.stop {
-			nd.mu.Unlock()
-			return
-		}
-		m := nd.queue.Pop() // Pop clears the slot, Drop would not: a message can hold an *isRequest
-		nd.mu.Unlock()
-
-		nd.handle(m)
-		// the unit is released only after all child messages were posted
-		if nd.f.units.Add(-1) == 0 {
-			nd.f.finish()
-		}
-	}
-}
 
 // handle forwards or locally processes one message.
 func (nd *node) handle(m message) {
@@ -51,9 +28,7 @@ func (nd *node) handle(m message) {
 	nd.deliverToken(m.tok)
 }
 
-// handleIS services an I-structure request at the owning node. Cells are
-// owned exclusively by this goroutine: presence bits and deferred lists
-// need no locks.
+// handleIS services an I-structure request at the owning node.
 func (nd *node) handleIS(r *isRequest) {
 	c := nd.cells[r.addr]
 	if c == nil {
@@ -111,7 +86,14 @@ func (nd *node) emit(act token.ActivityName, nt, port uint8, v token.Value) {
 		Value: v,
 	}
 	t.PE = nd.f.homePE(t.Tag)
-	nd.f.post(nd.id, message{dst: t.PE, tok: t})
+	nd.send(message{dst: t.PE, tok: t})
+}
+
+// send originates m at this node's switch, counting its shortest route:
+// the Hamming distance from this node to its destination.
+func (nd *node) send(m message) {
+	nd.f.shortest += uint64(bits.OnesCount(uint(nd.id ^ m.dst)))
+	nd.f.post(nd.id, m)
 }
 
 // sendToDests applies the standard output-section tag transformation.
@@ -154,16 +136,13 @@ func (nd *node) fire(in *graph.CInstr, act token.ActivityName, vals [2]token.Val
 			nd.sendToDests(act, in.DestsFalse, vals[0], act.Initiation)
 		}
 	case graph.KindGetContext:
-		f.ctxMu.Lock()
 		u := f.nextCtx
 		if uint64(u) > graph.ContextBudget {
-			f.ctxMu.Unlock()
 			f.fail(fmt.Errorf("emulator: get-context at %s: context space exhausted (%d contexts, limit %d)", act, u, graph.ContextBudget))
 			return
 		}
 		f.nextCtx++
 		f.ctxs[u] = graph.Invocation{Block: in.Target, Parent: act, ReturnDests: in.RetDests}
-		f.ctxMu.Unlock()
 		nd.sendToDests(act, in.Dests, token.Int(int64(u)), act.Initiation)
 	case graph.KindSendArg:
 		h, err := vals[0].AsInt()
@@ -171,24 +150,19 @@ func (nd *node) fire(in *graph.CInstr, act token.ActivityName, vals [2]token.Val
 			f.fail(fmt.Errorf("emulator: %s handle at %s: %v", in.Op, act, err))
 			return
 		}
-		u := token.Context(h)
-		f.ctxMu.Lock()
-		rec, ok := f.ctxs[u]
-		callee := f.cg.Block(rec.Block)
-		sent := ok && int(in.ArgIndex) < len(callee.Entries)
-		if sent {
-			rec.ArgsSent++
-			f.settleCtxLocked(u, rec)
-		}
-		f.ctxMu.Unlock()
-		switch {
-		case !ok:
+		u, ok := graph.ContextHandle(h)
+		rec, live := f.ctxs[u]
+		if !ok || !live {
 			f.fail(fmt.Errorf("emulator: %s at %s: unknown context %d", in.Op, act, h))
 			return
-		case !sent:
+		}
+		callee := f.cg.Block(rec.Block)
+		if int(in.ArgIndex) >= len(callee.Entries) {
 			f.fail(fmt.Errorf("emulator: %s at %s: arg %d exceeds %q entries", in.Op, act, in.ArgIndex, callee.Name))
 			return
 		}
+		rec.ArgsSent++
+		f.settleCtx(u, rec)
 		nd.emit(token.ActivityName{
 			Context:    u,
 			CodeBlock:  uint16(rec.Block),
@@ -201,22 +175,16 @@ func (nd *node) fire(in *graph.CInstr, act token.ActivityName, vals [2]token.Val
 		nd.sendToDests(act, in.Dests, vals[0], 1)
 	case graph.KindReturn:
 		if act.Context == 0 {
-			f.resMu.Lock()
 			f.results = append(f.results, vals[0])
-			f.resMu.Unlock()
 			return
 		}
-		f.ctxMu.Lock()
 		rec, ok := f.ctxs[act.Context]
-		if ok {
-			rec.Returned = true
-			f.settleCtxLocked(act.Context, rec)
-		}
-		f.ctxMu.Unlock()
 		if !ok {
 			f.fail(fmt.Errorf("emulator: %s at %s: unknown context", in.Op, act))
 			return
 		}
+		rec.Returned = true
+		f.settleCtx(act.Context, rec)
 		for _, d := range rec.ReturnDests {
 			nd.emit(token.ActivityName{
 				Context:    rec.Parent.Context,
@@ -226,20 +194,16 @@ func (nd *node) fire(in *graph.CInstr, act token.ActivityName, vals [2]token.Val
 			}, d.NT, d.Port, vals[0])
 		}
 	case graph.KindAllocate:
-		f.allocMu.Lock()
 		base := f.nextAddr
 		n, err := graph.AllocSize(vals[0], base)
-		if err == nil {
-			f.nextAddr += n
-		}
-		f.allocMu.Unlock()
 		if err != nil {
 			f.fail(fmt.Errorf("emulator: allocate at %s: %v", act, err))
 			return
 		}
+		f.nextAddr += n
 		nd.sendToDests(act, in.Dests, token.NewRef(token.Ref{Base: base, Len: n}), act.Initiation)
 	case graph.KindFetch:
-		addr, ok := graph.CellAddr(vals[0], f.allocTop())
+		addr, ok := graph.CellAddr(vals[0], f.nextAddr)
 		if !ok {
 			f.fail(fmt.Errorf("emulator: fetch at %s: bad address %s", act, vals[0]))
 			return
@@ -255,14 +219,14 @@ func (nd *node) fire(in *graph.CInstr, act token.ActivityName, vals [2]token.Val
 			port: d.Port,
 			nt:   d.NT,
 		}
-		f.post(nd.id, message{dst: f.homeModule(addr), isReq: &isRequest{addr: addr, reply: rt}})
+		nd.send(message{dst: f.homeModule(addr), isReq: &isRequest{addr: addr, reply: rt}})
 	case graph.KindStore:
-		addr, ok := graph.CellAddr(vals[0], f.allocTop())
+		addr, ok := graph.CellAddr(vals[0], f.nextAddr)
 		if !ok {
 			f.fail(fmt.Errorf("emulator: store at %s: bad address %s", act, vals[0]))
 			return
 		}
-		f.post(nd.id, message{dst: f.homeModule(addr), isReq: &isRequest{write: true, addr: addr, value: vals[1]}})
+		nd.send(message{dst: f.homeModule(addr), isReq: &isRequest{write: true, addr: addr, value: vals[1]}})
 	case graph.KindSink, graph.KindNop:
 		// absorbed
 	default:

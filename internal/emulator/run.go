@@ -2,7 +2,6 @@ package emulator
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/token"
 )
@@ -40,7 +39,8 @@ func (f *Facility) RunPartition(pid int, args ...token.Value) ([]token.Value, er
 			f.cg.Prog.Name, len(entry.Entries), len(args))
 	}
 
-	// Inject the argument tokens before any node runs.
+	// Inject the argument tokens, then handle every message in posting
+	// order, each at the switch it waits at, until none is left.
 	for j, v := range args {
 		act := token.ActivityName{Context: 0, CodeBlock: uint16(entry.ID), Statement: entry.Entries[j], Initiation: 1}
 		t := token.Token{
@@ -53,38 +53,17 @@ func (f *Facility) RunPartition(pid int, args ...token.Value) ([]token.Value, er
 		t.PE = f.homePE(t.Tag)
 		f.post(t.PE, message{dst: t.PE, tok: t})
 	}
-
-	var wg sync.WaitGroup
-	for _, nd := range f.nodes {
-		wg.Add(1)
-		nd := nd
-		go func() {
-			defer wg.Done()
-			nd.loop()
-		}()
+	for f.runErr == nil && !f.queue.Empty() {
+		m := f.queue.Pop() // Pop clears the slot: a message can hold an *isRequest
+		f.nodes[m.at].handle(m)
 	}
-	<-f.done
-
-	// Shut the modules down and wait for them.
-	for _, nd := range f.nodes {
-		nd.mu.Lock()
-		nd.stop = true
-		nd.mu.Unlock()
-		nd.cond.Broadcast()
-	}
-	wg.Wait()
-
-	f.resMu.Lock()
-	err := f.runErr
-	results := f.results
-	f.resMu.Unlock()
-	if err != nil {
-		return nil, err
+	if f.runErr != nil {
+		return nil, f.runErr
 	}
 	if err := f.checkClean(); err != nil {
 		return nil, err
 	}
-	return results, nil
+	return f.results, nil
 }
 
 // checkClean distinguishes completion from deadlock after quiescence.

@@ -31,6 +31,16 @@ func CellAddr(v token.Value, top uint32) (addr uint32, ok bool) {
 	return uint32(a), err == nil && uint64(a) < uint64(top)
 }
 
+// ContextHandle is the handle rule of every backend that runs MiniID: the
+// TTDA, this interpreter, internal/direct and the emulator. A SEND-ARG
+// handle can name a context only if it lies in [0, 2³²), the width of a
+// context name. The check is made on the handle's full value, before any
+// narrowing to 32 bits, so 2³²+u never names context u. ok is false for
+// any other handle, and the caller faults with "unknown context h".
+func ContextHandle(h int64) (u token.Context, ok bool) {
+	return token.Context(h), h >= 0 && h <= math.MaxUint32
+}
+
 // AllocSize is the allocation rule of the host-side backends: this
 // interpreter, internal/direct and the emulator. An ALLOCATE size must be
 // an integer in [0, 2³²), since a structure reference holds a 32-bit
@@ -360,8 +370,9 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 		if err != nil {
 			return fmt.Errorf("%s handle at %s: %v", in.Op, act, err)
 		}
-		rec := it.ctx(token.Context(h))
-		if rec == nil {
+		u, ok := ContextHandle(h)
+		rec := it.ctx(u)
+		if !ok || rec == nil {
 			return fmt.Errorf("%s at %s: unknown context %d", in.Op, act, h)
 		}
 		callee := it.cg.Block(rec.Block)
@@ -371,7 +382,7 @@ func (it *Interp) fire(in *CInstr, act token.ActivityName, vals [2]token.Value) 
 		rec.ArgsSent++
 		rec.live = !rec.Done(it.cg)
 		it.inject(token.ActivityName{
-			Context:    token.Context(h),
+			Context:    u,
 			CodeBlock:  uint16(rec.Block),
 			Statement:  callee.Entries[in.ArgIndex],
 			Initiation: 1,

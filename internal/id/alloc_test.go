@@ -66,9 +66,11 @@ func TestAllocateSizeBounds(t *testing.T) {
 // I-structure cell is the single-assignment fault everywhere, named by
 // the cell's global address (on four PEs, cell 5 lives on PE 1). An
 // address is an integer in [0, allocated top) on every backend: a FETCH
-// or STORE at 2³²+5 is a bad address, never cell 5. MiniID's bounds-checked
-// indexing cannot form such an address, so those rows are hand-built
-// graphs, the kind of program an object file carries.
+// or STORE at 2³²+5 is a bad address, never cell 5. Likewise a SEND-ARG
+// handle is an integer in [0, 2³²): a handle 2³² past a live context is an
+// unknown context, never that context. MiniID's bounds-checked indexing
+// cannot form such an address, nor its calls such a handle, so those rows
+// are hand-built graphs, the kind of program an object file carries.
 func TestAllocateDispositions(t *testing.T) {
 	const sized = "def main(n) = { a = array(n); len(a) };"
 	const loop = `
@@ -105,6 +107,7 @@ def main(n) =
 			want: "address 5 already written (single-assignment violation)"},
 		{name: "fetch at 2^32+5", prog: rawAddressProgram(t, false), arg: 1<<32 + 5, want: "bad address 4294967301"},
 		{name: "store at 2^32+5", prog: rawAddressProgram(t, true), arg: 1<<32 + 5, want: "bad address 4294967301"},
+		{name: "send-arg at handle+2^32", prog: rawHandleProgram(t), arg: 1 << 32, want: "unknown context 4294967297"},
 	}
 	backends := []struct {
 		name string
@@ -183,6 +186,34 @@ func rawAddressProgram(t *testing.T, store bool) *graph.Program {
 		bb.Connect(raw, fetch, 0)
 		bb.Connect(fetch, ret, 0)
 	}
+	p, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// rawHandleProgram builds main(n): call block "id" (which returns its
+// argument), but send the argument n through the GET-CONTEXT handle plus
+// n. The call's context is 1, so a backend that narrowed the handle to 32
+// bits before its lookup would reach it at n = 2³² and answer n.
+func rawHandleProgram(t *testing.T) *graph.Program {
+	t.Helper()
+	b := graph.NewBuilder("raw-handle")
+	main := b.NewBlock("main", 1)
+	callee := b.NewBlock("id", 1)
+	callee.Connect(callee.Entry(0), callee.Op(graph.OpReturn, "x"), 0)
+	n := main.Entry(0)
+	getc := main.Emit(graph.Instruction{Op: graph.OpGetContext, Target: callee.ID(), Comment: "call id"})
+	raw := main.Op(graph.OpAdd, "handle + n")
+	send := main.Emit(graph.Instruction{Op: graph.OpSendArg, Target: callee.ID(), ArgIndex: 0})
+	ret := main.Op(graph.OpReturn, "")
+	main.Connect(n, getc, 0)
+	main.Connect(getc, raw, 0)
+	main.Connect(n, raw, 1)
+	main.Connect(raw, send, 0)
+	main.Connect(n, send, 1)
+	main.ConnectReturn(getc, ret, 0)
 	p, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)

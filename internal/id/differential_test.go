@@ -14,8 +14,8 @@ import (
 
 // progGen generates random — but terminating and well-defined — MiniID
 // programs for differential testing: the reference interpreter, the
-// cycle-accurate machine, and the concurrent emulator must agree on every
-// one of them.
+// cycle-accurate machine, and the emulator must agree on every one of
+// them.
 type progGen struct {
 	rng   *sim.RNG
 	buf   strings.Builder
